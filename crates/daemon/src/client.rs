@@ -148,16 +148,10 @@ impl DaemonClient {
         Ok((id, model))
     }
 
-    /// Appends a span batch to `session` (serialized as span-JSON-lines).
+    /// Appends a span batch to `session` (serialized as span-JSON-lines
+    /// by [`spans_to_jsonl`]).
     pub fn append_spans(&mut self, session: u64, spans: &[Span]) -> Result<Ack, ClientError> {
-        let mut payload = session.to_be_bytes().to_vec();
-        let mut w = SpanJsonLinesWriter::new(&mut payload);
-        for span in spans {
-            w.write_span(span).expect("writing to a Vec cannot fail");
-        }
-        w.finish().expect("writing to a Vec cannot fail");
-        self.send_frame(FrameKind::Append, &payload)?;
-        self.expect_ack()
+        self.append_raw(session, &spans_to_jsonl(spans))
     }
 
     /// Appends a span batch to `session` serialized as `.xspb` span binary
@@ -168,15 +162,12 @@ impl DaemonClient {
         session: u64,
         spans: &[Span],
     ) -> Result<Ack, ClientError> {
-        let mut payload = session.to_be_bytes().to_vec();
-        payload.extend_from_slice(&spans_to_binary(spans));
-        self.send_frame(FrameKind::Append, &payload)?;
-        self.expect_ack()
+        self.append_raw(session, &spans_to_binary(spans))
     }
 
-    /// Appends raw bytes as the batch body (fault-injection convenience;
-    /// the daemon sniffs the encoding, so this covers corrupt binary as
-    /// well as corrupt JSONL).
+    /// Appends raw bytes as the batch body. The daemon sniffs the
+    /// encoding, so this carries both encoded appends and fault
+    /// injection's corrupt binary and corrupt JSONL.
     pub fn append_raw(&mut self, session: u64, body: &[u8]) -> Result<Ack, ClientError> {
         let mut payload = session.to_be_bytes().to_vec();
         payload.extend_from_slice(body);
@@ -356,8 +347,8 @@ fn parse_json(payload: &[u8]) -> Result<serde_json::Value, ClientError> {
         .map_err(|e| ClientError::Protocol(format!("response payload is not JSON: {e}")))
 }
 
-/// Serializes spans to span-JSON-lines bytes (test helper mirroring what
-/// [`DaemonClient::append_spans`] puts on the wire).
+/// Serializes spans to span-JSON-lines bytes — the batch body
+/// [`DaemonClient::append_spans`] puts on the wire.
 pub fn spans_to_jsonl(spans: &[Span]) -> Vec<u8> {
     let mut out = Vec::new();
     let mut w = SpanJsonLinesWriter::new(&mut out);

@@ -360,6 +360,16 @@ fn corrupt_binary_appends_are_rejected_atomically() {
     let err = c.append_raw(session, &oversized).unwrap_err();
     assert_eq!(err.code(), Some("bad_payload"));
 
+    // Torn JSONL: two good lines, then a line cut off mid-object.
+    let mut torn = xsp_daemon::client::spans_to_jsonl(&mk_spans(3, 400));
+    torn.truncate(torn.len() - 10);
+    let err = c.append_raw(session, &torn).unwrap_err();
+    assert_eq!(err.code(), Some("bad_payload"));
+    assert!(
+        err.to_string().contains("span JSONL") && err.to_string().contains("line 3"),
+        "names the encoding and the line: {err}"
+    );
+
     // Nothing of any refused batch landed; the session still serves.
     let ack = c.append_spans_binary(session, &mk_spans(1, 300)).unwrap();
     assert_eq!(ack.stats.resident, 6);

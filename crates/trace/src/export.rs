@@ -13,6 +13,7 @@ use crate::server::Trace;
 use crate::span::Span;
 
 pub mod binary;
+mod json;
 pub mod stream;
 
 pub use binary::{
@@ -66,8 +67,7 @@ pub fn to_span_json(trace: &Trace) -> String {
 /// offline conversion path (§III-A: conversion "can be performed off-line by
 /// processing the output of the profiler").
 pub fn from_span_json(json: &str) -> Result<Trace, serde_json::Error> {
-    let spans: Vec<Span> = serde_json::from_str(json)?;
-    Ok(Trace::from_spans(spans))
+    json::parse_span_array(json).map(Trace::from_spans)
 }
 
 #[cfg(test)]

@@ -5,8 +5,9 @@
 //! test, hopeless for sweep-scale traces (a single BERT-Base run already
 //! serializes to ~200 KB; a model-fleet sweep is thousands of runs). Every
 //! writer here instead emits spans *as they arrive*: peak memory is one
-//! span's serialization (one evaluation run's spans for folded stacks,
-//! which need the run's parent tree), independent of total trace size.
+//! scratch buffer the size of the largest span's serialization (one
+//! evaluation run's spans for folded stacks, which need the run's parent
+//! tree), independent of total trace size.
 //!
 //! Three formats share one contract:
 //!
@@ -23,10 +24,16 @@
 //! writers, so streamed bytes are *identical* to materialized bytes — the
 //! golden tests pin that equivalence, and the engine's determinism contract
 //! (serial output == parallel output) extends to every exported artifact.
+//!
+//! The JSON writers and the JSON-lines reader go through the direct span
+//! codec in `export/json.rs`: each writer encodes a span into one reused
+//! scratch buffer and hands it to the output in one `write_all`, and the
+//! reader parses each line straight into a [`Span`].
 
+use super::json;
 use crate::correlate::CorrelatedTrace;
 use crate::server::Trace;
-use crate::span::{Span, TagValue};
+use crate::span::Span;
 use std::fmt;
 use std::io::{self, BufRead, Write};
 
@@ -36,7 +43,8 @@ use std::io::{self, BufRead, Write};
 pub enum ReadError {
     /// The underlying reader failed.
     Io(io::Error),
-    /// A line failed to parse as span JSON; carries the 1-based line number.
+    /// A line failed to parse as span JSON (invalid UTF-8 included);
+    /// carries the 1-based line number.
     Parse {
         /// 1-based line number of the offending line.
         line: usize,
@@ -64,13 +72,6 @@ impl From<io::Error> for ReadError {
     }
 }
 
-/// Serializes one span and writes it to `out` — the shared unit of work of
-/// every span-JSON framing. Only this one span's JSON is ever materialized.
-fn write_span(out: &mut impl Write, span: &Span) -> io::Result<()> {
-    let json = serde_json::to_string(span).expect("span serialization cannot fail");
-    out.write_all(json.as_bytes())
-}
-
 /// Incremental writer for the span-JSON *array* format — byte-compatible
 /// with [`crate::export::to_span_json`], which wraps it.
 ///
@@ -87,21 +88,28 @@ fn write_span(out: &mut impl Write, span: &Span) -> io::Result<()> {
 pub struct SpanJsonWriter<W: Write> {
     out: W,
     written: usize,
+    buf: Vec<u8>,
 }
 
 impl<W: Write> SpanJsonWriter<W> {
     /// Opens the array.
     pub fn new(mut out: W) -> io::Result<Self> {
         out.write_all(b"[")?;
-        Ok(Self { out, written: 0 })
+        Ok(Self {
+            out,
+            written: 0,
+            buf: Vec::new(),
+        })
     }
 
     /// Appends one span.
     pub fn write_span(&mut self, span: &Span) -> io::Result<()> {
+        self.buf.clear();
         if self.written > 0 {
-            self.out.write_all(b",")?;
+            self.buf.push(b',');
         }
-        write_span(&mut self.out, span)?;
+        json::push_span(&mut self.buf, span);
+        self.out.write_all(&self.buf)?;
         self.written += 1;
         Ok(())
     }
@@ -134,18 +142,25 @@ impl<W: Write> SpanJsonWriter<W> {
 pub struct SpanJsonLinesWriter<W: Write> {
     out: W,
     written: usize,
+    buf: Vec<u8>,
 }
 
 impl<W: Write> SpanJsonLinesWriter<W> {
     /// Creates a writer over `out`.
     pub fn new(out: W) -> Self {
-        Self { out, written: 0 }
+        Self {
+            out,
+            written: 0,
+            buf: Vec::new(),
+        }
     }
 
     /// Appends one span as a single line.
     pub fn write_span(&mut self, span: &Span) -> io::Result<()> {
-        write_span(&mut self.out, span)?;
-        self.out.write_all(b"\n")?;
+        self.buf.clear();
+        json::push_span(&mut self.buf, span);
+        self.buf.push(b'\n');
+        self.out.write_all(&self.buf)?;
         self.written += 1;
         Ok(())
     }
@@ -174,13 +189,20 @@ impl<W: Write> SpanJsonLinesWriter<W> {
 }
 
 /// Streaming reader for span-JSON-lines: yields one [`Span`] per line,
-/// holding only the current line in memory. Blank lines are skipped, so
-/// concatenated or hand-edited exports stay readable.
+/// holding only the current line in memory. Blank lines (those `str::trim`
+/// empties) are skipped, so concatenated or hand-edited exports stay
+/// readable.
+///
+/// A line accepts what `serde_json::from_str::<Span>` accepts: keys in any
+/// order, JSON whitespace, unknown keys, a missing `parent`, repeated keys
+/// (the last wins). A line that is not UTF-8 is a [`ReadError::Parse`]
+/// naming its line number, like any other malformed line; only a failure
+/// of the underlying reader is a [`ReadError::Io`].
 #[derive(Debug)]
 pub struct SpanJsonLinesReader<R: BufRead> {
     input: R,
     line: usize,
-    buf: String,
+    buf: Vec<u8>,
 }
 
 impl<R: BufRead> SpanJsonLinesReader<R> {
@@ -189,7 +211,7 @@ impl<R: BufRead> SpanJsonLinesReader<R> {
         Self {
             input,
             line: 0,
-            buf: String::new(),
+            buf: Vec::new(),
         }
     }
 }
@@ -201,18 +223,21 @@ impl<R: BufRead> Iterator for SpanJsonLinesReader<R> {
         loop {
             self.buf.clear();
             self.line += 1;
-            match self.input.read_line(&mut self.buf) {
+            match self.input.read_until(b'\n', &mut self.buf) {
                 Ok(0) => return None,
                 Ok(_) => {
-                    let line = self.buf.trim_end_matches(['\n', '\r']);
-                    if line.trim().is_empty() {
-                        continue;
+                    let mut end = self.buf.len();
+                    while end > 0 && matches!(self.buf[end - 1], b'\n' | b'\r') {
+                        end -= 1;
                     }
-                    return Some(serde_json::from_str::<Span>(line).map_err(|source| {
-                        ReadError::Parse {
-                            line: self.line,
-                            source,
-                        }
+                    let parsed = match std::str::from_utf8(&self.buf[..end]) {
+                        Ok(text) if text.trim().is_empty() => continue,
+                        Ok(text) => json::parse_span(text),
+                        Err(e) => Err(json::utf8_error(e)),
+                    };
+                    return Some(parsed.map_err(|source| ReadError::Parse {
+                        line: self.line,
+                        source,
                     }));
                 }
                 Err(e) => return Some(Err(ReadError::Io(e))),
@@ -228,30 +253,6 @@ pub fn read_span_json_lines<R: BufRead>(input: R) -> Result<Trace, ReadError> {
     Ok(Trace::from_spans(spans))
 }
 
-/// One event in Chrome trace-event format ("X" complete events).
-#[derive(Debug, serde::Serialize)]
-struct ChromeEvent<'a> {
-    name: &'a str,
-    cat: String,
-    ph: &'static str,
-    /// Microseconds (Chrome's unit).
-    ts: f64,
-    dur: f64,
-    pid: u64,
-    tid: u64,
-    args: serde_json::Map<String, serde_json::Value>,
-}
-
-fn tag_to_json(v: &TagValue) -> serde_json::Value {
-    match v {
-        TagValue::Str(s) => serde_json::Value::String(s.clone()),
-        TagValue::I64(i) => serde_json::json!(i),
-        TagValue::U64(u) => serde_json::json!(u),
-        TagValue::F64(f) => serde_json::json!(f),
-        TagValue::Bool(b) => serde_json::Value::Bool(*b),
-    }
-}
-
 /// Incremental writer for Chrome trace-event JSON — byte-compatible with
 /// [`crate::export::to_chrome_trace`], which wraps it. Each stack level maps
 /// to its own "thread" row so the across-stack timeline reads top-down like
@@ -260,40 +261,28 @@ fn tag_to_json(v: &TagValue) -> serde_json::Value {
 pub struct ChromeTraceWriter<W: Write> {
     out: W,
     written: usize,
+    buf: Vec<u8>,
 }
 
 impl<W: Write> ChromeTraceWriter<W> {
     /// Opens the `traceEvents` envelope.
     pub fn new(mut out: W) -> io::Result<Self> {
         out.write_all(b"{\"traceEvents\":[")?;
-        Ok(Self { out, written: 0 })
+        Ok(Self {
+            out,
+            written: 0,
+            buf: Vec::new(),
+        })
     }
 
     /// Appends one span as an "X" (complete) event.
     pub fn write_span(&mut self, span: &Span) -> io::Result<()> {
-        let mut args = serde_json::Map::new();
-        args.insert("span_id".into(), serde_json::json!(span.id.0));
-        if let Some(p) = span.parent {
-            args.insert("parent".into(), serde_json::json!(p.0));
-        }
-        for (k, v) in &span.tags {
-            args.insert(k.clone(), tag_to_json(v));
-        }
-        let event = ChromeEvent {
-            name: &span.name,
-            cat: span.level.to_string(),
-            ph: "X",
-            ts: span.start_ns as f64 / 1e3,
-            dur: span.duration_ns() as f64 / 1e3,
-            pid: span.trace_id.0,
-            tid: span.level.rank() as u64,
-            args,
-        };
+        self.buf.clear();
         if self.written > 0 {
-            self.out.write_all(b",")?;
+            self.buf.push(b',');
         }
-        let json = serde_json::to_string(&event).expect("chrome event serialization cannot fail");
-        self.out.write_all(json.as_bytes())?;
+        json::push_chrome_event(&mut self.buf, span);
+        self.out.write_all(&self.buf)?;
         self.written += 1;
         Ok(())
     }

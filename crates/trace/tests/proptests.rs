@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use std::collections::HashMap;
 use xsp_trace::correlate::CorrelatedSpan;
 use xsp_trace::interval::{Interval, IntervalTree};
-use xsp_trace::span::{tag_keys, Span, SpanId};
+use xsp_trace::span::{tag_keys, Span, SpanId, TagValue};
 use xsp_trace::stats::{percentile, trimmed_mean, Summary};
 use xsp_trace::{
     correlate_async_spans, reconstruct_parents, AmbiguityReport, CorrelationEngine, SpanBuilder,
@@ -156,20 +156,59 @@ proptest! {
         prop_assert_eq!(s.n, samples.len());
     }
 
-    /// Streaming export round trip: write → read → write is byte-identical
-    /// for arbitrary spans (names with JSON-hostile characters, every tag
-    /// type, parent chains, logs), in both the JSON-lines and the array
-    /// framing.
+    /// Streaming export round trip: the bytes of every span writer equal a
+    /// reference encoding through `serde_json` — the span JSON of
+    /// `serde_json::to_string(span)` and a Chrome event built through
+    /// `serde_json::Map` — for arbitrary spans (names with JSON-hostile
+    /// characters, every tag type and float edge, repeated tag keys, parent
+    /// chains, logs); and write → read → write is a fixpoint in both the
+    /// JSON-lines and the array framing.
     #[test]
     fn span_json_lines_roundtrip_is_byte_identical(specs in arb_span_specs()) {
-        use xsp_trace::export::{read_span_json_lines, SpanJsonLinesWriter, SpanJsonWriter};
-        let spans = build_spans(specs);
-        let trace = Trace::from_spans(spans);
+        use xsp_trace::export::{
+            from_span_json, read_span_json_lines, to_span_json, ChromeTraceWriter, ReadError,
+            SpanJsonLinesWriter, SpanJsonWriter,
+        };
+        let trace = Trace::from_spans(build_spans(specs));
 
         let mut writer = SpanJsonLinesWriter::new(Vec::new());
         writer.write_trace(&trace).unwrap();
-        let first = writer.finish().unwrap();
+        let lines = writer.finish().unwrap();
+        let reference: String = trace
+            .spans()
+            .iter()
+            .map(|s| serde_json::to_string(s).unwrap() + "\n")
+            .collect();
+        prop_assert_eq!(String::from_utf8(lines.clone()).unwrap(), reference);
 
+        // the array framing must agree with serde_json and the
+        // materializing exporter
+        let mut writer = SpanJsonWriter::new(Vec::new()).unwrap();
+        writer.write_trace(&trace).unwrap();
+        let array = String::from_utf8(writer.finish().unwrap()).unwrap();
+        prop_assert_eq!(&array, &serde_json::to_string(trace.spans()).unwrap());
+        prop_assert_eq!(&array, &to_span_json(&trace));
+
+        let mut writer = ChromeTraceWriter::new(Vec::new()).unwrap();
+        writer.write_trace(&trace).unwrap();
+        let chrome = String::from_utf8(writer.finish().unwrap()).unwrap();
+        prop_assert_eq!(chrome, reference_chrome_trace(trace.spans()));
+
+        let finite = finite_tags(trace.spans().iter().cloned());
+        if finite != trace.spans() {
+            // A non-finite float is written as `{"F64":null}`, which no
+            // reader accepts back.
+            let bad = read_span_json_lines(&lines[..]);
+            prop_assert!(matches!(bad, Err(ReadError::Parse { .. })), "{:?}", bad);
+            prop_assert!(from_span_json(&array).is_err());
+        }
+
+        // Both framings survive their own round trip; the spans without
+        // their non-finite tags stand in, so every case gets here.
+        let trace = Trace::from_spans(finite);
+        let mut writer = SpanJsonLinesWriter::new(Vec::new());
+        writer.write_trace(&trace).unwrap();
+        let first = writer.finish().unwrap();
         let back = read_span_json_lines(&first[..]).unwrap();
         prop_assert_eq!(back.len(), trace.len());
 
@@ -178,14 +217,237 @@ proptest! {
         let second = writer.finish().unwrap();
         prop_assert_eq!(&first, &second, "write → read → write must be a fixpoint");
 
-        // the array framing must agree with the materializing exporter and
-        // survive its own round trip
-        let mut writer = SpanJsonWriter::new(Vec::new()).unwrap();
-        writer.write_trace(&trace).unwrap();
-        let array = String::from_utf8(writer.finish().unwrap()).unwrap();
-        prop_assert_eq!(&array, &xsp_trace::export::to_span_json(&trace));
-        let reparsed = xsp_trace::export::from_span_json(&array).unwrap();
-        prop_assert_eq!(xsp_trace::export::to_span_json(&reparsed), array);
+        let array = to_span_json(&trace);
+        let reparsed = from_span_json(&array).unwrap();
+        prop_assert_eq!(to_span_json(&reparsed), array);
+    }
+
+    /// The span reader accepts what `serde_json::from_str::<Span>` accepts
+    /// and returns the same span: keys in any order (some spelled with
+    /// `\u` escapes), insignificant whitespace, unknown keys with nested
+    /// values, a missing `parent`, and repeated keys where the last wins,
+    /// even over an earlier value of the wrong shape. Checked per line
+    /// through the JSON-lines reader and for whole arrays, with newlines
+    /// as whitespace, through `from_span_json`.
+    #[test]
+    fn span_reader_accepts_what_serde_json_accepts(
+        specs in arb_span_specs(),
+        seed in 0u64..u64::MAX,
+    ) {
+        use xsp_trace::export::{from_span_json, read_span_json_lines};
+        let spans = finite_tags(build_spans(specs));
+        let mut layout = Layout(seed);
+        for span in &spans {
+            let line = layout.span_object(span, false);
+            let reference: Span = serde_json::from_str(&line).unwrap();
+            prop_assert_eq!(&reference, span, "{}", line);
+            let ours = read_span_json_lines(line.as_bytes()).unwrap();
+            prop_assert_eq!(ours.spans(), std::slice::from_ref(span), "{}", line);
+        }
+        let mut array = String::from("[");
+        for (i, span) in spans.iter().enumerate() {
+            if i > 0 {
+                array.push(',');
+            }
+            layout.ws(&mut array, true);
+            array.push_str(&layout.span_object(span, true));
+            layout.ws(&mut array, true);
+        }
+        array.push(']');
+        let reference: Vec<Span> = serde_json::from_str(&array).unwrap();
+        prop_assert_eq!(&reference, &spans);
+        let ours = from_span_json(&array).unwrap();
+        prop_assert_eq!(ours.spans(), &spans[..]);
+    }
+}
+
+/// `spans` without their non-finite `F64` tags, which span JSON writes as
+/// `null` and so cannot carry.
+fn finite_tags(spans: impl IntoIterator<Item = Span>) -> Vec<Span> {
+    spans
+        .into_iter()
+        .map(|mut s| {
+            s.tags
+                .retain(|(_, v)| !matches!(v, TagValue::F64(f) if !f.is_finite()));
+            s
+        })
+        .collect()
+}
+
+/// The reference Chrome trace-event envelope: each event is built through
+/// `serde_json::Map`, whose `insert` keeps a repeated key at its first
+/// position with its last value.
+fn reference_chrome_trace(spans: &[Span]) -> String {
+    use serde_json::{json, Map, Value};
+    let events: Vec<String> = spans
+        .iter()
+        .map(|span| {
+            let mut args = Map::new();
+            args.insert("span_id".into(), json!(span.id.0));
+            if let Some(p) = span.parent {
+                args.insert("parent".into(), json!(p.0));
+            }
+            for (k, v) in &span.tags {
+                let value = match v {
+                    TagValue::Str(s) => Value::String(s.clone()),
+                    TagValue::I64(i) => json!(i),
+                    TagValue::U64(u) => json!(u),
+                    TagValue::F64(f) => json!(f),
+                    TagValue::Bool(b) => Value::Bool(*b),
+                };
+                args.insert(k.clone(), value);
+            }
+            let mut event = Map::new();
+            event.insert("name".into(), Value::String(span.name.clone()));
+            event.insert("cat".into(), Value::String(span.level.to_string()));
+            event.insert("ph".into(), json!("X"));
+            event.insert("ts".into(), json!(span.start_ns as f64 / 1e3));
+            event.insert("dur".into(), json!(span.duration_ns() as f64 / 1e3));
+            event.insert("pid".into(), json!(span.trace_id.0));
+            event.insert("tid".into(), json!(span.level.rank() as u64));
+            event.insert("args".into(), Value::Object(args));
+            serde_json::to_string(&Value::Object(event)).unwrap()
+        })
+        .collect();
+    format!("{{\"traceEvents\":[{}]}}", events.join(","))
+}
+
+/// Seeded choices for spelling a span object in ways the writer never
+/// does but a reader must accept.
+struct Layout(u64);
+
+impl Layout {
+    fn pick(&mut self, n: usize) -> usize {
+        self.0 = self
+            .0
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        ((self.0 >> 33) % n as u64) as usize
+    }
+
+    /// Insignificant whitespace; newlines only where the text is not one
+    /// JSON line.
+    fn ws(&mut self, out: &mut String, newlines: bool) {
+        const WS: [&str; 6] = ["", "", " ", "\t", " \t ", "\r"];
+        const NL: [&str; 2] = ["\n", "\r\n  "];
+        let k = self.pick(WS.len() + if newlines { NL.len() } else { 0 });
+        out.push_str(if k < WS.len() {
+            WS[k]
+        } else {
+            NL[k - WS.len()]
+        });
+    }
+
+    /// A key, sometimes with its first character as a `\u` escape.
+    fn key(&mut self, out: &mut String, key: &str) {
+        match key.chars().next() {
+            Some(c) if c.is_ascii_alphanumeric() && self.pick(4) == 0 => {
+                out.push_str(&format!("\"\\u{:04x}", c as u32));
+                out.push_str(&serde_json::to_string(&key[1..]).unwrap()[1..]);
+            }
+            _ => out.push_str(&serde_json::to_string(key).unwrap()),
+        }
+    }
+
+    fn value(&mut self, v: &serde_json::Value, newlines: bool, out: &mut String) {
+        use serde_json::Value;
+        match v {
+            Value::Array(items) => {
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    self.ws(out, newlines);
+                    self.value(item, newlines, out);
+                    self.ws(out, newlines);
+                }
+                out.push(']');
+            }
+            Value::Object(map) => {
+                out.push('{');
+                for (i, (k, item)) in map.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    self.ws(out, newlines);
+                    self.key(out, k);
+                    self.ws(out, newlines);
+                    out.push(':');
+                    self.ws(out, newlines);
+                    self.value(item, newlines, out);
+                    self.ws(out, newlines);
+                }
+                out.push('}');
+            }
+            scalar => out.push_str(&serde_json::to_string(scalar).unwrap()),
+        }
+    }
+
+    /// `span` as one JSON object: its members shuffled, a `null` parent
+    /// sometimes left out, decoys of some members placed before them (the
+    /// last key wins), and unknown members mixed in.
+    fn span_object(&mut self, span: &Span, newlines: bool) -> String {
+        const DECOYS: [&str; 8] = [
+            r#""decoy""#,
+            "-1",
+            "1.5",
+            "null",
+            r#"{"U64":1}"#,
+            r#"[["k",{"Bool":true}]]"#,
+            r#""Kernel""#,
+            r#"[{"at_ns":1,"message":"m"}]"#,
+        ];
+        const UNKNOWN: [(&str, &str); 4] = [
+            ("x", r#"{"a":[1,{"b":null}],"c":"\u0041\n"}"#),
+            ("ids", "[[[]],{},-0.5e-3,true,false]"),
+            ("Span", r#"{"id":9,"name":{"Str":"n"}}"#),
+            ("tags_", r#"[["k",{"F64":null}]]"#),
+        ];
+        let serde_json::Value::Object(map) = serde_json::to_value(span) else {
+            unreachable!("a span serializes to an object")
+        };
+        let mut members: Vec<(String, serde_json::Value)> = Vec::new();
+        for (k, v) in map.iter() {
+            if k == "parent" && v.is_null() && self.pick(2) == 0 {
+                continue;
+            }
+            members.push((k.clone(), v.clone()));
+        }
+        for i in (1..members.len()).rev() {
+            let j = self.pick(i + 1);
+            members.swap(i, j);
+        }
+        for i in (0..members.len()).rev() {
+            if self.pick(3) == 0 {
+                let decoy = serde_json::from_str(DECOYS[self.pick(DECOYS.len())]).unwrap();
+                let at = self.pick(i + 1);
+                members.insert(at, (members[i].0.clone(), decoy));
+            }
+        }
+        for _ in 0..self.pick(3) {
+            let (k, v) = UNKNOWN[self.pick(UNKNOWN.len())];
+            let at = self.pick(members.len() + 1);
+            members.insert(at, (k.to_owned(), serde_json::from_str(v).unwrap()));
+        }
+        let mut out = String::new();
+        self.ws(&mut out, newlines);
+        out.push('{');
+        for (i, (k, v)) in members.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            self.ws(&mut out, newlines);
+            self.key(&mut out, k);
+            self.ws(&mut out, newlines);
+            out.push(':');
+            self.ws(&mut out, newlines);
+            self.value(v, newlines, &mut out);
+            self.ws(&mut out, newlines);
+        }
+        out.push('}');
+        self.ws(&mut out, newlines);
+        out
     }
 }
 
@@ -486,22 +748,59 @@ fn oracle_single_run(spans: &[Span]) -> (Vec<CorrelatedSpan>, AmbiguityReport) {
 }
 
 /// Raw generator output for one span: `(name index, level index, start,
-/// len, parent back-reference, tag selector bits, log count)`.
-type SpanSpec = (usize, usize, u64, u64, usize, u8, usize);
+/// len, parent back-reference, tags as (key index, value index), log
+/// count)`.
+type SpanSpec = (usize, usize, u64, u64, usize, Vec<(usize, usize)>, usize);
 
 fn arb_span_specs() -> impl Strategy<Value = Vec<SpanSpec>> {
     prop::collection::vec(
         (
-            0usize..6,
+            0usize..7,
             0usize..5,
             0u64..1_000_000_000,
             0u64..1_000_000,
             0usize..4,
-            0u8..32,
+            prop::collection::vec((0usize..TAG_KEYS.len(), 0usize..18), 0..6),
             0usize..3,
         ),
         0..30,
     )
+}
+
+/// Tag keys: few enough that keys repeat within a span, including the
+/// two the Chrome writer puts into `args` itself.
+const TAG_KEYS: [&str; 8] = [
+    "note",
+    "signed",
+    tag_keys::FLOP_COUNT_SP,
+    "occ",
+    "span_id",
+    "parent",
+    "ctl\u{1}key",
+    "ключ",
+];
+
+fn tag_value(ix: usize, start: u64) -> TagValue {
+    match ix {
+        0 => TagValue::Str("string \"tag\"\n".into()),
+        1 => TagValue::Str("ctl\u{0}\u{1f}\u{7f} é⟨⟩".into()),
+        2 => TagValue::I64(-42),
+        3 => TagValue::I64(i64::MIN),
+        4 => TagValue::I64(7),
+        5 => TagValue::U64(u64::MAX),
+        6 => TagValue::U64(0),
+        7 => TagValue::F64(0.1 + start as f64 * 1e-3),
+        8 => TagValue::F64(f64::NAN),
+        9 => TagValue::F64(f64::INFINITY),
+        10 => TagValue::F64(f64::NEG_INFINITY),
+        11 => TagValue::F64(-0.0),
+        12 => TagValue::F64(1e300),
+        13 => TagValue::F64(5e-324),
+        14 => TagValue::F64(1000.0),
+        15 => TagValue::F64(-2.5e-7),
+        16 => TagValue::Bool(true),
+        _ => TagValue::Bool(false),
+    }
 }
 
 fn build_spans(specs: Vec<SpanSpec>) -> Vec<xsp_trace::Span> {
@@ -514,32 +813,21 @@ fn build_spans(specs: Vec<SpanSpec>) -> Vec<xsp_trace::Span> {
         "tab\tand\nnewline",
         "uni⟨code⟩ kernel λ",
         "back\\slash",
+        "ctl\u{0}\u{8}\u{c}\r\u{1b}",
     ];
     let mut spans: Vec<xsp_trace::Span> = Vec::with_capacity(specs.len());
-    for (name_ix, level_ix, start, len, parent_back, tag_bits, logs) in specs {
+    for (name_ix, level_ix, start, len, parent_back, tags, logs) in specs {
         let level = StackLevel::ALL[level_ix % StackLevel::ALL.len()];
         let mut builder =
             SpanBuilder::new(names[name_ix % names.len()], level, TraceId(1)).start(start);
         if parent_back > 0 && !spans.is_empty() {
             builder = builder.parent(spans[(parent_back - 1) % spans.len()].id);
         }
-        if tag_bits & 1 != 0 {
-            builder = builder.tag("note", "string \"tag\"\n");
-        }
-        if tag_bits & 2 != 0 {
-            builder = builder.tag("signed", -42i64);
-        }
-        if tag_bits & 4 != 0 {
-            builder = builder.tag(tag_keys::FLOP_COUNT_SP, u64::MAX);
-        }
-        if tag_bits & 8 != 0 {
-            builder = builder.tag("occ", 0.1f64 + start as f64 * 1e-3);
-        }
-        if tag_bits & 16 != 0 {
-            builder = builder.tag("flag", (tag_bits & 1) == 0);
+        for (key, value) in tags {
+            builder = builder.tag(TAG_KEYS[key], tag_value(value, start));
         }
         for l in 0..logs {
-            builder = builder.log(start + l as u64, format!("event {l}"));
+            builder = builder.log(start + l as u64, format!("event {l}\u{2} ⟨λ⟩"));
         }
         spans.push(builder.finish(start + len));
     }
