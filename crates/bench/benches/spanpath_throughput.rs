@@ -6,8 +6,8 @@
 //! * **spanpath** — publish → drain → correlate, the resident hot path.
 //!   The `span` arm drains into a `Trace` (one owned [`Span`] per span,
 //!   strings and all) and correlates it; the `store` arm drains straight
-//!   into a [`SpanStore`] (columns + interned names) and runs the
-//!   store-native correlation pass over indices.
+//!   into a [`SpanStore`] (columns + interned names) and runs the same
+//!   correlation pass over its columns.
 //! * **ingest** — parse → correlate from saved capture bytes, the offline
 //!   path. The `jsonl` arm parses span-JSON-lines; the `xspb` arm streams
 //!   the binary format directly into a store.
@@ -167,81 +167,6 @@ fn bench_spanpath(
     g.finish();
 }
 
-/// Incremental correlation vs the batch engine: both arms publish the same
-/// spans and end with a fully correlated trace, but the `batch` arm drains
-/// everything at the end and correlates once, while the `push` arm drains
-/// after every chunk into `CorrelationEngine::push_batch` (the sweep /
-/// daemon shape) and finalizes the window. The contract pinned by the
-/// oracle proptest says the outputs are identical; this group pins the
-/// cost of getting them incrementally.
-fn bench_incremental(
-    c: &mut Criterion,
-    summary: &mut Option<BenchSummary>,
-    rates: &mut Vec<(String, f64)>,
-    quick: bool,
-) {
-    let samples = if quick { 5 } else { 15 };
-    let mut g = c.benchmark_group("incremental");
-    g.sample_size(10);
-    for n in [10_000usize, 100_000] {
-        let spans = mk_run_spans(n, 8);
-        // 16 sweeps over the run — roughly the drain cadence of a resident
-        // profile with a few thousand spans per flush.
-        let chunk = (n / 16).max(1);
-
-        let batch_pass = || {
-            let server = TracingServer::new();
-            let buffer = server.buffer("bench");
-            for s in &spans {
-                buffer.report(s.clone());
-            }
-            buffer.flush();
-            let trace = server.drain();
-            black_box(CorrelationEngine::new().correlate(trace))
-        };
-        let push_pass = || {
-            let server = TracingServer::new();
-            let buffer = server.buffer("bench");
-            let mut engine = CorrelationEngine::new();
-            for batch in spans.chunks(chunk) {
-                for s in batch {
-                    buffer.report(s.clone());
-                }
-                buffer.flush();
-                server.drain_each(|span| engine.push_span(span));
-            }
-            black_box(engine.finalize_all())
-        };
-        g.bench_with_input(BenchmarkId::new("batch", n), &n, |b, _| b.iter(batch_pass));
-        g.bench_with_input(BenchmarkId::new("push", n), &n, |b, _| b.iter(push_pass));
-
-        for (label, secs) in [
-            (
-                "batch",
-                median_secs(samples, || {
-                    batch_pass();
-                }),
-            ),
-            (
-                "push",
-                median_secs(samples, || {
-                    push_pass();
-                }),
-            ),
-        ] {
-            let rate = n as f64 / secs;
-            rates.push((format!("incremental/{label}/{n}"), rate));
-            if let Some(summary) = summary.as_mut() {
-                summary.point(
-                    format!("incremental/{label}/{n}"),
-                    &[("spans_per_sec", rate)],
-                );
-            }
-        }
-    }
-    g.finish();
-}
-
 /// The offline path: capture bytes parsed and correlated — JSONL through
 /// owned spans vs `.xspb` streamed straight into a store.
 fn bench_ingest(
@@ -309,7 +234,6 @@ fn main() {
     let mut criterion = Criterion::default().configure_from_args();
     let mut rates: Vec<(String, f64)> = Vec::new();
     bench_spanpath(&mut criterion, &mut summary, &mut rates, quick);
-    bench_incremental(&mut criterion, &mut summary, &mut rates, quick);
     bench_ingest(&mut criterion, &mut summary, &mut rates, quick);
 
     println!("\nsustained span-path throughput (median):");
@@ -325,17 +249,14 @@ fn main() {
     };
     let ingest_ratio = rate_of("ingest/xspb/100000") / rate_of("ingest/jsonl/100000");
     let path_ratio = rate_of("spanpath/store/100000") / rate_of("spanpath/span/100000");
-    let incr_ratio = rate_of("incremental/push/100000") / rate_of("incremental/batch/100000");
     println!("  ingest speedup @100k (xspb/jsonl):   {ingest_ratio:.1}x");
     println!("  spanpath speedup @100k (store/span): {path_ratio:.1}x");
-    println!("  incremental cost @100k (push/batch): {incr_ratio:.2}x");
     if let Some(summary) = summary.as_mut() {
         summary.point(
             "speedup/100000",
             &[
                 ("ingest_xspb_over_jsonl", ingest_ratio),
                 ("spanpath_store_over_span", path_ratio),
-                ("incremental_push_over_batch", incr_ratio),
             ],
         );
     }

@@ -686,16 +686,6 @@ pub fn read_xspc(src: &mut impl Read) -> Result<(GraphFingerprint, LeveledProfil
             )));
         }
         let trace = read_span_binary(&payload[..])?;
-        // The binary layer checks structure, not semantics: a corrupted
-        // timestamp can decode into a span that ends before it starts,
-        // which the profiling arithmetic downstream is entitled to trust.
-        // Refuse it here, before any duration math runs.
-        if let Some(bad) = trace.spans().iter().find(|s| s.end_ns < s.start_ns) {
-            return Err(XspcReadError::Malformed(format!(
-                "run {i}: span {} ends before it starts ({} < {})",
-                bad.id, bad.end_ns, bad.start_ns
-            )));
-        }
         let mut run = crate::pipeline::profile_from_trace(trace, level);
         run.used_serialized_rerun = rerun;
         match bucket.as_str() {

@@ -218,14 +218,9 @@ pub fn run_once_with_metrics(
     ] {
         buffer.flush();
     }
-    // Correlate incrementally: `drain_each` streams spans straight out of
-    // the server's buckets into the engine's per-run window (no intermediate
-    // `Trace`), and `finalize_all` runs the per-run merge + lazy interval
-    // trees — byte-identical to the batch `correlate` path, see
-    // `xsp_trace::correlate`.
-    let mut engine = CorrelationEngine::new();
-    server.drain_each(|span| engine.push_span(span));
-    let mut correlated = engine.finalize_all();
+    // The server holds this run only; the engine moves its spans into the
+    // correlated trace without cloning them.
+    let mut correlated = CorrelationEngine::new().correlate(server.drain());
     let mut used_rerun = false;
 
     // Serialized re-run for ambiguous parents (§III-A). The repeated run
@@ -469,8 +464,8 @@ fn extract_kernels(trace: &CorrelatedTrace, layers: &[LayerProfile]) -> Vec<Kern
 /// through untouched) and every non-root span carries its explicit parent,
 /// so re-correlation is a no-op — but hand-built JSONL containing
 /// *unpaired* async halves or parentless spans in several runs can pair or
-/// parent across run boundaries. Splitting on a per-run tag instead is
-/// tracked in the ROADMAP (it would change the capture format).
+/// parent across run boundaries. Splitting on a per-run tag instead would
+/// change the capture format.
 pub fn profile_from_trace(trace: xsp_trace::Trace, level: ProfilingLevel) -> RunProfile {
     let correlated = CorrelationEngine::new().correlate(trace);
     profile_from_correlated(correlated, level)
@@ -478,9 +473,9 @@ pub fn profile_from_trace(trace: xsp_trace::Trace, level: ProfilingLevel) -> Run
 
 /// Extracts a [`RunProfile`] from an already-correlated trace — the entry
 /// point for callers that ran correlation themselves, e.g. the daemon's
-/// per-session incremental engine, which materializes a `CorrelatedTrace`
-/// from its cached per-run correlations without re-correlating the
-/// finalized prefix.
+/// per-session correlation cache, which materializes a `CorrelatedTrace`
+/// from its cached per-run correlations without re-correlating unchanged
+/// runs.
 pub fn profile_from_correlated(correlated: CorrelatedTrace, level: ProfilingLevel) -> RunProfile {
     let trace_id = correlated
         .spans()

@@ -21,11 +21,11 @@
 //!
 //! Span streaming: with a sink attached ([`simulate_streaming`]), each step
 //! clones the spans of its (memoized) profile, re-stamps them with a fresh
-//! per-step trace id and the step's virtual start time, and pushes them
-//! through an incremental [`CorrelationEngine`] window —
-//! `push_batch`/`finalize_run` per step — so the exported trace reads as
-//! one continuous serving timeline rather than a pile of overlapping
-//! single-inference captures.
+//! per-step trace id and the step's virtual start time, and correlates
+//! them as one run through a [`CorrelationEngine`] (a no-op on the already
+//! correlated spans), so the exported trace reads as one continuous
+//! serving timeline rather than a pile of overlapping single-inference
+//! captures.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -34,7 +34,7 @@ use crate::export::ExportSink;
 use crate::pipeline::profile_from_correlated;
 use crate::profile::{LeveledProfile, ProfileRequest, ProfilingLevel, Xsp};
 use xsp_models::transformer::{self, DecodeAttention};
-use xsp_trace::{CorrelationEngine, Span, TraceId};
+use xsp_trace::{CorrelationEngine, Span, Trace, TraceId};
 
 /// One inference request in the arrival trace.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -429,8 +429,7 @@ pub fn simulate(
 }
 
 /// Runs the continuous-batching simulation, optionally streaming each
-/// step's re-stamped spans through an incremental correlation window into
-/// `sink` (one finalized run per step).
+/// step's re-stamped, correlated run into `sink` (one run per step).
 pub fn simulate_streaming(
     xsp: &Xsp,
     model: ServingModel,
@@ -623,8 +622,8 @@ pub fn simulate_streaming(
 
 /// Streams one step's spans: clone the deepest plain run of the step's
 /// memoized profile, re-stamp every span with the step's trace id and
-/// virtual start time, and run it through the incremental correlation
-/// window so the sink receives one finalized run per step.
+/// virtual start time, and correlate it as one run so the sink receives
+/// one run per step.
 fn stream_step(
     engine: &mut CorrelationEngine,
     sink: &ExportSink,
@@ -653,10 +652,8 @@ fn stream_step(
             s
         })
         .collect();
-    engine.push_batch(restamped);
-    if let Some(correlated) = engine.finalize_run(trace_id) {
-        sink.write_runs(&[profile_from_correlated(correlated, level)]);
-    }
+    let correlated = engine.correlate(Trace::from_spans(restamped));
+    sink.write_runs(&[profile_from_correlated(correlated, level)]);
 }
 
 #[cfg(test)]

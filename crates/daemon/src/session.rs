@@ -131,8 +131,8 @@ pub struct Session {
     quota: usize,
     on_full: OnFull,
     sink: Option<ExportSink>,
-    /// Shared lazy interval-tree state for the incremental correlation
-    /// below (level buckets and trees are reused across refreshes).
+    /// The correlation engine behind the cache below; its scratch buffers
+    /// (verdicts, level buckets, trees) are reused across refreshes.
     engine: CorrelationEngine,
     /// Per-run correlation cache over the resident store: an `Export`
     /// request only re-correlates runs that gained spans since the last

@@ -48,6 +48,44 @@ fn mk_spans(n: usize, offset: u64) -> Vec<Span> {
         .collect()
 }
 
+/// A `Model` span from 500 to 100 and a parentless `Kernel` span from 200
+/// to 300; the bad span is the first.
+fn inverted_two_span_capture() -> (&'static str, Vec<Span>, usize) {
+    let mut model = SpanBuilder::new("model_prediction", StackLevel::Model, TraceId(1))
+        .start(100)
+        .finish(500);
+    (model.start_ns, model.end_ns) = (500, 100);
+    let kernel = SpanBuilder::new("volta_sgemm", StackLevel::Kernel, TraceId(1))
+        .start(200)
+        .finish(300);
+    ("two-span", vec![model, kernel], 0)
+}
+
+/// A bert-base M/L/G capture with its `model_prediction` span inverted,
+/// and that span's index.
+fn inverted_bert_capture() -> (&'static str, Vec<Span>, usize) {
+    use xsp_core::profile::{ProfileRequest, ProfilingLevel, Xsp, XspConfig};
+    let profile = Xsp::new(
+        XspConfig::new(
+            xsp_gpu::systems::tesla_v100(),
+            xsp_framework::FrameworkKind::TensorFlow,
+        )
+        .runs(1),
+    )
+    .run(
+        ProfileRequest::new(&xsp_models::zoo::lookup("bert-base").unwrap().graph(1))
+            .level(ProfilingLevel::ModelLayerGpu),
+    );
+    let mut spans: Vec<Span> = profile.iter_spans().cloned().collect();
+    let bad = spans
+        .iter()
+        .position(|s| s.name == "model_prediction")
+        .unwrap();
+    let span = &mut spans[bad];
+    std::mem::swap(&mut span.start_ns, &mut span.end_ns);
+    ("bert-base", spans, bad)
+}
+
 fn jsonl_lines(path: &PathBuf) -> usize {
     match std::fs::File::open(path) {
         Ok(f) => std::io::BufReader::new(f).lines().count(),
@@ -369,6 +407,28 @@ fn corrupt_binary_appends_are_rejected_atomically() {
         err.to_string().contains("span JSONL") && err.to_string().contains("line 3"),
         "names the encoding and the line: {err}"
     );
+
+    // A span that ends before it starts, in either encoding: the two-span
+    // capture (an inverted model span, then a parentless kernel) and a
+    // bert-base capture with its model_prediction span inverted.
+    for (label, spans, bad) in [inverted_two_span_capture(), inverted_bert_capture()] {
+        let jsonl = xsp_daemon::client::spans_to_jsonl(&spans);
+        for bytes in [jsonl, spans_to_binary(&spans)] {
+            let err = c.append_raw(session, &bytes).unwrap_err();
+            assert_eq!(err.code(), Some("bad_payload"), "{label}: {err}");
+            assert!(
+                err.to_string().contains("before"),
+                "{label}: says why: {err}"
+            );
+        }
+        let err = c
+            .append_raw(session, &xsp_daemon::client::spans_to_jsonl(&spans))
+            .unwrap_err();
+        assert!(
+            err.to_string().contains(&format!("line {}", bad + 1)),
+            "{label}: names the line: {err}"
+        );
+    }
 
     // Nothing of any refused batch landed; the session still serves.
     let ack = c.append_spans_binary(session, &mk_spans(1, 300)).unwrap();

@@ -1,36 +1,39 @@
 //! Offline trace correlation (§III-A).
 //!
-//! Two reconstruction problems are solved here:
+//! Correlation is one algorithm, run once per evaluation run:
 //!
-//! 1. **Async correlation** — asynchronous operations (GPU kernels, async
+//! 1. **Async merge** — asynchronous operations (GPU kernels, async
 //!    memcpy) appear as *two* spans: a launch span captured on the CPU
 //!    timeline (CUPTI callback API) and an execution span on the GPU timeline
 //!    (CUPTI activity API), linked by a `correlation_id` tag. Per the paper,
 //!    "XSP uses the launch span's parent as the parent of the asynchronous
 //!    function and uses the execution span to get the performance
-//!    information". [`correlate_async_spans`] performs that merge.
+//!    information": each pair becomes one entry with the execution's timing,
+//!    the launch's parent, and the launch tags the execution lacks.
 //!
 //! 2. **Parent reconstruction** — profilers at different stack levels cannot
 //!    see each other, so e.g. kernel spans arrive without a layer parent.
-//!    The [`CorrelationEngine`] builds an [`IntervalTree`] per stack level
-//!    and assigns each orphan span the unique span one level up (among
-//!    levels present) whose interval contains it. Ambiguities (several
-//!    containing candidates, i.e. parallel events) are reported so the
-//!    caller can re-run with serialized execution
-//!    (`CUDA_LAUNCH_BLOCKING=1`).
+//!    Every span without an explicit parent gets the unique span one level
+//!    up (among levels present) whose interval contains it, found through a
+//!    per-level [`IntervalTree`]. Ambiguities (several containing
+//!    candidates, i.e. parallel events) are reported so the caller can
+//!    re-run with serialized execution (`CUDA_LAUNCH_BLOCKING=1`).
 //!
-//! The engine follows the repository-wide "index once, borrow everywhere"
-//! rule: it consumes the drained [`Trace`] (no span is cloned on the hot
-//! path), walks each evaluation run exactly once to merge async pairs and
-//! bucket span indices per stack level, and builds interval trees *lazily* —
-//! a level's tree is constructed on the first probe against it and cached
-//! for every later probe in the run. Levels that are never probed (most
-//! notably the kernel level, which holds the overwhelming majority of
-//! spans but can never be anyone's parent) never pay for tree
-//! construction. [`reconstruct_parents`] remains as the thin borrowing
-//! wrapper the offline paths and tests use.
+//! The [`CorrelationEngine`] runs this pass over either span container: an
+//! owned [`Trace`] ([`CorrelationEngine::correlate`], which moves the spans
+//! into the result without cloning them) or a columnar [`SpanStore`]
+//! ([`CorrelationEngine::correlate_store`] and the per-run
+//! [`StoreCorrelationCache`], which reference store indices and build no
+//! owned span). The pass reads a run through a small positional view and
+//! writes its verdicts into an engine-owned buffer, so both containers get
+//! their merge, parent and ambiguity results from the same code. Interval
+//! trees are built *lazily*: a level's tree is built on the first probe
+//! against it and cached for the rest of the run, so levels nothing probes
+//! (notably the kernel level, which holds most spans but can never be
+//! anyone's parent) never pay for construction. [`reconstruct_parents`] is
+//! the borrowing wrapper the offline paths and tests use.
 
-use crate::fxhash::{FxHashMap, FxHashSet};
+use crate::fxhash::FxHashMap;
 use crate::interval::{Interval, IntervalTree};
 use crate::server::Trace;
 use crate::span::{tag_keys, Span, SpanId, StackLevel, TagValue, TraceId};
@@ -57,14 +60,6 @@ impl CorrelatedSpan {
     pub fn anchor_interval(&self) -> (u64, u64) {
         self.launch_interval
             .unwrap_or((self.span.start_ns, self.span.end_ns))
-    }
-
-    fn passthrough(span: Span) -> Self {
-        CorrelatedSpan {
-            launch_interval: None,
-            parent: span.parent,
-            span,
-        }
     }
 }
 
@@ -245,8 +240,10 @@ impl CorrelatedTrace {
     }
 }
 
-/// A span's role in async correlation, derived from its tags once per
-/// engine pass.
+/// Number of stack levels: the size of the per-level engine state.
+const LEVELS: usize = StackLevel::ALL.len();
+
+/// A span's role in async correlation.
 #[derive(Clone, Copy)]
 enum AsyncRole {
     /// Launch half of an async pair (`async_launch` only), with its cid.
@@ -257,77 +254,186 @@ enum AsyncRole {
     Plain,
 }
 
-/// Derives a span's async-correlation role — the single definition of the
-/// pairing semantics, shared by [`CorrelationEngine`] and
-/// [`correlate_async_spans`] so the two paths cannot drift. A span carrying
-/// *both* flags is an already-merged pair from a previous correlation
-/// (e.g. a re-imported span-JSON-lines capture, where the execution span
-/// absorbed the launch's tags); it takes part in no pairing, which makes
-/// re-correlation idempotent.
-fn async_role(s: &Span) -> AsyncRole {
-    match s.correlation_id() {
-        Some(cid) => match (s.is_async_launch(), s.is_async_execution()) {
+impl AsyncRole {
+    /// The single definition of the pairing semantics for a span with a
+    /// correlation id. A span carrying *both* flags is an already-merged
+    /// pair from a previous correlation (e.g. a re-imported span-JSON-lines
+    /// capture, where the execution span absorbed the launch's tags); it
+    /// takes part in no pairing, which makes re-correlation idempotent.
+    fn of(cid: u64, launch: bool, execution: bool) -> Self {
+        match (launch, execution) {
             (true, false) => AsyncRole::Launch(cid),
             (false, true) => AsyncRole::Execution(cid),
-            // both flags (already merged) or neither: plain span
             _ => AsyncRole::Plain,
-        },
-        None => AsyncRole::Plain,
+        }
     }
 }
 
-/// The launch half of an async pair, captured once during the
-/// classification pass so merges borrow it instead of re-scanning.
-struct LaunchHalf {
-    parent: Option<SpanId>,
-    interval: (u64, u64),
-    tags: Vec<(String, TagValue)>,
+/// What the run's spans say about one correlation id.
+#[derive(Clone, Copy, Default)]
+struct AsyncPair {
+    /// Position of the last launch half carrying the id.
+    launch: Option<u32>,
+    /// Whether an execution half carries the id.
+    has_execution: bool,
 }
 
-/// Reusable correlation state: per-level index buckets and the lazy
-/// interval-tree cache.
+/// The correlation pass's result for one surviving span of a run.
+#[derive(Clone, Copy)]
+struct Verdict {
+    /// Position of the span in the run (the execution half of a pair).
+    src: u32,
+    /// Parent after correlation: explicit, the paired launch's, or
+    /// reconstructed.
+    parent: Option<SpanId>,
+    /// Position of the launch half folded into this span.
+    launch: Option<u32>,
+}
+
+/// What the correlation pass reads of one evaluation run, by position in
+/// the run — implemented once per span container.
+trait RunView {
+    fn len(&self) -> usize;
+    fn role(&self, pos: usize) -> AsyncRole;
+    fn id(&self, pos: usize) -> SpanId;
+    fn level(&self, pos: usize) -> StackLevel;
+    fn interval(&self, pos: usize) -> (u64, u64);
+    fn parent(&self, pos: usize) -> Option<SpanId>;
+}
+
+/// One run of an owned span table: the table plus the run's indices.
+struct SpanRun<'a> {
+    spans: &'a [Span],
+    idxs: &'a [usize],
+}
+
+impl SpanRun<'_> {
+    fn at(&self, pos: usize) -> &Span {
+        &self.spans[self.idxs[pos]]
+    }
+}
+
+impl RunView for SpanRun<'_> {
+    fn len(&self) -> usize {
+        self.idxs.len()
+    }
+
+    fn role(&self, pos: usize) -> AsyncRole {
+        let s = self.at(pos);
+        match s.correlation_id() {
+            Some(cid) => AsyncRole::of(cid, s.is_async_launch(), s.is_async_execution()),
+            None => AsyncRole::Plain,
+        }
+    }
+
+    fn id(&self, pos: usize) -> SpanId {
+        self.at(pos).id
+    }
+
+    fn level(&self, pos: usize) -> StackLevel {
+        self.at(pos).level
+    }
+
+    fn interval(&self, pos: usize) -> (u64, u64) {
+        let s = self.at(pos);
+        (s.start_ns, s.end_ns)
+    }
+
+    fn parent(&self, pos: usize) -> Option<SpanId> {
+        self.at(pos).parent
+    }
+}
+
+/// One run bucket of a [`SpanStore`]: column reads, with the async role
+/// taken from the facts the store derived from the tags at push time.
+struct StoreRun<'a> {
+    store: &'a SpanStore,
+    idxs: &'a [u32],
+}
+
+impl RunView for StoreRun<'_> {
+    fn len(&self) -> usize {
+        self.idxs.len()
+    }
+
+    fn role(&self, pos: usize) -> AsyncRole {
+        let info = self.store.async_info(self.idxs[pos]);
+        if info.flags & HAS_CID == 0 {
+            return AsyncRole::Plain;
+        }
+        AsyncRole::of(
+            info.cid,
+            info.flags & IS_LAUNCH != 0,
+            info.flags & IS_EXEC != 0,
+        )
+    }
+
+    fn id(&self, pos: usize) -> SpanId {
+        self.store.id_at(self.idxs[pos])
+    }
+
+    fn level(&self, pos: usize) -> StackLevel {
+        self.store.level_at(self.idxs[pos])
+    }
+
+    fn interval(&self, pos: usize) -> (u64, u64) {
+        self.store.interval_at(self.idxs[pos])
+    }
+
+    fn parent(&self, pos: usize) -> Option<SpanId> {
+        self.store.parent_at(self.idxs[pos])
+    }
+}
+
+/// Moves the span out of `slot`, leaving an empty span that owns no heap
+/// memory: [`CorrelationEngine::correlate`] takes spans out of the trace's
+/// table in run order, which differs from table order when runs interleave.
+fn take_span(slot: &mut Span) -> Span {
+    let empty = Span {
+        id: SpanId(0),
+        trace_id: TraceId(0),
+        name: String::new(),
+        level: StackLevel::Kernel,
+        start_ns: 0,
+        end_ns: 0,
+        parent: None,
+        tags: Vec::new(),
+        logs: Vec::new(),
+    };
+    std::mem::replace(slot, empty)
+}
+
+/// The correlation engine: one pass per evaluation run, plus the scratch
+/// state it reuses — async roles, pair table, verdicts, per-level index
+/// buckets and the lazy interval-tree cache.
 ///
-/// One engine correlates one [`Trace`] at a time (any number of evaluation
-/// runs) and may be reused across traces — the scratch buffers keep their
-/// capacity. Within one run, a level's tree is built on the first probe
-/// against that level and cached for the rest of the run: every child level
-/// below shares it, so the layer tree is built once for all kernels and
-/// library calls, and levels nothing ever probes (the kernel level — the
-/// largest — can never be a parent candidate) are never built at all.
-/// [`CorrelationEngine::trees_built`] exposes the construction count so
-/// tests can pin the laziness.
-///
-/// # Incremental mode
-///
-/// Besides the one-shot [`CorrelationEngine::correlate`] /
-/// [`CorrelationEngine::correlate_store`] entry points, the engine consumes
-/// span batches *as they arrive*: [`CorrelationEngine::push_batch`] routes
-/// each span into a sliding window of per-run column stores (keyed by
-/// [`TraceId`], first-appearance order), and
-/// [`CorrelationEngine::finalize_run`] / [`CorrelationEngine::finalize_all`]
-/// run the store-native correlation pass over a window run and retire it.
-/// Because async pairing scans a whole run (a launch may precede its
-/// execution by an arbitrary number of batches), the run is the finalization
-/// unit: peak memory is bounded by the unfinalized window rather than the
-/// whole sweep, and correlation work overlaps the evaluation that produces
-/// later runs. Finalizing runs in first-appearance order yields output
-/// byte-identical to the batch engine (the oracle proptest and goldens pin
-/// this).
+/// One engine correlates any number of runs and traces; the scratch
+/// buffers keep their capacity. Within one run, a level's tree is built on
+/// the first probe against that level and cached for the rest of the run:
+/// every child level below shares it, so the layer tree is built once for
+/// all kernels and library calls, and levels nothing ever probes (the
+/// kernel level — the largest — can never be a parent candidate) are never
+/// built at all. [`CorrelationEngine::trees_built`] exposes the
+/// construction count so tests can pin the laziness.
 #[derive(Default)]
 pub struct CorrelationEngine {
-    /// Per-level span indices of the run being correlated, `StackLevel`
-    /// rank as the slot.
-    level_buckets: [Vec<usize>; StackLevel::ALL.len()],
+    /// Verdict indices of the run being correlated, per stack level,
+    /// `StackLevel` rank as the slot.
+    level_buckets: [Vec<usize>; LEVELS],
     /// Lazily built per-level trees for the run being correlated.
-    trees: [Option<IntervalTree>; StackLevel::ALL.len()],
+    trees: [Option<IntervalTree>; LEVELS],
     /// Cumulative count of tree constructions per level (across runs and
     /// traces) — observability for the laziness contract.
-    trees_built: [usize; StackLevel::ALL.len()],
-    /// Sliding window of unfinalized runs, first-appearance order: spans
-    /// pushed incrementally land in a per-run column store (async roles and
-    /// run bucketing computed at push), so finalization is exactly one
-    /// store-native correlation pass with zero re-classification.
-    window: Vec<(TraceId, SpanStore)>,
+    trees_built: [usize; LEVELS],
+    /// Async role of each span of the run, by position: derived once, since
+    /// for owned spans it is a walk over the tags.
+    roles: Vec<AsyncRole>,
+    /// Correlation id → what the run holds of that async pair.
+    pairs: FxHashMap<u64, AsyncPair>,
+    /// The run's verdicts, in run order; reserved to the run's length.
+    verdicts: Vec<Verdict>,
+    /// Parent candidates of the span being reconstructed.
+    candidates: Vec<usize>,
 }
 
 impl CorrelationEngine {
@@ -346,86 +452,6 @@ impl CorrelationEngine {
         self.trees_built.iter().sum()
     }
 
-    /// Buffers one span into the incremental window, routed by its run id.
-    ///
-    /// The span lands in that run's column store immediately (names
-    /// interned, async role derived from the tags once), so the later
-    /// [`CorrelationEngine::finalize_run`] does no per-span work beyond the
-    /// correlation pass itself. A push for a run that was already finalized
-    /// opens a *fresh* window entry for that id: spans arriving after
-    /// finalization correlate among themselves only, exactly as if they
-    /// were a new run (the window-eviction hazard tests pin this).
-    pub fn push_span(&mut self, span: Span) {
-        let tid = span.trace_id;
-        // Runs in flight at once are few (the window is the point), so a
-        // linear scan beats a map here.
-        let slot = match self.window.iter().position(|(t, _)| *t == tid) {
-            Some(i) => i,
-            None => {
-                self.window.push((tid, SpanStore::new()));
-                self.window.len() - 1
-            }
-        };
-        self.window[slot].1.push_owned(span);
-    }
-
-    /// Buffers a batch of spans into the incremental window
-    /// ([`CorrelationEngine::push_span`] per span, in order). Batches may
-    /// split runs arbitrarily — mid-run, mid-async-pair — and may interleave
-    /// runs; only the per-run span order matters for the output.
-    pub fn push_batch(&mut self, batch: impl IntoIterator<Item = Span>) {
-        for span in batch {
-            self.push_span(span);
-        }
-    }
-
-    /// Run ids currently buffered in the window, first-appearance order —
-    /// the order [`CorrelationEngine::finalize_all`] retires them in.
-    pub fn pending_runs(&self) -> Vec<TraceId> {
-        self.window.iter().map(|(tid, _)| *tid).collect()
-    }
-
-    /// Total spans buffered in the window across all pending runs.
-    pub fn pending_spans(&self) -> usize {
-        self.window.iter().map(|(_, store)| store.len()).sum()
-    }
-
-    /// Correlates and retires one window run, freeing its buffered spans.
-    ///
-    /// Returns `None` when the run id is not in the window (never pushed,
-    /// already finalized, or a duplicate flush) — finalization is
-    /// idempotent per run. The correlated output is byte-identical to what
-    /// the batch engine would emit for this run's spans.
-    pub fn finalize_run(&mut self, run: TraceId) -> Option<CorrelatedTrace> {
-        let pos = self.window.iter().position(|(tid, _)| *tid == run)?;
-        let (_, store) = self.window.remove(pos);
-        let mut sc = StoreCorrelation::default();
-        self.correlate_store_run(&store, 0, &mut sc);
-        Some(sc.materialize(&store))
-    }
-
-    /// Correlates and retires every pending window run, first-appearance
-    /// order, into one [`CorrelatedTrace`].
-    ///
-    /// Feeding the engine via [`crate::TracingServer::drain_each`] and
-    /// finalizing here produces exactly the bytes of
-    /// `engine.correlate(server.drain())`: drained batches arrive grouped
-    /// by ascending run id, so window order, per-run span order, and the
-    /// per-run correlation pass all coincide with the batch path. An empty
-    /// window yields an empty trace.
-    pub fn finalize_all(&mut self) -> CorrelatedTrace {
-        let window = std::mem::take(&mut self.window);
-        let mut spans = Vec::new();
-        let mut ambiguities = AmbiguityReport::default();
-        for (_, store) in window {
-            let mut sc = StoreCorrelation::default();
-            self.correlate_store_run(&store, 0, &mut sc);
-            spans.extend(sc.materialized_spans(&store));
-            ambiguities.merge(sc.ambiguities);
-        }
-        CorrelatedTrace::new(spans, ambiguities)
-    }
-
     /// Correlates every evaluation run of `trace` — async-pair merge plus
     /// parent reconstruction — consuming the trace so no span is cloned.
     ///
@@ -434,434 +460,232 @@ impl CorrelationEngine {
     /// identical to correlating each run's sub-trace on its own (the
     /// byte-identity goldens pin this).
     pub fn correlate(&mut self, trace: Trace) -> CorrelatedTrace {
+        let (mut spans, runs) = trace.into_parts();
+        let mut out: Vec<CorrelatedSpan> = Vec::with_capacity(spans.len());
         let mut ambiguities = AmbiguityReport::default();
-        let mut out: Vec<CorrelatedSpan> = Vec::with_capacity(trace.len());
-        for run in Self::run_buckets(trace) {
-            self.correlate_run(run, &mut out, &mut ambiguities);
+        for (_, idxs) in &runs {
+            let run = SpanRun {
+                spans: &spans,
+                idxs,
+            };
+            self.correlate_run(&run, &mut ambiguities);
+            for v in &self.verdicts {
+                let mut span = take_span(&mut spans[idxs[v.src as usize]]);
+                span.parent = v.parent;
+                // A folded launch has no verdict of its own, so it is still
+                // in the table for every execution that pairs with it.
+                let launch_interval = v.launch.map(|l| {
+                    let launch = &spans[idxs[l as usize]];
+                    for (k, val) in &launch.tags {
+                        if span.tag(k).is_none() {
+                            span.tags.push((k.clone(), val.clone()));
+                        }
+                    }
+                    (launch.start_ns, launch.end_ns)
+                });
+                out.push(CorrelatedSpan {
+                    span,
+                    launch_interval,
+                    parent: v.parent,
+                });
+            }
         }
         CorrelatedTrace::new(out, ambiguities)
     }
 
-    /// Splits a consumed trace into per-run span vectors, first-appearance
-    /// order. Single-run traces (the pipeline hot path) move straight
-    /// through.
-    fn run_buckets(trace: Trace) -> Vec<Vec<Span>> {
-        if trace.is_empty() {
-            return Vec::new();
+    /// Correlates every run of `store` without materializing a single
+    /// owned [`Span`]: the same pass as [`CorrelationEngine::correlate`],
+    /// with async roles from the store's pre-computed columns and merged
+    /// launch tags kept as arena *references* instead of clones.
+    pub fn correlate_store(&mut self, store: &SpanStore) -> StoreCorrelation {
+        let mut out = StoreCorrelation::default();
+        out.entries.reserve(store.len());
+        for (_, idxs) in store.run_buckets() {
+            self.correlate_store_run(store, idxs, &mut out);
         }
-        if trace.trace_ids().len() == 1 {
-            return vec![trace.into_spans()];
-        }
-        let (spans, runs) = trace.into_parts();
-        let mut slots: Vec<Option<Span>> = spans.into_iter().map(Some).collect();
-        runs.into_iter()
-            .map(|(_, idxs)| {
-                idxs.into_iter()
-                    .map(|i| slots[i].take().expect("each span moved once"))
-                    .collect()
-            })
-            .collect()
+        out
     }
 
-    /// Correlates one run: a single pass merges async pairs and buckets the
-    /// surviving spans per stack level, then parent reconstruction probes
-    /// the lazily built level trees.
-    fn correlate_run(
-        &mut self,
-        spans: Vec<Span>,
-        out: &mut Vec<CorrelatedSpan>,
-        ambiguities: &mut AmbiguityReport,
-    ) {
-        for bucket in &mut self.level_buckets {
+    /// Correlates one run bucket of `store` and appends its entries to
+    /// `out`. A merged launch tag counts as missing when neither the
+    /// execution's own tags nor the extras appended before it carry its key
+    /// — the same rule as the owned path's growing tag list.
+    fn correlate_store_run(&mut self, store: &SpanStore, idxs: &[u32], out: &mut StoreCorrelation) {
+        self.correlate_run(&StoreRun { store, idxs }, &mut out.ambiguities);
+        out.entries.reserve(self.verdicts.len());
+        for v in &self.verdicts {
+            let si = idxs[v.src as usize];
+            let extras_start = out.extra_tags.len();
+            let launch_interval = v.launch.map(|l| {
+                let li = idxs[l as usize];
+                let exec_tags = store.tag_range(si);
+                for lt in store.tag_range(li) {
+                    let key = store.tag_key_at(lt);
+                    let present = exec_tags.clone().any(|t| store.tag_key_at(t) == key)
+                        || out.extra_tags[extras_start..]
+                            .iter()
+                            .any(|&e| store.tag_key_at(e as usize) == key);
+                    if !present {
+                        out.extra_tags.push(lt as u32);
+                    }
+                }
+                store.interval_at(li)
+            });
+            out.entries.push(StoreEntry {
+                span: si,
+                parent: v.parent,
+                launch_interval,
+                extras: (
+                    extras_start as u32,
+                    (out.extra_tags.len() - extras_start) as u32,
+                ),
+            });
+        }
+    }
+
+    /// The correlation pass over one run: merges async pairs, then
+    /// reconstructs missing parents against the lazily built level trees.
+    /// Leaves one [`Verdict`] per surviving span in `self.verdicts`, in run
+    /// order, and reports orphans and ambiguities into `ambiguities`.
+    fn correlate_run(&mut self, run: &impl RunView, ambiguities: &mut AmbiguityReport) {
+        let Self {
+            level_buckets,
+            trees,
+            trees_built,
+            roles,
+            pairs,
+            verdicts,
+            candidates,
+        } = self;
+        for bucket in level_buckets.iter_mut() {
             bucket.clear();
         }
-        for tree in &mut self.trees {
+        for tree in trees.iter_mut() {
             *tree = None;
         }
-        let base = out.len();
+        let n = run.len();
+        // Verdicts store positions as `u32`.
+        u32::try_from(n).expect("a run's positions fit in u32");
+        roles.clear();
+        roles.reserve(n);
+        verdicts.clear();
+        verdicts.reserve(n);
+        pairs.clear();
 
-        // Classification: which correlation ids have a launch half (kept
-        // aside for merging) and which have an execution half. The async
-        // role of each span is derived from its tags exactly once here —
-        // the tag lookups are linear key scans, so re-deriving the role in
-        // every later pass would triple the tag-scan cost.
-        let mut roles: Vec<AsyncRole> = Vec::with_capacity(spans.len());
-        let mut exec_cids: FxHashSet<u64> = FxHashSet::default();
-        for s in &spans {
-            let role = async_role(s);
-            if let AsyncRole::Execution(cid) = role {
-                exec_cids.insert(cid);
+        // Classification: each span's role, and per correlation id the last
+        // launch half and whether an execution half exists.
+        for pos in 0..n {
+            let role = run.role(pos);
+            match role {
+                AsyncRole::Launch(cid) => pairs.entry(cid).or_default().launch = Some(pos as u32),
+                AsyncRole::Execution(cid) => pairs.entry(cid).or_default().has_execution = true,
+                AsyncRole::Plain => {}
             }
             roles.push(role);
         }
-        // Launch halves are copied aside only when an execution half exists
-        // to merge into (the tags copy is needed because one launch may
-        // serve several executions); unpaired launches move straight
-        // through below, clone-free. The walk is sequential over the span
-        // table (cache-friendly) and preserves last-wins cid semantics.
-        let mut launches: FxHashMap<u64, LaunchHalf> = FxHashMap::default();
-        for (i, s) in spans.iter().enumerate() {
-            if let AsyncRole::Launch(cid) = roles[i] {
-                if exec_cids.contains(&cid) {
-                    launches.insert(
-                        cid,
-                        LaunchHalf {
-                            parent: s.parent,
-                            interval: (s.start_ns, s.end_ns),
-                            tags: s.tags.clone(),
-                        },
-                    );
-                }
+
+        // Merge: a paired launch folds into its execution (timing from the
+        // execution, parent from the launch); unpaired halves stay visible —
+        // a launch whose kernel never ran, or an execution whose callback
+        // was dropped, must reach the analysis. The per-level buckets fill
+        // as verdicts land.
+        for (pos, &role) in roles.iter().enumerate() {
+            let launch = match role {
+                AsyncRole::Execution(cid) => pairs[&cid].launch,
+                AsyncRole::Launch(cid) if pairs[&cid].has_execution => continue,
+                _ => None,
+            };
+            let parent = run.parent(launch.map_or(pos, |l| l as usize));
+            level_buckets[run.level(pos).rank() as usize].push(verdicts.len());
+            verdicts.push(Verdict {
+                src: pos as u32,
+                parent,
+                launch,
+            });
+        }
+
+        // Which levels exist in this run, ordered top to bottom.
+        let mut present = [StackLevel::Application; LEVELS];
+        let mut n_levels = 0;
+        for level in StackLevel::ALL {
+            if !level_buckets[level.rank() as usize].is_empty() {
+                present[n_levels] = level;
+                n_levels += 1;
             }
         }
+        let levels = &present[..n_levels];
 
-        // Merge pass: spans move into the output table; paired launch halves
-        // fold into their execution span (timing from the execution, parent
-        // and missing tags from the launch). The per-level index buckets
-        // fill as spans land.
-        for (i, s) in spans.into_iter().enumerate() {
-            let entry = match roles[i] {
-                AsyncRole::Execution(cid) => {
-                    if let Some(launch) = launches.get(&cid) {
-                        let mut merged = s;
-                        merged.parent = launch.parent;
-                        for (k, v) in &launch.tags {
-                            if merged.tag(k).is_none() {
-                                merged.tags.push((k.clone(), v.clone()));
-                            }
-                        }
-                        CorrelatedSpan {
-                            launch_interval: Some(launch.interval),
-                            parent: merged.parent,
-                            span: merged,
-                        }
-                    } else {
-                        CorrelatedSpan::passthrough(s)
-                    }
-                }
-                AsyncRole::Launch(cid) => {
-                    // Launch halves fold into their execution span; keep
-                    // only unpaired launches.
-                    if exec_cids.contains(&cid) {
-                        continue;
-                    }
-                    CorrelatedSpan::passthrough(s)
-                }
-                AsyncRole::Plain => CorrelatedSpan::passthrough(s),
-            };
-            self.level_buckets[entry.span.level.rank() as usize].push(out.len());
-            out.push(entry);
-        }
-
-        // Which levels exist in this run, ordered top-to-bottom.
-        let levels: Vec<StackLevel> = StackLevel::ALL
-            .iter()
-            .copied()
-            .filter(|l| !self.level_buckets[l.rank() as usize].is_empty())
-            .collect();
-
-        for i in base..out.len() {
-            if out[i].parent.is_some() {
+        for i in 0..verdicts.len() {
+            let v = verdicts[i];
+            if v.parent.is_some() {
                 continue; // explicit reference wins
             }
-            let child_level = out[i].span.level;
-            let Some(pos) = levels.iter().position(|l| *l == child_level) else {
+            let src = v.src as usize;
+            let Some(pos) = levels.iter().position(|&l| l == run.level(src)) else {
                 continue;
             };
             if pos == 0 {
                 continue; // top level present: no parent expected
             }
-            // Candidate intervals, in preference order: the launch interval
-            // for async spans ("XSP uses the kernel launch span to associate
-            // it with the parent layer span"), then the span's own execution
+            // Probe intervals, in preference order: the launch interval for
+            // async spans ("XSP uses the kernel launch span to associate it
+            // with the parent layer span"), then the span's own execution
             // interval — needed when the parent profiler reports
             // device-anchored intervals, as TensorFlow's device tracer does.
-            let mut probes: Vec<(u64, u64)> = vec![out[i].anchor_interval()];
-            let own = (out[i].span.start_ns, out[i].span.end_ns);
-            if probes[0] != own {
-                probes.push(own);
-            }
+            let own = run.interval(src);
+            let anchor = v.launch.map_or(own, |l| run.interval(l as usize));
+            let probes = [anchor, own];
+            let probes = if anchor == own {
+                &probes[..1]
+            } else {
+                &probes[..]
+            };
             // Search the nearest level above first; when nothing there
             // contains the span (e.g. a memcpy issued during model-level
             // pre-processing, with no enclosing layer), walk further up the
             // stack.
-            let mut candidates: Vec<usize> = Vec::new();
-            'search: for ancestor in (0..pos).rev() {
-                let tree = Self::tree_for(
-                    &mut self.trees,
-                    &mut self.trees_built,
-                    &self.level_buckets,
-                    levels[ancestor],
-                    out,
-                );
-                for &(lo, hi) in &probes {
-                    candidates = tree.containing(lo, hi).map(|iv| iv.key).collect();
+            candidates.clear();
+            'search: for level in levels[..pos].iter().rev() {
+                let rank = level.rank() as usize;
+                let tree = trees[rank].get_or_insert_with(|| {
+                    trees_built[rank] += 1;
+                    let intervals = level_buckets[rank].iter().map(|&j| {
+                        let (s, e) = run.interval(verdicts[j].src as usize);
+                        Interval::new(s, e, j)
+                    });
+                    IntervalTree::build(intervals.collect())
+                });
+                for &(lo, hi) in probes {
                     // A span never parents itself (possible only with equal
                     // intervals at mixed levels, but be safe).
-                    candidates.retain(|&c| c != i);
+                    candidates.extend(tree.containing(lo, hi).map(|iv| iv.key).filter(|&c| c != i));
                     if !candidates.is_empty() {
                         break 'search;
                     }
                 }
             }
-            match candidates.len() {
+            let id_of = |j: usize| run.id(verdicts[j].src as usize);
+            let parent = match candidates.len() {
                 0 => {
-                    ambiguities.orphans.push(out[i].span.id);
+                    ambiguities.orphans.push(run.id(src));
+                    continue;
                 }
-                1 => {
-                    let pid = out[candidates[0]].span.id;
-                    out[i].parent = Some(pid);
-                    out[i].span.parent = Some(pid);
-                }
+                1 => candidates[0],
                 _ => {
+                    let all = candidates.iter().map(|&c| id_of(c)).collect();
+                    ambiguities.ambiguous.push((run.id(src), all));
                     // Best effort: tightest containing interval.
-                    let best = *candidates
-                        .iter()
-                        .min_by_key(|&&c| out[c].span.end_ns - out[c].span.start_ns)
-                        .expect("nonempty");
-                    let all: Vec<SpanId> = candidates.iter().map(|&c| out[c].span.id).collect();
-                    ambiguities.ambiguous.push((out[i].span.id, all));
-                    let pid = out[best].span.id;
-                    out[i].parent = Some(pid);
-                    out[i].span.parent = Some(pid);
-                }
-            }
-        }
-    }
-
-    /// Correlates every run of `store` without materializing a single
-    /// owned [`Span`] — the columnar twin of
-    /// [`CorrelationEngine::correlate`], with identical merge, parent and
-    /// ambiguity semantics (the store-vs-span oracle test pins the
-    /// equivalence). Async roles come from the store's pre-computed
-    /// per-span columns, merged launch tags are arena *references* instead
-    /// of clones, and parents/intervals are column reads, so the pass
-    /// performs no per-span allocation at all.
-    pub fn correlate_store(&mut self, store: &SpanStore) -> StoreCorrelation {
-        let mut out = StoreCorrelation {
-            entries: Vec::with_capacity(store.len()),
-            extra_tags: Vec::new(),
-            ambiguities: AmbiguityReport::default(),
-        };
-        for run in 0..store.run_buckets().len() {
-            self.correlate_store_run(store, run, &mut out);
-        }
-        out
-    }
-
-    /// Store-native twin of [`CorrelationEngine::correlate_run`]; every
-    /// step mirrors the span-based pass index-for-index.
-    fn correlate_store_run(&mut self, store: &SpanStore, run: usize, out: &mut StoreCorrelation) {
-        for bucket in &mut self.level_buckets {
-            bucket.clear();
-        }
-        for tree in &mut self.trees {
-            *tree = None;
-        }
-        let base = out.entries.len();
-        let idxs: &[u32] = &store.run_buckets()[run].1;
-
-        // Classification from the pre-computed async columns — the same
-        // facts `async_role` derives from tags, without the tag walk.
-        let mut roles: Vec<AsyncRole> = Vec::with_capacity(idxs.len());
-        let mut exec_cids: FxHashSet<u64> = FxHashSet::default();
-        for &si in idxs {
-            let info = store.async_info(si);
-            let role = if info.flags & HAS_CID != 0 {
-                match (info.flags & IS_LAUNCH != 0, info.flags & IS_EXEC != 0) {
-                    (true, false) => AsyncRole::Launch(info.cid),
-                    (false, true) => AsyncRole::Execution(info.cid),
-                    _ => AsyncRole::Plain,
-                }
-            } else {
-                AsyncRole::Plain
-            };
-            if let AsyncRole::Execution(cid) = role {
-                exec_cids.insert(cid);
-            }
-            roles.push(role);
-        }
-        // Launch halves kept aside when paired — by store index, no tag
-        // clone (the merged tags stay arena references).
-        struct StoreLaunch {
-            parent: Option<SpanId>,
-            interval: (u64, u64),
-            span: u32,
-        }
-        let mut launches: FxHashMap<u64, StoreLaunch> = FxHashMap::default();
-        for (j, &si) in idxs.iter().enumerate() {
-            if let AsyncRole::Launch(cid) = roles[j] {
-                if exec_cids.contains(&cid) {
-                    launches.insert(
-                        cid,
-                        StoreLaunch {
-                            parent: store.parent_at(si),
-                            interval: store.interval_at(si),
-                            span: si,
-                        },
-                    );
-                }
-            }
-        }
-
-        // Merge pass: paired launches fold into their execution entry
-        // (timing from the execution, parent and missing tags from the
-        // launch — "missing" judged against the execution's tags plus the
-        // extras appended so far, exactly like the growing `merged.tags`).
-        for (j, &si) in idxs.iter().enumerate() {
-            let entry = match roles[j] {
-                AsyncRole::Execution(cid) => {
-                    if let Some(launch) = launches.get(&cid) {
-                        let extras_start = out.extra_tags.len();
-                        let exec_tags = store.tag_range(si);
-                        for lt in store.tag_range(launch.span) {
-                            let key = store.tag_key_at(lt);
-                            let present = exec_tags.clone().any(|t| store.tag_key_at(t) == key)
-                                || out.extra_tags[extras_start..]
-                                    .iter()
-                                    .any(|&e| store.tag_key_at(e as usize) == key);
-                            if !present {
-                                out.extra_tags.push(lt as u32);
-                            }
-                        }
-                        StoreEntry {
-                            span: si,
-                            parent: launch.parent,
-                            launch_interval: Some(launch.interval),
-                            extras: (
-                                extras_start as u32,
-                                (out.extra_tags.len() - extras_start) as u32,
-                            ),
-                        }
-                    } else {
-                        StoreEntry::passthrough(store, si)
-                    }
-                }
-                AsyncRole::Launch(cid) => {
-                    if exec_cids.contains(&cid) {
-                        continue;
-                    }
-                    StoreEntry::passthrough(store, si)
-                }
-                AsyncRole::Plain => StoreEntry::passthrough(store, si),
-            };
-            self.level_buckets[store.level_at(si).rank() as usize].push(out.entries.len());
-            out.entries.push(entry);
-        }
-
-        let levels: Vec<StackLevel> = StackLevel::ALL
-            .iter()
-            .copied()
-            .filter(|l| !self.level_buckets[l.rank() as usize].is_empty())
-            .collect();
-
-        for i in base..out.entries.len() {
-            if out.entries[i].parent.is_some() {
-                continue;
-            }
-            let si = out.entries[i].span;
-            let child_level = store.level_at(si);
-            let Some(pos) = levels.iter().position(|l| *l == child_level) else {
-                continue;
-            };
-            if pos == 0 {
-                continue;
-            }
-            let own = store.interval_at(si);
-            let mut probes: Vec<(u64, u64)> = vec![out.entries[i].launch_interval.unwrap_or(own)];
-            if probes[0] != own {
-                probes.push(own);
-            }
-            let mut candidates: Vec<usize> = Vec::new();
-            'search: for ancestor in (0..pos).rev() {
-                let tree = Self::tree_for_store(
-                    &mut self.trees,
-                    &mut self.trees_built,
-                    &self.level_buckets,
-                    levels[ancestor],
-                    store,
-                    &out.entries,
-                );
-                for &(lo, hi) in &probes {
-                    candidates = tree.containing(lo, hi).map(|iv| iv.key).collect();
-                    candidates.retain(|&c| c != i);
-                    if !candidates.is_empty() {
-                        break 'search;
-                    }
-                }
-            }
-            match candidates.len() {
-                0 => {
-                    out.ambiguities.orphans.push(store.id_at(si));
-                }
-                1 => {
-                    out.entries[i].parent = Some(store.id_at(out.entries[candidates[0]].span));
-                }
-                _ => {
-                    let best = *candidates
+                    *candidates
                         .iter()
                         .min_by_key(|&&c| {
-                            let (s, e) = store.interval_at(out.entries[c].span);
+                            let (s, e) = run.interval(verdicts[c].src as usize);
                             e - s
                         })
-                        .expect("nonempty");
-                    let all: Vec<SpanId> = candidates
-                        .iter()
-                        .map(|&c| store.id_at(out.entries[c].span))
-                        .collect();
-                    out.ambiguities.ambiguous.push((store.id_at(si), all));
-                    out.entries[i].parent = Some(store.id_at(out.entries[best].span));
+                        .expect("nonempty")
                 }
-            }
+            };
+            verdicts[i].parent = Some(id_of(parent));
         }
-    }
-
-    /// [`CorrelationEngine::tree_for`] over store entries: intervals come
-    /// from the store's timestamp columns (execution timing, matching the
-    /// span-based pass).
-    fn tree_for_store<'t>(
-        trees: &'t mut [Option<IntervalTree>; StackLevel::ALL.len()],
-        trees_built: &mut [usize; StackLevel::ALL.len()],
-        level_buckets: &[Vec<usize>; StackLevel::ALL.len()],
-        level: StackLevel,
-        store: &SpanStore,
-        entries: &[StoreEntry],
-    ) -> &'t IntervalTree {
-        let rank = level.rank() as usize;
-        if trees[rank].is_none() {
-            let intervals: Vec<Interval> = level_buckets[rank]
-                .iter()
-                .map(|&i| {
-                    let (s, e) = store.interval_at(entries[i].span);
-                    Interval::new(s, e, i)
-                })
-                .collect();
-            trees_built[rank] += 1;
-            trees[rank] = Some(IntervalTree::build(intervals));
-        }
-        trees[rank].as_ref().expect("just built")
-    }
-
-    /// Returns the interval tree for `level`, building it on first use from
-    /// the run's level bucket. A free function over the split-borrowed
-    /// fields so the caller can keep reading `out` while the tree is alive.
-    fn tree_for<'t>(
-        trees: &'t mut [Option<IntervalTree>; StackLevel::ALL.len()],
-        trees_built: &mut [usize; StackLevel::ALL.len()],
-        level_buckets: &[Vec<usize>; StackLevel::ALL.len()],
-        level: StackLevel,
-        out: &[CorrelatedSpan],
-    ) -> &'t IntervalTree {
-        let rank = level.rank() as usize;
-        if trees[rank].is_none() {
-            let intervals: Vec<Interval> = level_buckets[rank]
-                .iter()
-                .map(|&i| Interval::new(out[i].span.start_ns, out[i].span.end_ns, i))
-                .collect();
-            trees_built[rank] += 1;
-            trees[rank] = Some(IntervalTree::build(intervals));
-        }
-        trees[rank].as_ref().expect("just built")
     }
 }
 
@@ -883,27 +707,14 @@ pub struct StoreEntry {
     extras: (u32, u32),
 }
 
-impl StoreEntry {
-    /// An entry that passes the store span through unchanged.
-    fn passthrough(store: &SpanStore, si: u32) -> Self {
-        StoreEntry {
-            span: si,
-            parent: store.parent_at(si),
-            launch_interval: None,
-            extras: (0, 0),
-        }
-    }
-}
-
 /// The result of [`CorrelationEngine::correlate_store`]: correlation
 /// verdicts over a [`SpanStore`], without any owned [`Span`]s.
 ///
 /// Entries reference spans by store index; merged launch tags are indices
 /// into the store's tag arena. [`StoreCorrelation::materialize`] converts
 /// the result into the owned [`CorrelatedTrace`] the analysis and export
-/// layers consume — the output is identical to running
-/// [`CorrelationEngine::correlate`] on the materialized spans (pinned by
-/// the oracle test), but the correlation pass itself touched only columns.
+/// layers consume — the same trace [`CorrelationEngine::correlate`] yields
+/// for the materialized spans, since both run the one correlation pass.
 #[derive(Debug, Default)]
 pub struct StoreCorrelation {
     entries: Vec<StoreEntry>,
@@ -925,8 +736,7 @@ impl StoreCorrelation {
         self.entries.is_empty()
     }
 
-    /// The correlated entries, in the same order the span-based engine
-    /// would emit them.
+    /// The correlated entries, in run order.
     pub fn entries(&self) -> &[StoreEntry] {
         &self.entries
     }
@@ -944,18 +754,16 @@ impl StoreCorrelation {
             .map(move |&arena| store.tag_pair_at(arena as usize))
     }
 
-    /// Materializes the correlation into an owned [`CorrelatedTrace`],
-    /// byte-equivalent to the span-based engine's output: each entry's span
-    /// is rebuilt from the store with the correlated parent applied and any
-    /// merged launch tags appended in launch order.
+    /// Materializes the correlation into an owned [`CorrelatedTrace`]: each
+    /// entry's span is rebuilt from the store with the correlated parent
+    /// applied and any merged launch tags appended in launch order.
     pub fn materialize(&self, store: &SpanStore) -> CorrelatedTrace {
         CorrelatedTrace::new(self.materialized_spans(store), self.ambiguities.clone())
     }
 
     /// The owned correlated spans of [`StoreCorrelation::materialize`],
-    /// without the trace indexing — callers concatenating several per-run
-    /// correlations (the incremental window, the daemon's cached prefix)
-    /// collect these and index once at the end.
+    /// without the trace indexing — the daemon's cached per-run
+    /// correlations collect these and index once at the end.
     fn materialized_spans(&self, store: &SpanStore) -> Vec<CorrelatedSpan> {
         self.entries
             .iter()
@@ -1044,9 +852,9 @@ impl StoreCorrelationCache {
             .take_while(|(cached, (tid, idxs))| cached.trace_id == *tid && cached.len == idxs.len())
             .count();
         self.runs.truncate(valid);
-        for (run, (tid, idxs)) in buckets.iter().enumerate().skip(valid) {
+        for (tid, idxs) in buckets.iter().skip(valid) {
             let mut correlation = StoreCorrelation::default();
-            engine.correlate_store_run(store, run, &mut correlation);
+            engine.correlate_store_run(store, idxs, &mut correlation);
             self.passes += 1;
             self.runs.push(CachedRun {
                 trace_id: *tid,
@@ -1072,71 +880,9 @@ impl StoreCorrelationCache {
     }
 }
 
-/// Merges async launch/execution span pairs by correlation id.
-///
-/// Returns correlated spans where each async pair became a single entry
-/// (execution timing + merged tags + launch parent/interval) plus all
-/// non-async spans unchanged. Unpaired halves are passed through unchanged —
-/// a launch whose kernel never ran, or an execution record whose callback was
-/// dropped, must stay visible to the analysis. A span carrying *both* async
-/// flags is an already-merged pair (a re-imported capture) and passes
-/// through untouched, so correlation is idempotent.
-///
-/// This is the borrowing single-step API; the pipeline itself goes through
-/// [`CorrelationEngine::correlate`], which performs the same merge without
-/// cloning spans.
-pub fn correlate_async_spans(spans: &[Span]) -> Vec<CorrelatedSpan> {
-    let mut launches: FxHashMap<u64, &Span> = FxHashMap::default();
-    let mut exec_cids: FxHashSet<u64> = FxHashSet::default();
-    for s in spans {
-        match async_role(s) {
-            AsyncRole::Launch(cid) => {
-                launches.insert(cid, s);
-            }
-            AsyncRole::Execution(cid) => {
-                exec_cids.insert(cid);
-            }
-            AsyncRole::Plain => {}
-        }
-    }
-
-    let mut out = Vec::with_capacity(spans.len());
-    for s in spans {
-        match async_role(s) {
-            AsyncRole::Execution(cid) => {
-                if let Some(launch) = launches.get(&cid) {
-                    // Merge: execution timing, union of tags, launch parent.
-                    let mut merged = s.clone();
-                    merged.parent = launch.parent;
-                    for (k, v) in &launch.tags {
-                        if merged.tag(k).is_none() {
-                            merged.tags.push((k.clone(), v.clone()));
-                        }
-                    }
-                    out.push(CorrelatedSpan {
-                        launch_interval: Some((launch.start_ns, launch.end_ns)),
-                        parent: merged.parent,
-                        span: merged,
-                    });
-                } else {
-                    out.push(CorrelatedSpan::passthrough(s.clone()));
-                }
-            }
-            AsyncRole::Launch(cid) => {
-                // Launch halves are folded into their execution span; keep
-                // only unpaired launches.
-                if !exec_cids.contains(&cid) {
-                    out.push(CorrelatedSpan::passthrough(s.clone()));
-                }
-            }
-            AsyncRole::Plain => out.push(CorrelatedSpan::passthrough(s.clone())),
-        }
-    }
-    out
-}
-
-/// Reconstructs the parent of every span lacking an explicit reference, per
-/// evaluation run, and returns the correlated trace.
+/// Merges async pairs and reconstructs the parent of every span lacking an
+/// explicit reference, per evaluation run, and returns the correlated
+/// trace.
 ///
 /// For each stack level present in the trace, candidate parents for a child
 /// at level `L` are spans at the *nearest* level above `L` that is present.
@@ -1209,12 +955,14 @@ mod tests {
 
     #[test]
     fn async_pair_merges_to_execution_timing() {
-        let l = launch("cudaLaunchKernel", 7, 100, 110, None);
+        let l = launch("cudaLaunchKernel", 7, 100, 110, Some(SpanId(42)));
         let x = exec("convKernel", 7, 150, 400);
-        let merged = correlate_async_spans(&[l, x]);
-        assert_eq!(merged.len(), 1);
-        let m = &merged[0];
+        let c = reconstruct_parents(&Trace::from_spans(vec![l, x]));
+        assert_eq!(c.len(), 1);
+        let m = &c.spans()[0];
         assert_eq!(m.span.start_ns, 150, "execution timing retained");
+        assert_eq!(m.parent, Some(SpanId(42)), "parent from the launch");
+        assert_eq!(m.span.parent, Some(SpanId(42)));
         assert_eq!(m.launch_interval, Some((100, 110)));
         assert_eq!(m.anchor_interval(), (100, 110));
         assert_eq!(
@@ -1227,8 +975,9 @@ mod tests {
     fn unpaired_halves_pass_through() {
         let l = launch("cudaLaunchKernel", 1, 0, 5, None);
         let x = exec("kernel", 2, 10, 20);
-        let merged = correlate_async_spans(&[l, x]);
-        assert_eq!(merged.len(), 2, "both unpaired halves kept");
+        let c = reconstruct_parents(&Trace::from_spans(vec![l, x]));
+        assert_eq!(c.len(), 2, "both unpaired halves kept");
+        assert!(c.spans().iter().all(|s| s.launch_interval.is_none()));
     }
 
     #[test]
@@ -1473,238 +1222,36 @@ mod tests {
         assert_eq!(gpu_metrics(&s), (Some(10), Some(20), Some(30), Some(0.25)));
     }
 
-    /// Asserts the store pass and the span pass produced identical results:
-    /// same spans (ids, parents, timing, tags in order), same launch
-    /// intervals, same ambiguity report.
-    fn assert_matches_span_engine(spans: Vec<Span>) {
-        let expected = CorrelationEngine::new().correlate(Trace::from_spans(spans.clone()));
-        let store = crate::store::SpanStore::from_spans(&spans);
-        let got = CorrelationEngine::new()
-            .correlate_store(&store)
-            .materialize(&store);
-        assert_eq!(got.len(), expected.len(), "entry counts diverge");
-        for (g, e) in got.spans().iter().zip(expected.spans()) {
-            assert_eq!(g.span, e.span, "materialized span diverges");
-            assert_eq!(g.parent, e.parent, "parent diverges for {:?}", e.span.name);
-            assert_eq!(
-                g.launch_interval, e.launch_interval,
-                "launch interval diverges for {:?}",
-                e.span.name
-            );
-        }
-        assert_eq!(
-            got.ambiguities.ambiguous, expected.ambiguities.ambiguous,
-            "ambiguous sets diverge"
-        );
-        assert_eq!(
-            got.ambiguities.orphans, expected.ambiguities.orphans,
-            "orphan sets diverge"
-        );
-    }
-
     #[test]
-    fn store_pass_matches_span_engine_on_async_merge() {
-        // Launch carries tags the execution is missing (merged, in launch
-        // order), one it already has (skipped), and a duplicate key within
-        // the launch itself (first wins, second skipped via the growing
-        // extras check).
-        let model = span("predict", StackLevel::Model, 0, 1000);
-        let mid = model.id;
-        let mut layer = span("conv", StackLevel::Layer, 10, 400);
-        layer.parent = Some(mid);
-        let l = SpanBuilder::new("cudaLaunchKernel", StackLevel::Kernel, TraceId(1))
-            .start(50)
-            .tag(tag_keys::CORRELATION_ID, 9u64)
-            .tag(tag_keys::ASYNC_LAUNCH, true)
-            .tag("grid", "128x1x1")
-            .tag(tag_keys::FLOP_COUNT_SP, 5u64) // exec already has it
-            .tag("grid", "shadowed") // duplicate key inside launch
-            .tag("stream", 3i64)
-            .finish(60);
-        let x = exec("volta_scudnn", 9, 500, 900);
-        assert_matches_span_engine(vec![model, layer, l, x]);
-    }
-
-    #[test]
-    fn store_pass_matches_span_engine_on_unpaired_and_both_flag_spans() {
-        let model = span("predict", StackLevel::Model, 0, 1000);
-        let lone_launch = launch("cudaLaunchKernel", 1, 10, 20, None);
-        let lone_exec = exec("kernel", 2, 30, 40);
-        // Both flags set: an already-merged pair, passes through untouched.
-        let premerged = SpanBuilder::new("merged", StackLevel::Kernel, TraceId(1))
-            .start(100)
-            .tag(tag_keys::CORRELATION_ID, 3u64)
-            .tag(tag_keys::ASYNC_LAUNCH, true)
-            .tag(tag_keys::ASYNC_EXECUTION, true)
-            .finish(200)
-            .clone();
-        assert_matches_span_engine(vec![model, lone_launch, lone_exec, premerged]);
-    }
-
-    #[test]
-    fn store_pass_matches_span_engine_on_ambiguity_and_orphans() {
-        let model = span("predict", StackLevel::Model, 0, 1000);
-        let mid = model.id;
-        let mut a = span("layerA", StackLevel::Layer, 0, 500);
-        a.parent = Some(mid);
-        let mut b = span("layerB", StackLevel::Layer, 0, 600); // overlaps A
-        b.parent = Some(mid);
-        let k = span("kernel", StackLevel::Kernel, 100, 200); // ambiguous
-        let stray = span("stray", StackLevel::Kernel, 5000, 6000); // orphan
-        assert_matches_span_engine(vec![model, a, b, k, stray]);
-    }
-
-    #[test]
-    fn store_pass_matches_span_engine_across_runs() {
-        // Two interleaved runs plus an async pair per run; runs must stay
-        // independent in both passes.
-        let mut spans = Vec::new();
-        for tid in [1u64, 2] {
-            let mut m = span("predict", StackLevel::Model, 0, 1000);
-            m.trace_id = TraceId(tid);
-            let mid = m.id;
-            let mut layer = span("conv", StackLevel::Layer, 10, 400);
-            layer.trace_id = TraceId(tid);
-            layer.parent = Some(mid);
-            let mut l = launch("cudaLaunchKernel", 40 + tid, 50, 60, None);
-            l.trace_id = TraceId(tid);
-            let mut x = exec("volta", 40 + tid, 450, 900);
-            x.trace_id = TraceId(tid);
-            spans.extend([m, layer, l, x]);
-        }
-        // Interleave publication order across the two runs.
-        spans.swap(1, 5);
-        assert_matches_span_engine(spans);
-    }
-
-    /// Batch-engine oracle for the incremental API: pushing `spans` in the
-    /// given batch splits and finalizing everything must reproduce
-    /// `correlate(Trace::from_spans(spans))` exactly — spans, parents,
-    /// launch intervals, ambiguity report.
-    fn assert_incremental_matches_batch(spans: Vec<Span>, splits: &[usize]) {
-        let expected = CorrelationEngine::new().correlate(Trace::from_spans(spans.clone()));
-        let mut engine = CorrelationEngine::new();
-        let mut rest = spans;
-        for &at in splits {
-            let at = at.min(rest.len());
-            let tail = rest.split_off(at);
-            engine.push_batch(rest);
-            rest = tail;
-        }
-        engine.push_batch(rest);
-        let got = engine.finalize_all();
-        assert_eq!(got.len(), expected.len(), "span counts diverge");
-        for (g, e) in got.spans().iter().zip(expected.spans()) {
-            assert_eq!(g.span, e.span, "span diverges");
-            assert_eq!(g.parent, e.parent, "parent diverges for {:?}", e.span.name);
-            assert_eq!(g.launch_interval, e.launch_interval);
-        }
-        assert_eq!(got.ambiguities.ambiguous, expected.ambiguities.ambiguous);
-        assert_eq!(got.ambiguities.orphans, expected.ambiguities.orphans);
-    }
-
-    #[test]
-    fn incremental_async_pair_straddling_a_batch_boundary_matches_batch() {
-        // The launch half arrives in one batch, its execution in the next:
-        // the pair must still merge because pairing happens at
-        // finalization, over the whole buffered run.
-        let model = span("predict", StackLevel::Model, 0, 1000);
-        let mut layer = span("conv", StackLevel::Layer, 10, 400);
-        layer.parent = Some(model.id);
-        let l = launch("cudaLaunchKernel", 9, 50, 60, None);
-        let x = exec("volta_scudnn", 9, 500, 900);
-        // split between launch (index 2) and execution (index 3)
-        assert_incremental_matches_batch(vec![model, layer, l, x], &[3]);
-    }
-
-    #[test]
-    fn incremental_out_of_order_run_batches_match_batch() {
-        // Batches interleave two runs (run 2 spans arrive between run 1
-        // batches): per-run order is all that matters, and the output
-        // keeps first-appearance run order like `Trace::from_spans`.
-        let mut spans = Vec::new();
-        for tid in [1u64, 2] {
-            let mut m = span("predict", StackLevel::Model, 0, 1000);
-            m.trace_id = TraceId(tid);
-            let mid = m.id;
-            let mut layer = span("conv", StackLevel::Layer, 10, 400);
-            layer.trace_id = TraceId(tid);
-            layer.parent = Some(mid);
-            let mut l = launch("cudaLaunchKernel", 40 + tid, 50, 60, None);
-            l.trace_id = TraceId(tid);
-            let mut x = exec("volta", 40 + tid, 450, 900);
-            x.trace_id = TraceId(tid);
-            spans.extend([m, layer, l, x]);
-        }
-        // Interleave the runs, then split mid-everything.
-        spans.swap(1, 5);
-        spans.swap(3, 6);
-        for splits in [&[1usize, 2, 3][..], &[4], &[7], &[2, 5]] {
-            assert_incremental_matches_batch(spans.clone(), splits);
-        }
-    }
-
-    #[test]
-    fn incremental_empty_and_duplicate_flushes_are_inert() {
-        let mut engine = CorrelationEngine::new();
-        // Finalizing an unknown run: None, not a panic or empty trace.
-        assert!(engine.finalize_run(TraceId(7)).is_none());
-        // Empty finalize_all: an empty trace.
-        assert!(engine.finalize_all().is_empty());
-        engine.push_batch(Vec::new()); // empty batch is a no-op
-        assert_eq!(engine.pending_spans(), 0);
-        engine.push_span(span("predict", StackLevel::Model, 0, 100));
-        assert_eq!(engine.pending_runs(), vec![TraceId(1)]);
-        let first = engine.finalize_run(TraceId(1)).expect("run pending");
-        assert_eq!(first.len(), 1);
-        // Duplicate flush of the same run: already retired.
-        assert!(engine.finalize_run(TraceId(1)).is_none());
-        assert!(engine.pending_runs().is_empty());
-    }
-
-    #[test]
-    fn incremental_late_spans_after_finalize_correlate_alone() {
-        // The window-eviction hazard: once a run is finalized, its parent
-        // candidates are gone. Late spans for the same id must behave as a
-        // fresh run — correlated against each other only, matching the
-        // batch oracle over just those spans.
-        let model = span("predict", StackLevel::Model, 0, 1000);
-        let mut engine = CorrelationEngine::new();
-        engine.push_span(model);
-        engine.finalize_run(TraceId(1)).expect("run pending");
-        // Arrives after eviction: no model span in the window any more.
-        let stray = span("late_kernel", StackLevel::Kernel, 100, 200);
-        let oracle = CorrelationEngine::new().correlate(Trace::from_spans(vec![stray.clone()]));
-        engine.push_span(stray);
-        let got = engine.finalize_run(TraceId(1)).expect("fresh window run");
-        assert_eq!(got.len(), oracle.len());
-        assert_eq!(got.spans()[0].span, oracle.spans()[0].span);
-        assert_eq!(got.spans()[0].parent, None, "no candidate: stays a root");
-        // A kernel with no level above it in its run is not even an orphan
-        // in the batch engine; the incremental path must agree.
-        assert_eq!(got.ambiguities.orphans, oracle.ambiguities.orphans);
-    }
-
-    #[test]
-    fn incremental_finalize_order_and_trees_stay_lazy() {
-        // Per-run finalization reuses the engine scratch: the kernel-level
-        // tree must stay unbuilt run after run, same as the batch pass.
-        let mut engine = CorrelationEngine::new();
+    fn each_run_builds_its_own_model_tree_and_never_the_kernel_tree() {
+        // Runs correlate one after another on the engine's reused scratch:
+        // the kernel-level tree stays unbuilt run after run, each run
+        // builds its own model tree, and the output groups each run's
+        // spans in first-appearance run order, not id order, although the
+        // runs interleave in publication order.
+        let (mut models, mut kernels) = (Vec::new(), Vec::new());
         for tid in [3u64, 1, 2] {
             let mut m = span("predict", StackLevel::Model, 0, 1000);
             m.trace_id = TraceId(tid);
             let mut k = span("kernel", StackLevel::Kernel, 100, 200);
             k.trace_id = TraceId(tid);
-            engine.push_batch([m, k]);
+            models.push(m);
+            kernels.push(k);
         }
-        assert_eq!(
-            engine.pending_runs(),
-            vec![TraceId(3), TraceId(1), TraceId(2)],
-            "window keeps first-appearance order, not id order"
-        );
-        let all = engine.finalize_all();
+        let spans: Vec<Span> = models.into_iter().chain(kernels).collect();
+        let mut engine = CorrelationEngine::new();
+        let all = engine.correlate(Trace::from_spans(spans));
         assert_eq!(all.len(), 6);
         assert!(all.ambiguities.is_clean());
+        let runs: Vec<u64> = all.iter_spans().map(|s| s.trace_id.0).collect();
+        assert_eq!(runs, vec![3, 3, 1, 1, 2, 2]);
+        for pair in all.spans().chunks(2) {
+            assert_eq!(
+                pair[1].parent,
+                Some(pair[0].span.id),
+                "kernel binds in its own run"
+            );
+        }
         assert_eq!(engine.trees_built_at(StackLevel::Kernel), 0);
         assert_eq!(engine.trees_built_at(StackLevel::Model), 3, "one per run");
     }
@@ -1787,8 +1334,8 @@ mod tests {
 
     #[test]
     fn store_pass_is_allocation_shaped_like_the_span_pass() {
-        // Same lazy-tree contract as the span engine: the kernel-level tree
-        // is never built when every kernel resolves against layers.
+        // The lazy-tree contract holds over the store too: the kernel-level
+        // tree is never built when every kernel resolves against layers.
         let model = span("predict", StackLevel::Model, 0, 100_000);
         let mid = model.id;
         let mut spans = vec![model];

@@ -640,6 +640,11 @@ fn decode_head(payload: &[u8]) -> Result<(SpanHead, Cursor<'_>), BinaryReadError
     };
     let start_ns = c.u64("span record missing start")?;
     let end_ns = c.u64("span record missing end")?;
+    // Every duration downstream is `end - start`; a span that ends before
+    // it starts (a corrupted or hand-edited timestamp) is refused here.
+    if end_ns < start_ns {
+        return Err(BinaryReadError::Malformed("span ends before it starts"));
+    }
     let tag_count = c.u32("span record missing tag count")?;
     // A tag is at least 5 bytes (symbol + kind); reject counts the payload
     // cannot hold before anything reserves capacity on their behalf.

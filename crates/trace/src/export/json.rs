@@ -430,7 +430,7 @@ impl<'a> Parser<'a> {
             }
             Ok(())
         })?;
-        Ok(Span {
+        let span = Span {
             id: SpanId(required(id, "Span.id")?),
             trace_id: TraceId(required(trace_id, "Span.trace_id")?),
             name: required(name, "Span.name")?,
@@ -440,7 +440,17 @@ impl<'a> Parser<'a> {
             parent: parent.transpose()?.flatten(),
             tags: required(tags, "Span.tags")?,
             logs: required(logs, "Span.logs")?,
-        })
+        };
+        // Every duration downstream is `end - start`; a span that ends
+        // before it starts (a corrupted or hand-edited timestamp) is
+        // refused here.
+        if span.end_ns < span.start_ns {
+            return Err(Error::Data(format!(
+                "Span.end_ns {} is before Span.start_ns {}",
+                span.end_ns, span.start_ns
+            )));
+        }
+        Ok(span)
     }
 
     fn parent(&mut self) -> Result<Option<SpanId>, Error> {

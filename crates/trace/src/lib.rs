@@ -44,8 +44,8 @@ pub mod tracer;
 
 pub use clock::VirtualClock;
 pub use correlate::{
-    correlate_async_spans, reconstruct_parents, AmbiguityReport, CorrelatedTrace,
-    CorrelationEngine, StoreCorrelation, StoreCorrelationCache,
+    reconstruct_parents, AmbiguityReport, CorrelatedTrace, CorrelationEngine, StoreCorrelation,
+    StoreCorrelationCache,
 };
 pub use hierarchy::SpanTree;
 pub use intern::{NameTable, Symbol};

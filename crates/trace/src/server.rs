@@ -140,8 +140,7 @@ impl Trace {
     }
 
     /// The span indices of one evaluation run, in appearance order (empty
-    /// when the run is absent). This is the borrow-everything entry point
-    /// the correlation engine uses instead of filtering per run.
+    /// when the run is absent).
     pub fn run_indices(&self, trace_id: TraceId) -> &[usize] {
         self.runs
             .iter()
@@ -152,7 +151,7 @@ impl Trace {
 
     /// Consumes the trace into its span table and per-run index
     /// (first-appearance order) — the zero-copy decomposition the
-    /// correlation engine uses for multi-run traces.
+    /// correlation engine reads its runs from.
     pub(crate) fn into_parts(self) -> (Vec<Span>, Vec<(TraceId, Vec<usize>)>) {
         (self.spans, self.runs)
     }

@@ -14,13 +14,14 @@
 //!
 //! The store also pre-computes each span's async-correlation facts (first
 //! `correlation_id` tag, `async_launch` / `async_execution` flags) at push
-//! time, so [`crate::correlate::CorrelationEngine::correlate_store`]
-//! classifies roles with a column scan instead of per-span string-keyed
-//! tag walks. The precomputation replicates
-//! [`crate::span::Span::correlation_id`] /
+//! time, so the correlation pass
+//! ([`crate::correlate::CorrelationEngine::correlate_store`]) reads a
+//! span's async role from a column instead of walking string-keyed tags.
+//! The precomputation replicates [`crate::span::Span::correlation_id`] /
 //! [`crate::span::Span::is_async_launch`] semantics exactly (first
 //! matching tag wins; `as_u64` accepts `U64` and non-negative `I64`) — the
-//! store-vs-span correlation oracle test pins the equivalence.
+//! `async_info_*` unit tests below and the store-cache proptest, which
+//! compares store and owned-trace correlation, pin the equivalence.
 //!
 //! Conversion back to the interchange shape is always available:
 //! [`SpanStore::materialize`] rebuilds a byte-identical [`Span`] (tag and

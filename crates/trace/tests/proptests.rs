@@ -8,8 +8,8 @@ use xsp_trace::interval::{Interval, IntervalTree};
 use xsp_trace::span::{tag_keys, Span, SpanId, TagValue};
 use xsp_trace::stats::{percentile, trimmed_mean, Summary};
 use xsp_trace::{
-    correlate_async_spans, reconstruct_parents, AmbiguityReport, CorrelationEngine, SpanBuilder,
-    SpanStore, StackLevel, StoreCorrelationCache, Trace, TraceId,
+    reconstruct_parents, AmbiguityReport, CorrelationEngine, SpanBuilder, SpanStore, StackLevel,
+    StoreCorrelationCache, Trace, TraceId,
 };
 
 fn arb_intervals(max_n: usize) -> impl Strategy<Value = Vec<Interval>> {
@@ -478,14 +478,13 @@ proptest! {
         prop_assert_eq!(&got.ambiguities.orphans, &oracle_ambiguities.orphans);
     }
 
-    /// The incremental-correlation contract: feeding the same span stream
-    /// through `push_batch` at arbitrary batch boundaries, then finalizing,
-    /// must reproduce the batch engine exactly — same spans, parents,
-    /// launch intervals and ambiguity report — and so must the cached
-    /// store path (`StoreCorrelationCache::refresh` + `materialize`) when
-    /// the store grows by those same batches.
+    /// The store-cache contract: growing a [`SpanStore`] by the same span
+    /// stream at arbitrary batch boundaries, refreshing a
+    /// [`StoreCorrelationCache`] after every batch, and materializing must
+    /// reproduce the owned-trace engine exactly — same spans, parents,
+    /// launch intervals and ambiguity report.
     #[test]
-    fn incremental_engine_matches_batch_for_random_batch_splits(
+    fn store_cache_matches_batch_for_random_batch_splits(
         spans in arb_correlation_forest(),
         raw_cuts in prop::collection::vec(0usize..400, 0..6),
     ) {
@@ -497,39 +496,34 @@ proptest! {
         cuts.sort_unstable();
         cuts.push(spans.len());
 
-        let mut engine = CorrelationEngine::new();
         let mut store = SpanStore::new();
         let mut cache = StoreCorrelationCache::new();
-        let mut cache_engine = CorrelationEngine::new();
+        let mut engine = CorrelationEngine::new();
         let mut prev = 0usize;
         for cut in cuts {
-            engine.push_batch(spans[prev..cut].iter().cloned());
             for span in &spans[prev..cut] {
                 store.push(span);
             }
             // Refresh after every batch: intermediate refreshes must not
             // disturb the final answer (prefix validation keeps finalized
             // runs cached).
-            cache.refresh(&mut cache_engine, &store);
+            cache.refresh(&mut engine, &store);
             prev = cut;
         }
-        let incremental = engine.finalize_all();
         let cached = cache.materialize(&store);
 
-        for (label, got) in [("push_batch", &incremental), ("store cache", &cached)] {
-            prop_assert_eq!(got.len(), batch.len(), "{}: span count diverged", label);
-            for (g, o) in got.spans().iter().zip(batch.spans()) {
-                prop_assert_eq!(
-                    serde_json::to_string(&g.span).unwrap(),
-                    serde_json::to_string(&o.span).unwrap(),
-                    "{}: span payload diverged", label
-                );
-                prop_assert_eq!(g.parent, o.parent, "{}: parent diverged for {}", label, g.span.name);
-                prop_assert_eq!(g.launch_interval, o.launch_interval, "{}: launch interval diverged", label);
-            }
-            prop_assert_eq!(&got.ambiguities.ambiguous, &batch.ambiguities.ambiguous, "{}: ambiguous diverged", label);
-            prop_assert_eq!(&got.ambiguities.orphans, &batch.ambiguities.orphans, "{}: orphans diverged", label);
+        prop_assert_eq!(cached.len(), batch.len(), "span count diverged");
+        for (g, o) in cached.spans().iter().zip(batch.spans()) {
+            prop_assert_eq!(
+                serde_json::to_string(&g.span).unwrap(),
+                serde_json::to_string(&o.span).unwrap(),
+                "span payload diverged"
+            );
+            prop_assert_eq!(g.parent, o.parent, "parent diverged for {}", g.span.name);
+            prop_assert_eq!(g.launch_interval, o.launch_interval, "launch interval diverged");
         }
+        prop_assert_eq!(&cached.ambiguities.ambiguous, &batch.ambiguities.ambiguous);
+        prop_assert_eq!(&cached.ambiguities.orphans, &batch.ambiguities.orphans);
     }
 }
 
@@ -588,6 +582,7 @@ fn build_run_spans(
     }
     for (j, &(kind, lstart, llen, xstart, xlen)) in kernels.iter().enumerate() {
         let cid = j as u64 + 1;
+        let launch_parent = (j % 2 == 0).then_some(model_id);
         match kind {
             // plain (synchronous) kernel span
             0 => out.push(
@@ -598,11 +593,14 @@ fn build_run_spans(
             // async pair: launch + execution linked by correlation id
             1 => {
                 out.push(
-                    SpanBuilder::new(format!("launch{j}"), StackLevel::Kernel, trace_id)
-                        .start(lstart)
-                        .tag(tag_keys::CORRELATION_ID, cid)
-                        .tag(tag_keys::ASYNC_LAUNCH, true)
-                        .finish(lstart + llen),
+                    launch_half(
+                        SpanBuilder::new(format!("launch{j}"), StackLevel::Kernel, trace_id)
+                            .start(lstart)
+                            .tag(tag_keys::CORRELATION_ID, cid)
+                            .tag(tag_keys::ASYNC_LAUNCH, true),
+                        launch_parent,
+                    )
+                    .finish(lstart + llen),
                 );
                 out.push(
                     SpanBuilder::new(format!("exec{j}"), StackLevel::Kernel, trace_id)
@@ -615,11 +613,14 @@ fn build_run_spans(
             }
             // unpaired launch (kernel never ran)
             2 => out.push(
-                SpanBuilder::new(format!("lost_launch{j}"), StackLevel::Kernel, trace_id)
-                    .start(lstart)
-                    .tag(tag_keys::CORRELATION_ID, cid)
-                    .tag(tag_keys::ASYNC_LAUNCH, true)
-                    .finish(lstart + llen),
+                launch_half(
+                    SpanBuilder::new(format!("lost_launch{j}"), StackLevel::Kernel, trace_id)
+                        .start(lstart)
+                        .tag(tag_keys::CORRELATION_ID, cid)
+                        .tag(tag_keys::ASYNC_LAUNCH, true),
+                    launch_parent,
+                )
+                .finish(lstart + llen),
             ),
             // unpaired execution (callback dropped)
             3 => out.push(
@@ -639,11 +640,14 @@ fn build_run_spans(
                         .finish(xstart + xlen),
                 );
                 out.push(
-                    SpanBuilder::new(format!("late_launch{j}"), StackLevel::Kernel, trace_id)
-                        .start(lstart)
-                        .tag(tag_keys::CORRELATION_ID, cid)
-                        .tag(tag_keys::ASYNC_LAUNCH, true)
-                        .finish(lstart + llen),
+                    launch_half(
+                        SpanBuilder::new(format!("late_launch{j}"), StackLevel::Kernel, trace_id)
+                            .start(lstart)
+                            .tag(tag_keys::CORRELATION_ID, cid)
+                            .tag(tag_keys::ASYNC_LAUNCH, true),
+                        launch_parent,
+                    )
+                    .finish(lstart + llen),
                 );
             }
             // already-merged capture span: both flags, takes part in no
@@ -658,6 +662,19 @@ fn build_run_spans(
             ),
         }
     }
+}
+
+/// The rest of a generated launch half: an explicit parent on every other
+/// launch (a merge hands it to the execution), and three tags — one key
+/// only the launch carries, one repeated inside the launch (the first
+/// occurrence is the one a merge folds in), and one the execution already
+/// carries (a merge keeps the execution's value).
+fn launch_half(b: SpanBuilder, parent: Option<SpanId>) -> SpanBuilder {
+    b.maybe_parent(parent)
+        .tag("grid", "128x1x1")
+        .tag("stream", 3i64)
+        .tag("stream", 7i64)
+        .tag(tag_keys::FLOP_COUNT_SP, 5u64)
 }
 
 /// The pre-engine implementation, kept verbatim as the oracle: one interval
@@ -679,8 +696,51 @@ fn oracle_reconstruct(trace: &Trace) -> (Vec<CorrelatedSpan>, AmbiguityReport) {
     (spans, ambiguities)
 }
 
+/// The naive async merge: an execution half takes the parent and the
+/// missing tags of the last launch half with its correlation id, a launch
+/// half with an execution disappears into it, everything else (unpaired
+/// halves, spans carrying both flags) passes through unchanged.
+fn oracle_merge(spans: &[Span]) -> Vec<CorrelatedSpan> {
+    let role = |s: &Span| match s.correlation_id() {
+        Some(cid) => match (s.is_async_launch(), s.is_async_execution()) {
+            (true, false) => Some((cid, true)),
+            (false, true) => Some((cid, false)),
+            _ => None,
+        },
+        None => None,
+    };
+    let launch_of = |cid: u64| spans.iter().rev().find(|s| role(s) == Some((cid, true)));
+    let has_execution = |cid: u64| spans.iter().any(|s| role(s) == Some((cid, false)));
+    let mut out = Vec::new();
+    for s in spans {
+        let mut span = s.clone();
+        let mut launch_interval = None;
+        match role(s) {
+            Some((cid, true)) if has_execution(cid) => continue,
+            Some((cid, false)) => {
+                if let Some(launch) = launch_of(cid) {
+                    span.parent = launch.parent;
+                    for (k, v) in &launch.tags {
+                        if span.tag(k).is_none() {
+                            span.tags.push((k.clone(), v.clone()));
+                        }
+                    }
+                    launch_interval = Some((launch.start_ns, launch.end_ns));
+                }
+            }
+            _ => {}
+        }
+        out.push(CorrelatedSpan {
+            parent: span.parent,
+            launch_interval,
+            span,
+        });
+    }
+    out
+}
+
 fn oracle_single_run(spans: &[Span]) -> (Vec<CorrelatedSpan>, AmbiguityReport) {
-    let mut correlated = correlate_async_spans(spans);
+    let mut correlated = oracle_merge(spans);
     let levels: Vec<StackLevel> = StackLevel::ALL
         .iter()
         .copied()

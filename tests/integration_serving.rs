@@ -1,20 +1,20 @@
 //! Integration tests of the inference-serving tier: the continuous-batching
 //! scheduler's determinism contract (identical reports and byte-identical
 //! streamed span traces for any worker count and across replays), and the
-//! decode-step runs' interaction with the incremental correlation window.
+//! re-correlation idempotence of the runs a serving step streams.
 
 use proptest::prelude::*;
 use std::sync::{Arc, Mutex};
 
 use xsp_core::export::ExportSink;
-use xsp_core::pipeline::profile_from_correlated;
-use xsp_core::profile::{ProfilingLevel, Xsp, XspConfig};
+use xsp_core::profile::{ProfileRequest, ProfilingLevel, Xsp, XspConfig};
 use xsp_core::scheduler::Parallelism;
 use xsp_core::serving::{simulate, simulate_streaming, ArrivalTrace, ServingConfig, ServingModel};
 use xsp_framework::FrameworkKind;
 use xsp_gpu::systems;
-use xsp_models::transformer::{self, DecodeAttention, TransformerConfig};
-use xsp_trace::{CorrelationEngine, TraceId};
+use xsp_models::transformer::{self, DecodeAttention};
+use xsp_trace::export::to_chrome_trace_of;
+use xsp_trace::{CorrelationEngine, Span, Trace, TraceId};
 
 fn xsp(parallelism: Parallelism) -> Xsp {
     Xsp::new(
@@ -121,50 +121,46 @@ fn streamed_trace_carries_one_run_per_step() {
     }
 }
 
-/// Decode-step runs interact with the incremental correlation window the
-/// same way live runs do: pushing a step's spans in two batches across a
-/// window boundary and finalizing yields the same correlated profile as a
-/// one-shot push.
+/// Re-correlating a correlated run changes nothing: the idempotence a
+/// streamed serving step relies on when it correlates its memoized run
+/// again. Checked on GPT-2 decode steps over both attention paths and on
+/// one prefill, at M, M/L and M/L/G.
 #[test]
-fn decode_step_survives_correlation_window_boundary() {
-    let tiny = TransformerConfig {
-        layers: 2,
-        heads: 2,
-        d_model: 64,
-        d_ff: 128,
-        vocab: 512,
-    };
-    let graph = transformer::decode_step(2, 32, tiny, DecodeAttention::Materialized, |b| {
-        b.decode_linear("lm_head/DecodeMatMul", 512);
-    });
-    let profile = xsp(Parallelism::Serial)
-        .run(xsp_core::profile::ProfileRequest::new(&graph).level(ProfilingLevel::ModelLayerGpu));
-    let run = &profile.mlg_runs[0];
-    let spans: Vec<xsp_trace::Span> = run.trace.iter_spans().cloned().collect();
-    assert!(spans.len() > 4, "decode step produced a real trace");
-
-    // one-shot reference
-    let mut engine = CorrelationEngine::new();
-    engine.push_batch(spans.iter().cloned());
-    let reference = engine.finalize_run(run.trace_id).unwrap();
-
-    // split mid-trace: window boundary lands inside the run
-    let mid = spans.len() / 2;
-    let mut engine = CorrelationEngine::new();
-    engine.push_batch(spans[..mid].iter().cloned());
-    assert_eq!(engine.pending_spans(), mid, "first window buffered");
-    engine.push_batch(spans[mid..].iter().cloned());
-    let split = engine.finalize_run(run.trace_id).unwrap();
-
-    let a = profile_from_correlated(reference, ProfilingLevel::ModelLayerGpu);
-    let b = profile_from_correlated(split, ProfilingLevel::ModelLayerGpu);
-    assert_eq!(a.kernels.len(), b.kernels.len());
-    assert_eq!(a.layers.len(), b.layers.len());
-    assert_eq!(
-        xsp_trace::export::to_chrome_trace_of(a.trace.iter_spans()),
-        xsp_trace::export::to_chrome_trace_of(b.trace.iter_spans()),
-        "window boundary changed the correlated trace"
-    );
+fn recorrelating_a_serving_run_reproduces_its_bytes() {
+    let graphs = [
+        (
+            "decode/materialized",
+            transformer::gpt2_decode_step(2, 64, DecodeAttention::Materialized),
+        ),
+        (
+            "decode/fused",
+            transformer::gpt2_decode_step(2, 64, DecodeAttention::Fused),
+        ),
+        ("prefill", transformer::gpt2_small(1, 32)),
+    ];
+    for (label, graph) in &graphs {
+        let profile = xsp(Parallelism::Serial)
+            .run(ProfileRequest::new(graph).level(ProfilingLevel::ModelLayerGpu));
+        for (level, runs) in [
+            ("M", &profile.m_runs),
+            ("M/L", &profile.ml_runs),
+            ("M/L/G", &profile.mlg_runs),
+        ] {
+            let run = &runs[0].trace;
+            let spans: Vec<Span> = run.iter_spans().cloned().collect();
+            let again = CorrelationEngine::new().correlate(Trace::from_spans(spans));
+            assert_eq!(again.len(), run.len(), "{label} at {level}: span count");
+            for (a, b) in again.spans().iter().zip(run.spans()) {
+                assert_eq!(a.span, b.span, "{label} at {level}: span");
+                assert_eq!(a.parent, b.parent, "{label} at {level}: parent");
+            }
+            assert_eq!(
+                to_chrome_trace_of(again.iter_spans()),
+                to_chrome_trace_of(run.iter_spans()),
+                "{label} at {level}: re-correlation changed the Chrome bytes"
+            );
+        }
+    }
 }
 
 #[test]

@@ -39,8 +39,9 @@ fn capture_line() -> Vec<u8> {
     line.to_vec()
 }
 
-/// What the reader accepted before it parsed spans directly: each line
-/// (blank ones skipped) through `serde_json::from_str::<Span>`.
+/// What the reader accepts: each line (blank ones skipped) through
+/// `serde_json::from_str::<Span>`, refusing a span that ends before it
+/// starts — a flipped timestamp digit can produce one.
 fn reference_read(bytes: &[u8]) -> Option<Vec<Span>> {
     let mut spans = Vec::new();
     for line in bytes.split_inclusive(|&b| b == b'\n') {
@@ -49,7 +50,11 @@ fn reference_read(bytes: &[u8]) -> Option<Vec<Span>> {
         if text.trim().is_empty() {
             continue;
         }
-        spans.push(serde_json::from_str::<Span>(text).ok()?);
+        let span = serde_json::from_str::<Span>(text).ok()?;
+        if span.end_ns < span.start_ns {
+            return None;
+        }
+        spans.push(span);
     }
     Some(spans)
 }
