@@ -103,12 +103,13 @@ fn bench_interval_tree(c: &mut Criterion) {
         let intervals = mk_intervals(n);
         let tree = IntervalTree::build(intervals.clone());
         g.bench_with_input(BenchmarkId::new("tree_containing", n), &n, |b, _| {
+            let mut found = Vec::new();
             b.iter(|| {
-                let mut found = 0usize;
+                found.clear();
                 for probe in (0..10_000).step_by(97) {
-                    found += tree.containing(probe, probe + 3).count();
+                    tree.containing_into(probe, probe + 3, &mut found);
                 }
-                black_box(found)
+                black_box(found.len())
             })
         });
         g.bench_with_input(BenchmarkId::new("linear_containing", n), &n, |b, _| {

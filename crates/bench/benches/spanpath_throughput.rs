@@ -136,7 +136,7 @@ fn bench_spanpath(
             buffer.flush();
             let mut store = SpanStore::with_capacity(n);
             server.drain_each(|span| {
-                store.push_owned(span);
+                store.push(&span);
             });
             black_box(CorrelationEngine::new().correlate_store(&store))
         };

@@ -37,7 +37,7 @@ pub fn ax1_library_calls(profile: &LeveledProfile) -> Vec<LibraryCallRow> {
         return Vec::new();
     };
     let mut rows: Vec<LibraryCallRow> = Vec::new();
-    for s in run.trace.spans() {
+    for (i, s) in run.trace.spans().iter().enumerate() {
         if s.span.level != StackLevel::Library {
             continue;
         }
@@ -45,8 +45,7 @@ pub fn ax1_library_calls(profile: &LeveledProfile) -> Vec<LibraryCallRow> {
         // per-API full-trace scan was quadratic in span count.
         let kernels = run
             .trace
-            .children_of(s.span.id)
-            .iter()
+            .children_of(i)
             .filter(|k| k.span.level == StackLevel::Kernel)
             .count();
         match rows.iter_mut().find(|r| r.api == s.span.name) {
@@ -148,8 +147,9 @@ mod tests {
         let p = profile(true);
         let run = &p.mlg_runs[0];
         let mut lib_with_kernels = 0usize;
-        for s in run.trace.at_level(StackLevel::Library) {
-            for k in run.trace.children_of(s.span.id) {
+        let spans = run.trace.spans().iter().enumerate();
+        for (i, s) in spans.filter(|(_, s)| s.span.level == StackLevel::Library) {
+            for k in run.trace.children_of(i) {
                 assert!(
                     s.span.contains(&k.span),
                     "kernel {} outside API span {}",

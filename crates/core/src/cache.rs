@@ -32,10 +32,8 @@
 //! Byte-identity is the contract: a profile served from the cache (memory
 //! or disk) exports byte-identically to a cold re-profile at any worker
 //! count. The in-memory tier shares the exact object, and the disk tier
-//! stores the runs' spans verbatim, so rebuilding goes through the same
-//! [`profile_from_trace`](crate::pipeline::profile_from_trace) path the
-//! offline `xsp export --from` mode
-//! already proves byte-faithful in CI.
+//! stores the runs' correlated spans verbatim, so a reload rebuilds each
+//! run's correlated trace from them without correlating again.
 
 use crate::profile::{LeveledProfile, ProfileMode, ProfilingLevel, XspConfig};
 use parking_lot::Mutex;
@@ -46,7 +44,9 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use xsp_framework::LayerGraph;
-use xsp_trace::export::{read_span_binary, BinaryReadError, SpanBinaryWriter};
+use xsp_trace::correlate::{AmbiguityReport, CorrelatedSpan, CorrelatedTrace};
+use xsp_trace::export::{BinaryReadError, SpanBinaryReader, SpanBinaryWriter};
+use xsp_trace::Span;
 
 // ---------------------------------------------------------------------------
 // FNV-1a 128-bit streaming hasher
@@ -603,13 +603,16 @@ fn read_record(src: &mut impl Read) -> Result<Option<(u8, Vec<u8>)>, XspcReadErr
 
 /// Reads a `.xspc` envelope back into its fingerprint and profile.
 ///
-/// The profile is rebuilt run by run: each embedded `.xspb` stream decodes
-/// to a trace that goes through
-/// [`profile_from_trace`](crate::pipeline::profile_from_trace) — the same
-/// path the offline
-/// `xsp export --from` mode uses, whose byte-fidelity to the live export
-/// is pinned in CI — then the `used_serialized_rerun` flag is restored
-/// from the meta record (re-correlation cannot re-derive it).
+/// The profile is rebuilt run by run. A stored run holds the spans its
+/// correlation produced — async pairs merged, every resolved parent
+/// written into the span — so its [`CorrelatedTrace`] is built straight
+/// from the decoded spans, with no correlation pass, and only the
+/// per-layer and per-kernel views are extracted again
+/// ([`profile_from_correlated`](crate::pipeline::profile_from_correlated)).
+/// The `used_serialized_rerun` flag is restored from the meta record. A
+/// reloaded run's ambiguity report is empty: the live run's diagnostics
+/// are not stored, and only the live pipeline reads them (to decide on a
+/// serialized re-run).
 pub fn read_xspc(src: &mut impl Read) -> Result<(GraphFingerprint, LeveledProfile), XspcReadError> {
     let header = read_exactly(src, 4 + 1 + 16)?;
     if header[..4] != XSPC_MAGIC {
@@ -685,8 +688,15 @@ pub fn read_xspc(src: &mut impl Read) -> Result<(GraphFingerprint, LeveledProfil
                 "run {i}: expected a run record (0x02), found {kind:#04x}"
             )));
         }
-        let trace = read_span_binary(&payload[..])?;
-        let mut run = crate::pipeline::profile_from_trace(trace, level);
+        // Collected first so the run keeps an exactly sized span table.
+        let spans: Vec<Span> = SpanBinaryReader::new(&payload[..]).collect::<Result<_, _>>()?;
+        let spans = spans.into_iter().map(|span| CorrelatedSpan {
+            parent: span.parent,
+            launch_interval: None,
+            span,
+        });
+        let correlated = CorrelatedTrace::new(spans.collect(), AmbiguityReport::default());
+        let mut run = crate::pipeline::profile_from_correlated(correlated, level);
         run.used_serialized_rerun = rerun;
         match bucket.as_str() {
             "m" => profile.m_runs.push(run),

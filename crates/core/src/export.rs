@@ -1,12 +1,13 @@
-//! Profile export: streams a [`LeveledProfile`] out of the process in any
-//! supported trace format, and provides the always-on export sink that
-//! [`crate::profile::Xsp`] threads through sweeps.
+//! Profile export: streams a [`LeveledProfile`] or one correlated trace out
+//! of the process in any supported trace format, and provides the
+//! always-on export sink that [`crate::profile::Xsp`] threads through
+//! sweeps and the serving simulator streams its steps into.
 //!
-//! Everything here writes through the incremental writers of
-//! [`xsp_trace::export::stream`]: spans leave through an `io::Write` one at
-//! a time (one evaluation run at a time for folded stacks, which need the
-//! run's parent tree), so exporting never materializes the serialized
-//! trace. Because profiles are deterministic in `(config, graph)` and runs
+//! Everything here writes through one format dispatch over the incremental
+//! writers of [`xsp_trace::export::stream`]: spans leave through an
+//! `io::Write` one at a time (one evaluation run at a time for folded
+//! stacks, which need the run's parent tree), so exporting never
+//! materializes the serialized trace. Because profiles are deterministic in `(config, graph)` and runs
 //! are merged in submission order, exported bytes are identical for every
 //! [`crate::scheduler::Parallelism`] setting — the CI export-determinism
 //! lane diffs serial against 4-worker output for all three formats.
@@ -18,6 +19,7 @@ use std::io::{self, Write};
 use std::sync::{Arc, Mutex};
 use xsp_trace::export::stream::{ChromeTraceWriter, FoldedStacksWriter, SpanJsonLinesWriter};
 use xsp_trace::export::SpanBinaryWriter;
+use xsp_trace::{CorrelatedTrace, Span, TraceId};
 
 /// The trace formats `xsp export` (and [`export_profile`]) can emit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -107,47 +109,6 @@ impl fmt::Display for ParseFormatError {
 
 impl std::error::Error for ParseFormatError {}
 
-/// Streams a span sequence to `out` as span-JSON-lines or Chrome trace
-/// events — the shared per-span body of [`export_profile`] and
-/// [`export_run_profile`], so the live and offline paths cannot drift.
-/// Folded stacks need per-run parent trees and are handled by the callers.
-fn export_span_stream<'a, W: Write>(
-    spans: impl Iterator<Item = &'a xsp_trace::Span>,
-    format: ExportFormat,
-    out: W,
-) -> io::Result<usize> {
-    match format {
-        ExportFormat::Spans => {
-            let mut writer = SpanJsonLinesWriter::new(out);
-            for span in spans {
-                writer.write_span(span)?;
-            }
-            let written = writer.written();
-            writer.finish()?;
-            Ok(written)
-        }
-        ExportFormat::Binary => {
-            let mut writer = SpanBinaryWriter::new(out)?;
-            for span in spans {
-                writer.write_span(span)?;
-            }
-            let written = writer.written();
-            writer.finish()?;
-            Ok(written)
-        }
-        ExportFormat::Chrome => {
-            let mut writer = ChromeTraceWriter::new(out)?;
-            for span in spans {
-                writer.write_span(span)?;
-            }
-            let written = writer.written();
-            writer.finish()?;
-            Ok(written)
-        }
-        ExportFormat::Folded => unreachable!("folded export streams per run, not per span"),
-    }
-}
-
 /// Streams every span of `profile` (canonical run order: M, M/L, M/L/G,
 /// metric runs) to `out` in the requested format. Returns the number of
 /// spans (events, for folded stacks: runs) written.
@@ -156,74 +117,82 @@ pub fn export_profile<W: Write>(
     format: ExportFormat,
     out: W,
 ) -> io::Result<usize> {
-    match format {
-        ExportFormat::Spans | ExportFormat::Binary | ExportFormat::Chrome => {
-            export_span_stream(profile.iter_spans(), format, out)
-        }
-        ExportFormat::Folded => {
-            let mut writer = FoldedStacksWriter::new(out);
-            let mut runs = 0;
-            for run in profile.runs() {
-                writer.write_run(&run.trace)?;
-                runs += 1;
-            }
-            writer.finish()?;
-            Ok(runs)
-        }
+    let mut writer = SinkWriter::new(format, out)?;
+    for run in profile.runs() {
+        writer.write_run(&run.trace)?;
     }
+    writer.finish()?;
+    Ok(writer.written())
 }
 
-/// Streams an offline-reconstructed [`RunProfile`] — the
-/// `xsp export --from trace.jsonl` path, where the spans came from a saved
-/// span-JSON-lines capture via [`crate::pipeline::profile_from_trace`] — to
-/// `out` in the requested format. Returns the number of spans written (for
-/// folded stacks: the number of root-level traversals, i.e. 1 per call).
+/// Streams one correlated trace — the `xsp export --from trace.jsonl`
+/// path, where the spans came from a saved capture, and the daemon's live
+/// export — to `out` in the requested format. Returns the number of spans
+/// written (for folded stacks: the number of root-level traversals, i.e.
+/// 1 per call).
 ///
 /// Because a saved capture already carries reconstructed parents and merged
 /// async pairs, re-correlation is a no-op on its spans, and the bytes this
-/// emits for a capture of `profile` equal the live
-/// [`export_profile`] bytes for the same profile — the offline round-trip
-/// test pins that equivalence against the frozen chrome golden.
+/// emits for a capture of `profile` equal the live [`export_profile`]
+/// bytes for the same profile — the offline round-trip test pins that
+/// equivalence against the frozen chrome golden. For folded stacks one
+/// traversal covers every run: the trace's root set lists each run's
+/// roots in publication order, which is the per-run order of the live
+/// export.
+pub fn export_correlated<W: Write>(
+    trace: &CorrelatedTrace,
+    format: ExportFormat,
+    out: W,
+) -> io::Result<usize> {
+    let mut writer = SinkWriter::new(format, out)?;
+    writer.write_run(trace)?;
+    writer.finish()?;
+    Ok(writer.written())
+}
+
+/// [`export_correlated`] of an offline-reconstructed [`RunProfile`]'s
+/// trace (see [`crate::pipeline::profile_from_trace`]).
 pub fn export_run_profile<W: Write>(
     profile: &RunProfile,
     format: ExportFormat,
     out: W,
 ) -> io::Result<usize> {
-    match format {
-        ExportFormat::Spans | ExportFormat::Binary | ExportFormat::Chrome => {
-            export_span_stream(profile.trace.iter_spans(), format, out)
-        }
-        ExportFormat::Folded => {
-            // One traversal covers every run in the capture: the correlated
-            // trace's root set lists each run's model-level roots in
-            // publication order, which is exactly the per-run emission order
-            // of the live export.
-            let mut writer = FoldedStacksWriter::new(out);
-            writer.write_run(&profile.trace)?;
-            writer.finish()?;
-            Ok(1)
-        }
-    }
+    export_correlated(&profile.trace, format, out)
 }
 
-/// The sink's format-specific writer half. Span-JSON-lines (the default
-/// interchange), `.xspb` span binary, and Chrome trace events append one
-/// span at a time; folded stacks need each span's children and therefore
-/// finalize one correlated run at a time ([`SinkWriter::write_run`]) —
-/// per-span writes on a folded sink are a structured error, not silent
-/// misbehavior.
-enum SinkWriter {
-    Jsonl(SpanJsonLinesWriter<Box<dyn Write + Send>>),
-    Binary(SpanBinaryWriter<Box<dyn Write + Send>>),
-    Chrome(ChromeTraceWriter<Box<dyn Write + Send>>),
+/// The one format dispatch behind every export: span-JSON-lines (the
+/// default interchange), `.xspb` span binary and Chrome trace events append
+/// one span at a time; folded stacks need each span's children and
+/// therefore finalize one correlated run at a time
+/// ([`SinkWriter::write_run`]) — per-span writes on a folded writer are a
+/// structured error, not silent misbehavior.
+enum SinkWriter<W: Write> {
+    Jsonl(SpanJsonLinesWriter<W>),
+    Binary(SpanBinaryWriter<W>),
+    Chrome(ChromeTraceWriter<W>),
     Folded {
-        writer: FoldedStacksWriter<Box<dyn Write + Send>>,
+        writer: FoldedStacksWriter<W>,
         runs: usize,
     },
 }
 
-impl SinkWriter {
-    fn write_span(&mut self, span: &xsp_trace::Span) -> io::Result<()> {
+impl<W: Write> SinkWriter<W> {
+    /// Opens a writer in `format` over `out`. Fallible because the `.xspb`
+    /// header and the Chrome `traceEvents` envelope are written eagerly, so
+    /// a dead writer surfaces here instead of poisoning the first span.
+    fn new(format: ExportFormat, out: W) -> io::Result<Self> {
+        Ok(match format {
+            ExportFormat::Spans => SinkWriter::Jsonl(SpanJsonLinesWriter::new(out)),
+            ExportFormat::Binary => SinkWriter::Binary(SpanBinaryWriter::new(out)?),
+            ExportFormat::Chrome => SinkWriter::Chrome(ChromeTraceWriter::new(out)?),
+            ExportFormat::Folded => SinkWriter::Folded {
+                writer: FoldedStacksWriter::new(out),
+                runs: 0,
+            },
+        })
+    }
+
+    fn write_span(&mut self, span: &Span) -> io::Result<()> {
         match self {
             SinkWriter::Jsonl(w) => w.write_span(span),
             SinkWriter::Binary(w) => w.write_span(span),
@@ -236,18 +205,40 @@ impl SinkWriter {
         }
     }
 
-    /// Appends one finalized run. Folded output emits the run's stacks in
-    /// one go; every other format degrades to the per-span stream.
-    fn write_run(&mut self, trace: &xsp_trace::CorrelatedTrace) -> io::Result<()> {
+    /// Appends one correlated run. Folded output emits the run's stacks in
+    /// one go; every other format appends the run's spans.
+    fn write_run(&mut self, trace: &CorrelatedTrace) -> io::Result<()> {
         if let SinkWriter::Folded { writer, runs } = self {
             writer.write_run(trace)?;
             *runs += 1;
             return Ok(());
         }
-        for span in trace.iter_spans() {
-            self.write_span(span)?;
+        trace
+            .iter_spans()
+            .try_for_each(|span| self.write_span(span))
+    }
+
+    /// Appends `run` with every span moved to run `trace_id` and shifted in
+    /// time so that the run's earliest span starts at `start_ns`. Folded
+    /// lines carry neither a trace id nor a timestamp, so a folded writer
+    /// writes the run unchanged.
+    fn write_shifted(
+        &mut self,
+        run: &CorrelatedTrace,
+        trace_id: TraceId,
+        start_ns: u64,
+    ) -> io::Result<()> {
+        if let SinkWriter::Folded { .. } = self {
+            return self.write_run(run);
         }
-        Ok(())
+        let base_ns = run.iter_spans().map(|s| s.start_ns).min().unwrap_or(0);
+        run.iter_spans().try_for_each(|span| {
+            let mut span = span.clone();
+            span.trace_id = trace_id;
+            span.start_ns = span.start_ns - base_ns + start_ns;
+            span.end_ns = span.end_ns - base_ns + start_ns;
+            self.write_span(&span)
+        })
     }
 
     fn written(&self) -> usize {
@@ -269,8 +260,7 @@ impl SinkWriter {
     }
 
     /// Writes any format trailer (the Chrome `]}` envelope close) and
-    /// flushes. After this the stream is complete; only called once, via
-    /// the `finished` latch in [`SinkState`].
+    /// flushes. After this the stream is complete; call it once.
     fn finish(&mut self) -> io::Result<()> {
         match self {
             SinkWriter::Chrome(w) => w.close(),
@@ -280,7 +270,7 @@ impl SinkWriter {
 }
 
 struct SinkState {
-    writer: SinkWriter,
+    writer: SinkWriter<Box<dyn Write + Send>>,
     /// First write failure; once set, further writes are dropped so a full
     /// disk cannot panic a sweep mid-flight.
     error: Option<io::Error>,
@@ -289,7 +279,7 @@ struct SinkState {
     finished: bool,
 }
 
-/// A shared span-JSON-lines sink threaded through [`crate::profile::XspConfig`]:
+/// A shared export sink threaded through [`crate::profile::XspConfig`]:
 /// every evaluation run the profiler completes is appended (in submission
 /// order, so bytes are worker-count-independent) as soon as its point
 /// finishes — a batch sweep exports incrementally instead of holding every
@@ -305,71 +295,46 @@ pub struct ExportSink {
 }
 
 impl ExportSink {
-    fn from_writer(writer: SinkWriter) -> Self {
-        Self {
+    /// Creates a sink in `format` over any writer (file, socket, `Vec<u8>`
+    /// in tests). Fallible for the reason [`SinkWriter::new`] is; call
+    /// [`ExportSink::finish`] when the capture ends so a Chrome envelope
+    /// closes (an unfinished chrome sink is truncated JSON).
+    fn with_format(format: ExportFormat, out: impl Write + Send + 'static) -> io::Result<Self> {
+        Ok(Self {
             state: Arc::new(Mutex::new(SinkState {
-                writer,
+                writer: SinkWriter::new(format, Box::new(out) as Box<dyn Write + Send>)?,
                 error: None,
                 finished: false,
             })),
-        }
+        })
     }
 
     /// Creates a span-JSON-lines sink over any writer (file, socket,
     /// `Vec<u8>` in tests).
     pub fn new(out: impl Write + Send + 'static) -> Self {
-        Self::from_writer(SinkWriter::Jsonl(SpanJsonLinesWriter::new(Box::new(out))))
-    }
-
-    /// Creates a `.xspb` span-binary sink over any writer. Fallible because
-    /// the stream header is written eagerly, so a dead writer surfaces here
-    /// instead of poisoning the first span.
-    pub fn new_binary(out: impl Write + Send + 'static) -> io::Result<Self> {
-        let writer: Box<dyn Write + Send> = Box::new(out);
-        Ok(Self::from_writer(SinkWriter::Binary(
-            SpanBinaryWriter::new(writer)?,
-        )))
-    }
-
-    /// Creates a Chrome trace-event sink over any writer. Fallible because
-    /// the `traceEvents` envelope opens eagerly; call
-    /// [`ExportSink::finish`] when the capture ends so the envelope closes
-    /// (an unfinished chrome sink is truncated JSON).
-    pub fn new_chrome(out: impl Write + Send + 'static) -> io::Result<Self> {
-        let writer: Box<dyn Write + Send> = Box::new(out);
-        Ok(Self::from_writer(SinkWriter::Chrome(
-            ChromeTraceWriter::new(writer)?,
-        )))
-    }
-
-    /// Creates a folded-stacks sink over any writer. Folded output
-    /// finalizes one correlated run at a time, so only run-granular feeds
-    /// (profiler sweeps) can write to it; raw span streams latch a
-    /// structured error.
-    pub fn new_folded(out: impl Write + Send + 'static) -> Self {
-        Self::from_writer(SinkWriter::Folded {
-            writer: FoldedStacksWriter::new(Box::new(out)),
-            runs: 0,
-        })
+        Self::with_format(ExportFormat::Spans, out).expect("a JSONL sink writes nothing on open")
     }
 
     /// Creates a sink appending to a buffered file at `path`. The format
     /// follows the extension, matched case-insensitively (`.XSPB` routes
     /// like `.xspb`): `.xspb` selects span binary, `.json` Chrome trace
     /// events, `.folded` folded stacks, everything else span-JSON-lines.
+    /// Folded output finalizes one correlated run at a time, so only
+    /// run-granular feeds (profiler sweeps, serving steps) can write to a
+    /// folded sink; raw span streams latch a structured error.
     pub fn create(path: &std::path::Path) -> io::Result<Self> {
         let file = std::fs::File::create(path)?;
-        let out = io::BufWriter::new(file);
         let ext = path
             .extension()
             .and_then(|e| e.to_str())
             .map(|e| e.to_ascii_lowercase());
-        match ext.as_deref() {
-            Some("xspb") => Self::new_binary(out),
-            Some("json") => Self::new_chrome(out),
-            Some("folded") => Ok(Self::new_folded(out)),
-            _ => Ok(Self::new(out)),
-        }
+        let format = match ext.as_deref() {
+            Some("xspb") => ExportFormat::Binary,
+            Some("json") => ExportFormat::Chrome,
+            Some("folded") => ExportFormat::Folded,
+            _ => ExportFormat::Spans,
+        };
+        Self::with_format(format, io::BufWriter::new(file))
     }
 
     /// Appends the given finalized runs (used by the profiler after each
@@ -378,15 +343,32 @@ impl ExportSink {
     /// sinks stream sweeps: folded stacks are emitted per correlated run,
     /// every other format appends the run's spans.
     pub(crate) fn write_runs<'a>(&self, runs: impl IntoIterator<Item = &'a RunProfile>) {
+        self.write_with(|writer| {
+            runs.into_iter()
+                .try_for_each(|run| writer.write_run(&run.trace))
+        });
+    }
+
+    /// Appends `run` as one serving step: every span is written under
+    /// `trace_id`, shifted so the run starts at `start_ns` (see
+    /// [`SinkWriter::write_shifted`]). The run itself is left untouched, so
+    /// a memoized run streams once per step without being re-correlated.
+    pub(crate) fn write_step(&self, run: &CorrelatedTrace, trace_id: TraceId, start_ns: u64) {
+        self.write_with(|writer| writer.write_shifted(run, trace_id, start_ns));
+    }
+
+    /// Runs `write` on the writer unless the sink is poisoned or finished,
+    /// latching its first error.
+    fn write_with(
+        &self,
+        write: impl FnOnce(&mut SinkWriter<Box<dyn Write + Send>>) -> io::Result<()>,
+    ) {
         let mut state = self.state.lock().expect("sink lock");
         if state.error.is_some() || state.finished {
             return;
         }
-        for run in runs {
-            if let Err(e) = state.writer.write_run(&run.trace) {
-                state.error = Some(e);
-                return;
-            }
+        if let Err(e) = write(&mut state.writer) {
+            state.error = Some(e);
         }
     }
 
@@ -400,17 +382,12 @@ impl ExportSink {
     /// Raw span streams are refused by folded sinks (which can only
     /// finalize whole correlated runs): the refusal latches as a structured
     /// `InvalidInput` error rather than silently writing the wrong format.
-    pub fn write_spans<'a>(&self, spans: impl IntoIterator<Item = &'a xsp_trace::Span>) {
-        let mut state = self.state.lock().expect("sink lock");
-        if state.error.is_some() || state.finished {
-            return;
-        }
-        for span in spans {
-            if let Err(e) = state.writer.write_span(span) {
-                state.error = Some(e);
-                return;
-            }
-        }
+    pub fn write_spans<'a>(&self, spans: impl IntoIterator<Item = &'a Span>) {
+        self.write_with(|writer| {
+            spans
+                .into_iter()
+                .try_for_each(|span| writer.write_span(span))
+        });
     }
 
     /// Number of spans written so far.
@@ -496,6 +473,7 @@ mod tests {
     use xsp_framework::FrameworkKind;
     use xsp_gpu::systems;
     use xsp_models::zoo;
+    use xsp_trace::{CorrelationEngine, StackLevel, Trace};
 
     fn profile() -> LeveledProfile {
         let cfg = XspConfig::new(systems::tesla_v100(), FrameworkKind::TensorFlow).runs(1);
@@ -628,7 +606,7 @@ mod tests {
         let p = profile();
         let runs: Vec<RunProfile> = p.runs().cloned().collect();
         let bytes = Arc::new(Mutex::new(Vec::new()));
-        let sink = ExportSink::new_chrome(Buf(bytes.clone())).unwrap();
+        let sink = ExportSink::with_format(ExportFormat::Chrome, Buf(bytes.clone())).unwrap();
         sink.write_runs(&runs);
         sink.finish().unwrap();
         sink.finish().unwrap(); // idempotent: the trailer is written once
@@ -646,7 +624,7 @@ mod tests {
         let p = profile();
         let runs: Vec<RunProfile> = p.runs().cloned().collect();
         let bytes = Arc::new(Mutex::new(Vec::new()));
-        let sink = ExportSink::new_folded(Buf(bytes.clone()));
+        let sink = ExportSink::with_format(ExportFormat::Folded, Buf(bytes.clone())).unwrap();
         sink.write_runs(&runs);
         assert_eq!(sink.spans_written(), runs.len(), "folded counts runs");
         sink.finish().unwrap();
@@ -656,7 +634,7 @@ mod tests {
 
         // Raw span streams cannot be folded: the refusal is a structured
         // latched error, not silently-wrong output.
-        let sink = ExportSink::new_folded(Vec::new());
+        let sink = ExportSink::with_format(ExportFormat::Folded, Vec::new()).unwrap();
         let span =
             xsp_trace::SpanBuilder::new("s", xsp_trace::StackLevel::Model, xsp_trace::TraceId(1))
                 .start(0)
@@ -665,6 +643,45 @@ mod tests {
         let err = sink.take_error().expect("refusal must latch");
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
         assert!(err.to_string().contains("folded"), "{err}");
+    }
+
+    #[test]
+    fn a_shifted_run_writes_what_recorrelating_a_shifted_copy_writes() {
+        // A serving step writes its memoized run shifted instead of
+        // correlating a shifted copy; both must give the same bytes. The run
+        // here has parents grafted by `set_parent`, as a serialized re-run
+        // leaves them (no zoo model takes that re-run on the simulated
+        // V100, so the graft is made by hand): every kernel moves to the
+        // first layer.
+        let mut run = profile().metric_runs[0].trace.clone();
+        let levels: Vec<StackLevel> = run.iter_spans().map(|s| s.level).collect();
+        let layer = levels.iter().position(|&l| l == StackLevel::Layer);
+        let layer = run.spans()[layer.expect("an M/L/G run has layers")].span.id;
+        for i in (0..levels.len()).filter(|&i| levels[i] == StackLevel::Kernel) {
+            run.set_parent(i, layer);
+        }
+        let (trace_id, start_ns) = (TraceId(9), 5_000_000);
+        let base_ns = run.iter_spans().map(|s| s.start_ns).min().unwrap();
+        let shifted: Vec<Span> = run
+            .iter_spans()
+            .map(|s| Span {
+                trace_id,
+                start_ns: s.start_ns - base_ns + start_ns,
+                end_ns: s.end_ns - base_ns + start_ns,
+                ..s.clone()
+            })
+            .collect();
+        let again = CorrelationEngine::new().correlate(Trace::from_spans(shifted));
+        for format in ExportFormat::ALL {
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            let mut w = SinkWriter::new(format, &mut got).unwrap();
+            w.write_shifted(&run, trace_id, start_ns).unwrap();
+            w.finish().unwrap();
+            let mut w = SinkWriter::new(format, &mut want).unwrap();
+            w.write_run(&again).unwrap();
+            w.finish().unwrap();
+            assert!(got == want, "{format}: the shifted run differs");
+        }
     }
 
     #[test]

@@ -383,28 +383,28 @@ fn extract_kernels(trace: &CorrelatedTrace, layers: &[LayerProfile]) -> Vec<Kern
         layers.iter().map(|l| (l.span_id, l.index)).collect();
     // With the library level enabled, kernels parent to cuDNN API spans
     // whose parents are the layer spans: resolve through one extra hop
-    // (`find` is an O(1) lookup in the trace's built-once index).
-    let resolve_layer = |mut parent: Option<SpanId>| -> Option<usize> {
+    // (`parent_index` is an O(1) lookup in the trace's built-once index).
+    let resolve_layer = |mut at: usize| -> Option<usize> {
         for _ in 0..3 {
-            let p = parent?;
-            if let Some(&idx) = span_to_layer.get(&p) {
+            if let Some(&idx) = span_to_layer.get(&trace.spans()[at].parent?) {
                 return Some(idx);
             }
-            parent = trace.find(p).and_then(|s| s.parent);
+            at = trace.parent_index(at)?;
         }
         None
     };
     let mut kernels: Vec<(u64, KernelProfile)> = trace
         .spans()
         .iter()
-        .filter(|s| {
+        .enumerate()
+        .filter(|(_, s)| {
             s.span.level == StackLevel::Kernel
                 && s.span.is_async_execution()
                 && s.span.tag(tag_keys::GRID).is_some()
         })
-        .map(|s| {
+        .map(|(i, s)| {
             let cid = s.span.correlation_id().unwrap_or(0);
-            let layer_index = resolve_layer(s.parent);
+            let layer_index = resolve_layer(i);
             (
                 cid,
                 KernelProfile {

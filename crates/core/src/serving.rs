@@ -20,21 +20,20 @@
 //! traces — under `XSP_THREADS=1` and `XSP_THREADS=4`.
 //!
 //! Span streaming: with a sink attached ([`simulate_streaming`]), each step
-//! clones the spans of its (memoized) profile, re-stamps them with a fresh
-//! per-step trace id and the step's virtual start time, and correlates
-//! them as one run through a [`CorrelationEngine`] (a no-op on the already
-//! correlated spans), so the exported trace reads as one continuous
-//! serving timeline rather than a pile of overlapping single-inference
-//! captures.
+//! writes the correlated run of its (memoized) profile with every span
+//! moved to a fresh per-step trace id and the step's virtual start time,
+//! so the exported trace reads as one continuous serving timeline rather
+//! than a pile of overlapping single-inference captures. The run is
+//! correlated once, when it is profiled; re-correlating it would change
+//! nothing, so each step only re-stamps spans as the sink writes them.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use crate::export::ExportSink;
-use crate::pipeline::profile_from_correlated;
 use crate::profile::{LeveledProfile, ProfileRequest, ProfilingLevel, Xsp};
 use xsp_models::transformer::{self, DecodeAttention};
-use xsp_trace::{CorrelationEngine, Span, Trace, TraceId};
+use xsp_trace::TraceId;
 
 /// One inference request in the arrival trace.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -429,7 +428,7 @@ pub fn simulate(
 }
 
 /// Runs the continuous-batching simulation, optionally streaming each
-/// step's re-stamped, correlated run into `sink` (one run per step).
+/// step's re-stamped correlated run into `sink` (one run per step).
 pub fn simulate_streaming(
     xsp: &Xsp,
     model: ServingModel,
@@ -457,7 +456,6 @@ pub fn simulate_streaming(
 
     let mut memo: BTreeMap<StepShape, Arc<LeveledProfile>> = BTreeMap::new();
     let mut decode_weight: BTreeMap<StepShape, f64> = BTreeMap::new();
-    let mut engine = sink.map(|_| CorrelationEngine::new());
 
     let mut active: Vec<Active> = Vec::new();
     let mut clock_ms = 0.0f64;
@@ -520,8 +518,17 @@ pub fn simulate_streaming(
         let end_ms = clock_ms + latency_ms;
         let index = steps.len();
 
-        if let (Some(engine), Some(sink)) = (engine.as_mut(), sink) {
-            stream_step(engine, sink, profile, cfg.level, index, start_ms);
+        // One run per step: the memoized profile's first run at the
+        // simulation's level, moved to the step's trace id and start time.
+        // It was correlated when it was profiled, so it is written as is.
+        let run = match cfg.level {
+            ProfilingLevel::Model => profile.m_runs.first(),
+            ProfilingLevel::ModelLayer => profile.ml_runs.first(),
+            ProfilingLevel::ModelLayerGpu => profile.mlg_runs.first(),
+        };
+        if let (Some(sink), Some(run)) = (sink, run) {
+            let start_ns = (start_ms * 1_000_000.0).round() as u64;
+            sink.write_step(&run.trace, TraceId(index as u64 + 1), start_ns);
         }
 
         // Apply the step's effects to the batch.
@@ -618,42 +625,6 @@ pub fn simulate_streaming(
         tokens_emitted: tokens,
         representative_decode,
     }
-}
-
-/// Streams one step's spans: clone the deepest plain run of the step's
-/// memoized profile, re-stamp every span with the step's trace id and
-/// virtual start time, and correlate it as one run so the sink receives
-/// one run per step.
-fn stream_step(
-    engine: &mut CorrelationEngine,
-    sink: &ExportSink,
-    profile: &LeveledProfile,
-    level: ProfilingLevel,
-    step_index: usize,
-    start_ms: f64,
-) {
-    let run = match level {
-        ProfilingLevel::Model => profile.m_runs.first(),
-        ProfilingLevel::ModelLayer => profile.ml_runs.first(),
-        ProfilingLevel::ModelLayerGpu => profile.mlg_runs.first(),
-    };
-    let Some(run) = run else { return };
-    let spans: Vec<&Span> = run.trace.iter_spans().collect();
-    let base_ns = spans.iter().map(|s| s.start_ns).min().unwrap_or(0);
-    let offset_ns = (start_ms * 1_000_000.0).round() as u64;
-    let trace_id = TraceId(step_index as u64 + 1);
-    let restamped: Vec<Span> = spans
-        .into_iter()
-        .map(|s| {
-            let mut s = s.clone();
-            s.trace_id = trace_id;
-            s.start_ns = s.start_ns - base_ns + offset_ns;
-            s.end_ns = s.end_ns - base_ns + offset_ns;
-            s
-        })
-        .collect();
-    let correlated = engine.correlate(Trace::from_spans(restamped));
-    sink.write_runs(&[profile_from_correlated(correlated, level)]);
 }
 
 #[cfg(test)]

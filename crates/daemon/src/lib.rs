@@ -5,9 +5,9 @@
 //! (the ROADMAP's production-scale north star). Each client opens a
 //! *session* over a Unix domain socket and streams span batches through a
 //! length-prefixed framed protocol ([`protocol`]); the daemon gives every
-//! session its own [`xsp_trace::TracingServer`] lane and a bounded
-//! resident store ([`session`]), serves live export requests through the
-//! same re-correlation path as `xsp export --from` ([`server`]), and
+//! session a bounded resident store that keeps spans in wire order
+//! ([`session`]), serves live export requests through the same
+//! correlation and writer as `xsp export --from` ([`server`]), and
 //! drains every session to its sink on graceful shutdown.
 //!
 //! Determinism carries over from the rest of the stack: a capture streamed

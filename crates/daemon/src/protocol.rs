@@ -42,7 +42,7 @@ pub enum FrameKind {
     /// Append spans. Payload: 8-byte BE session id + span-JSON-lines.
     /// Response: `Ok {"resident", "total", "spilled"}` or `Err`.
     Append = 0x02,
-    /// Drain the session lane and persist to its sink (if any). JSON
+    /// Persist the session's resident spans to its sink (if any). JSON
     /// payload: `{"session": id}`. Response: `Ok` with stats.
     Flush = 0x03,
     /// Export the session's resident spans. JSON payload: `{"session": id,

@@ -1,5 +1,5 @@
 //! The resident daemon: a Unix-socket listener multiplexing profiling
-//! sessions onto per-session tracing lanes.
+//! sessions, each with its own resident span store.
 //!
 //! One accept thread polls the (non-blocking) listener; every connection
 //! gets its own handler thread reading frames with a socket read timeout,

@@ -1,29 +1,25 @@
-//! Per-client profiling sessions: one [`TracingServer`] lane each, a
-//! bounded resident span store, and an optional [`ExportSink`] the store
-//! spills to under quota pressure and persists to on close.
+//! Per-client profiling sessions: a bounded resident span store and an
+//! optional [`ExportSink`] the store spills to under quota pressure and
+//! persists to on close.
 //!
-//! Memory is bounded per session by a span quota. Appends route through
-//! the session's own tracing lane (the same batch-contiguity machinery the
-//! in-process profiler uses) and are drained into the resident store
-//! eagerly, so "resident" always means the store length. When an append
-//! would exceed the quota the session applies its backpressure policy:
-//! [`OnFull::Shed`] rejects the batch with an explicit error the daemon
-//! turns into an `Err` frame, [`OnFull::Block`] evicts the store to the
-//! sink first (the producer stalls for the duration of the sink write) and
-//! then accepts. Evicted spans are durable in the sink but no longer
+//! Memory is bounded per session by a span quota. An accepted batch is
+//! pushed into the resident store in the order it arrived on the wire, so
+//! a live export lists runs and spans exactly as `xsp export --from` of
+//! the same capture does, and "resident" always means the store length.
+//! When an append would exceed the quota the session applies its
+//! backpressure policy: [`OnFull::Shed`] rejects the batch with an explicit
+//! error the daemon turns into an `Err` frame, [`OnFull::Block`] evicts the
+//! store to the sink first (the producer stalls for the duration of the
+//! sink write) and then accepts. Evicted spans are durable in the sink but no longer
 //! visible to live export — the `spilled` counter in every ack makes that
 //! trade visible to the client.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use xsp_core::cache::{Fnv128, ShardedCache};
-use xsp_core::export::{export_run_profile, ExportFormat, ExportSink};
-use xsp_core::pipeline::profile_from_correlated;
-use xsp_core::profile::ProfilingLevel;
+use xsp_core::export::{export_correlated, ExportFormat, ExportSink};
 use xsp_trace::export::spans_to_binary;
-use xsp_trace::{
-    ChannelTracer, CorrelationEngine, Span, SpanStore, StoreCorrelationCache, TracingServer,
-};
+use xsp_trace::{CorrelationEngine, Span, SpanStore, StoreCorrelationCache};
 
 /// Process-wide export byte cache shared by every session of a daemon:
 /// keyed by the session's content fingerprint combined with the export
@@ -112,17 +108,15 @@ impl std::fmt::Display for SessionError {
 
 impl std::error::Error for SessionError {}
 
-/// One client session: a private tracing lane plus the resident store.
+/// One client session: the resident store and its correlation cache.
 ///
-/// Residency is columnar: drained spans land in a [`SpanStore`] (interned
+/// Residency is columnar: accepted spans land in a [`SpanStore`] (interned
 /// names, struct-of-arrays columns, shared tag/log arenas), so a session
 /// holding its quota of spans costs one arena instead of a `Vec` of owned
 /// span objects. Spans are materialized back only at the boundaries that
 /// need the interchange type — sink spills and live export.
 pub struct Session {
     id: u64,
-    server: TracingServer,
-    tracer: ChannelTracer,
     store: SpanStore,
     /// The first `sunk` store entries have already been written to the
     /// sink (by a flush); close and spill only append the suffix, so no
@@ -156,12 +150,8 @@ impl Session {
     /// Creates a session. `OnFull::Block` without a sink is refused by the
     /// daemon's open handler before this constructor runs.
     pub fn new(id: u64, quota: usize, on_full: OnFull, sink: Option<ExportSink>) -> Self {
-        let server = TracingServer::new();
-        let tracer = server.tracer("xspd");
         Self {
             id,
-            server,
-            tracer,
             store: SpanStore::new(),
             sunk: 0,
             quota,
@@ -214,14 +204,6 @@ impl Session {
         }
     }
 
-    /// Moves everything published on the lane into the resident store.
-    fn drain_lane(&mut self) {
-        let store = &mut self.store;
-        self.server.drain_each(|span| {
-            store.push_owned(span);
-        });
-    }
-
     /// Materializes the store suffix past `sunk` into interchange spans
     /// (the sink boundary) without touching already-persisted entries.
     fn unsunk_spans(&self) -> Vec<Span> {
@@ -230,9 +212,9 @@ impl Session {
             .collect()
     }
 
-    /// Ingests one span batch through the session lane, applying the
-    /// backpressure policy. The batch is atomic: it is accepted whole or
-    /// refused whole.
+    /// Ingests one span batch into the resident store, in wire order,
+    /// applying the backpressure policy. The batch is atomic: it is
+    /// accepted whole or refused whole.
     pub fn append(&mut self, spans: Vec<Span>) -> Result<SessionStats, SessionError> {
         self.touch();
         let n = spans.len();
@@ -242,7 +224,6 @@ impl Session {
                 quota: self.quota,
             });
         }
-        self.drain_lane();
         if self.store.len() + n > self.quota {
             match self.on_full {
                 OnFull::Shed => {
@@ -255,11 +236,12 @@ impl Session {
             }
         }
         // The batch is accepted: fold its canonical binary encoding into
-        // the content fingerprint before the spans move into the lane.
+        // the content fingerprint, then store it.
         self.content_hash
             .write_field("batch", &spans_to_binary(&spans));
-        self.tracer.report_batch(spans);
-        self.drain_lane();
+        for span in &spans {
+            self.store.push(span);
+        }
         self.total += n as u64;
         Ok(self.stats())
     }
@@ -288,13 +270,12 @@ impl Session {
         Ok(())
     }
 
-    /// Drains the lane and persists the un-persisted store suffix to the
-    /// sink (which is also flushed). Resident spans stay resident — a
-    /// flush never changes what a later export sees. Returns the stats and
-    /// the sink's latched error, if any.
+    /// Persists the un-persisted store suffix to the sink (which is also
+    /// flushed). Resident spans stay resident — a flush never changes what
+    /// a later export sees. Returns the stats and the sink's latched error,
+    /// if any.
     pub fn flush(&mut self) -> (SessionStats, Option<String>) {
         self.touch();
-        self.drain_lane();
         let sink_error = match &self.sink {
             Some(sink) => {
                 let suffix = self.unsunk_spans();
@@ -314,17 +295,16 @@ impl Session {
     /// store bucket grew since the previous export (append-only stores keep
     /// finalized runs bit-identical), so a repeat export is O(new spans).
     /// The cache materializes the same per-run correlations the batch
-    /// engine computes and the profile flows through the shared
-    /// [`profile_from_correlated`] + [`export_run_profile`] path, so a
-    /// capture streamed through the daemon still exports byte-identically
-    /// to the same workload exported one-shot.
+    /// engine computes, and the correlated trace is written by the same
+    /// [`export_correlated`] the offline path calls, so a capture streamed
+    /// through the daemon exports byte-identically to the same capture
+    /// converted one-shot.
     /// When a daemon-wide [`ExportCache`] is installed, the finished bytes
     /// are additionally shared by content fingerprint: a second session
     /// that ingested the same capture serves its export straight from the
     /// cache, with zero correlation passes of its own.
     pub fn export_bytes(&mut self, format: ExportFormat) -> Vec<u8> {
         self.touch();
-        self.drain_lane();
         if self.store.is_empty() {
             return Vec::new();
         }
@@ -336,9 +316,8 @@ impl Session {
         }
         self.correlation.refresh(&mut self.engine, &self.store);
         let correlated = self.correlation.materialize(&self.store);
-        let profile = profile_from_correlated(correlated, ProfilingLevel::ModelLayerGpu);
         let mut out = Vec::new();
-        export_run_profile(&profile, format, &mut out)
+        export_correlated(&correlated, format, &mut out)
             .expect("export to an in-memory buffer cannot fail");
         if let Some(cache) = &self.export_cache {
             cache.insert(key, Arc::new(out.clone()));
@@ -394,7 +373,7 @@ mod tests {
     }
 
     #[test]
-    fn append_routes_through_lane_into_store() {
+    fn append_lands_in_the_store() {
         let mut s = Session::new(1, 100, OnFull::Shed, None);
         let stats = s.append(spans(3)).unwrap();
         assert_eq!(stats.resident, 3);

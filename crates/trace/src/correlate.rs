@@ -97,57 +97,54 @@ impl AmbiguityReport {
 /// A fully correlated trace: every span has a resolved parent (where one
 /// exists) and async pairs are merged.
 ///
-/// Like [`Trace`], this is an indexed store: the span table is built once by
-/// the [`CorrelationEngine`] together with a `SpanId → index` map, the
-/// resolved-parent adjacency, and the root set, so [`CorrelatedTrace::find`]
-/// and [`CorrelatedTrace::children_of`] are map lookups instead of linear
-/// scans and exporters/analyses borrow views instead of re-deriving them.
-/// The span table is private; the only mutation the pipeline needs —
-/// re-parenting a span after a serialized re-run — goes through
+/// The span table is built once by the [`CorrelationEngine`] together with
+/// a `(trace id, span id) → index` map, the resolved-parent adjacency by
+/// index, and the root set. A parent reference resolves only within its
+/// span's own run, and a repeated id resolves to its first occurrence, so
+/// the adjacency is a forest: a walk from the roots stays in one run and
+/// visits each span at most once, even when runs repeat span ids (serving
+/// steps replay one memoized run) or a capture repeats an id. The span
+/// table is private; the only mutation the pipeline needs — re-parenting
+/// a span after a serialized re-run — goes through
 /// [`CorrelatedTrace::set_parent`], which keeps every index coherent.
 #[derive(Debug, Clone, Default)]
 pub struct CorrelatedTrace {
     /// Correlated spans in publication order.
     spans: Vec<CorrelatedSpan>,
-    /// `SpanId → index` (first occurrence wins).
-    index_of: FxHashMap<SpanId, usize>,
-    /// Resolved parent → child indices, in appearance order.
-    children: FxHashMap<SpanId, Vec<usize>>,
-    /// Indices of spans with no parent *present in this trace*, ascending.
+    /// `(trace id, span id) → index` (first occurrence wins).
+    index_of: FxHashMap<(TraceId, SpanId), usize>,
+    /// Child indices of each span, in appearance order.
+    children: Vec<Vec<usize>>,
+    /// Indices of spans with no parent *present in their run*, ascending.
     roots: Vec<usize>,
     /// Reconstruction diagnostics.
     pub ambiguities: AmbiguityReport,
 }
 
 impl CorrelatedTrace {
-    /// Builds the indexed store from correlated spans (used by the engine
-    /// and by tests/oracles that assemble traces by hand).
+    /// Builds the indexed store from correlated spans (used by the engine,
+    /// by the profile cache, which reloads spans a correlation already
+    /// produced, and by tests that assemble traces by hand).
     pub fn new(spans: Vec<CorrelatedSpan>, ambiguities: AmbiguityReport) -> Self {
         let mut index_of = FxHashMap::default();
         index_of.reserve(spans.len());
         for (i, s) in spans.iter().enumerate() {
-            index_of.entry(s.span.id).or_insert(i);
+            index_of.entry((s.span.trace_id, s.span.id)).or_insert(i);
         }
-        let mut children: FxHashMap<SpanId, Vec<usize>> = FxHashMap::default();
-        let mut roots = Vec::new();
-        for (i, s) in spans.iter().enumerate() {
-            match s.parent {
-                Some(p) => {
-                    children.entry(p).or_default().push(i);
-                    if !index_of.contains_key(&p) {
-                        roots.push(i);
-                    }
-                }
-                None => roots.push(i),
-            }
-        }
-        Self {
+        let mut trace = Self {
+            children: vec![Vec::new(); spans.len()],
             spans,
             index_of,
-            children,
-            roots,
+            roots: Vec::new(),
             ambiguities,
+        };
+        for i in 0..trace.spans.len() {
+            match trace.parent_index(i) {
+                Some(p) => trace.children[p].push(i),
+                None => trace.roots.push(i),
+            }
         }
+        trace
     }
 
     /// All correlated spans, in publication order.
@@ -166,66 +163,58 @@ impl CorrelatedTrace {
         self.spans.iter().filter(move |s| s.span.level == level)
     }
 
-    /// Direct children of `parent`, in appearance order.
-    pub fn children_of(&self, parent: SpanId) -> Vec<&CorrelatedSpan> {
-        self.child_indices(parent)
-            .iter()
-            .map(|&i| &self.spans[i])
-            .collect()
+    /// Direct children of the span at `idx`, in appearance order.
+    pub fn children_of(&self, idx: usize) -> impl Iterator<Item = &CorrelatedSpan> {
+        self.children[idx].iter().map(|&i| &self.spans[i])
     }
 
-    /// Indices of the direct children of `parent`, in appearance order.
-    pub fn child_indices(&self, parent: SpanId) -> &[usize] {
-        self.children.get(&parent).map(Vec::as_slice).unwrap_or(&[])
+    /// Indices of the direct children of the span at `idx`, in appearance
+    /// order.
+    pub fn child_indices(&self, idx: usize) -> &[usize] {
+        &self.children[idx]
     }
 
-    /// Indices of spans whose parent is unset or absent from this trace
+    /// Indices of spans whose parent is unset or absent from their run
     /// (ascending) — the forest roots exporters traverse from.
     pub fn root_indices(&self) -> &[usize] {
         &self.roots
     }
 
-    /// Finds a span by id through the built-once index map.
-    pub fn find(&self, id: SpanId) -> Option<&CorrelatedSpan> {
-        self.index_of.get(&id).map(|&i| &self.spans[i])
+    /// The index of span `id` of run `trace_id` (its first occurrence, if
+    /// the run repeats the id).
+    pub fn position(&self, trace_id: TraceId, id: SpanId) -> Option<usize> {
+        self.index_of.get(&(trace_id, id)).copied()
     }
 
-    /// The index of a span id in the span table.
-    pub fn position(&self, id: SpanId) -> Option<usize> {
-        self.index_of.get(&id).copied()
+    /// The index of the resolved parent of the span at `idx`, when that
+    /// parent is present in the span's run.
+    pub fn parent_index(&self, idx: usize) -> Option<usize> {
+        let s = &self.spans[idx];
+        self.position(s.span.trace_id, s.parent?)
     }
 
     /// Re-parents the span at `idx`, keeping the span table, adjacency and
     /// root set coherent — the pipeline uses this to graft the serialized
     /// re-run's unambiguous kernel→layer assignment onto an async trace.
     pub fn set_parent(&mut self, idx: usize, parent: SpanId) {
-        let old = self.spans[idx].parent;
+        let old = self.parent_index(idx);
         self.spans[idx].parent = Some(parent);
         self.spans[idx].span.parent = Some(parent);
-        if old == Some(parent) {
+        let new = self.parent_index(idx);
+        if old == new {
             return;
         }
-        if let Some(p) = old {
-            if let Some(v) = self.children.get_mut(&p) {
-                v.retain(|&i| i != idx);
-            }
-        }
-        let siblings = self.children.entry(parent).or_default();
+        self.siblings(old).retain(|&i| i != idx);
+        let siblings = self.siblings(new);
         let pos = siblings.partition_point(|&i| i < idx);
         siblings.insert(pos, idx);
-        let was_root = match old {
-            None => true,
-            Some(p) => !self.index_of.contains_key(&p),
-        };
-        let is_root = !self.index_of.contains_key(&parent);
-        if was_root != is_root {
-            match self.roots.binary_search(&idx) {
-                Ok(pos) if !is_root => {
-                    self.roots.remove(pos);
-                }
-                Err(pos) if is_root => self.roots.insert(pos, idx),
-                _ => {}
-            }
+    }
+
+    /// The child list of the span at `parent`, or the root set for `None`.
+    fn siblings(&mut self, parent: Option<usize>) -> &mut Vec<usize> {
+        match parent {
+            Some(p) => &mut self.children[p],
+            None => &mut self.roots,
         }
     }
 
@@ -656,9 +645,10 @@ impl CorrelationEngine {
                     IntervalTree::build(intervals.collect())
                 });
                 for &(lo, hi) in probes {
+                    tree.containing_into(lo, hi, candidates);
                     // A span never parents itself (possible only with equal
                     // intervals at mixed levels, but be safe).
-                    candidates.extend(tree.containing(lo, hi).map(|iv| iv.key).filter(|&c| c != i));
+                    candidates.retain(|&c| c != i);
                     if !candidates.is_empty() {
                         break 'search;
                     }
@@ -895,7 +885,7 @@ impl StoreCorrelationCache {
 /// clone of the span table); callers that own their [`Trace`] should feed
 /// the engine directly and pay no clone at all.
 pub fn reconstruct_parents(trace: &Trace) -> CorrelatedTrace {
-    CorrelationEngine::new().correlate(trace.clone_parts())
+    CorrelationEngine::new().correlate(trace.clone())
 }
 
 /// Convenience: attaches a numeric tag to a span (used by adapters when
@@ -1166,12 +1156,11 @@ mod tests {
         let k2 = span("k2", StackLevel::Kernel, 120, 300);
         let trace = Trace::from_spans(vec![model, layer, k1, k2]);
         let c = reconstruct_parents(&trace);
-        assert_eq!(c.find(lid).unwrap().span.name, "conv");
-        assert_eq!(c.position(lid), Some(1));
-        let kids = c.children_of(lid);
-        assert_eq!(kids.len(), 2);
-        assert_eq!(kids[0].span.name, "k1");
-        assert_eq!(kids[1].span.name, "k2");
+        assert_eq!(c.position(TraceId(1), lid), Some(1));
+        assert_eq!(c.position(TraceId(2), lid), None, "lookups stay in a run");
+        let kids: Vec<&str> = c.children_of(1).map(|k| k.span.name.as_str()).collect();
+        assert_eq!(kids, ["k1", "k2"]);
+        assert_eq!(c.parent_index(2), Some(1));
         assert_eq!(c.root_indices(), &[0], "only the model span is a root");
     }
 
@@ -1188,17 +1177,21 @@ mod tests {
         let k = span("kernel", StackLevel::Kernel, 100, 200);
         let trace = Trace::from_spans(vec![model, a, b, k]);
         let mut c = reconstruct_parents(&trace);
-        let kidx = c.position(c.spans()[3].span.id).unwrap();
+        let kidx = 3;
         assert_eq!(c.spans()[kidx].parent, Some(a_id));
         c.set_parent(kidx, b_id);
         assert_eq!(c.spans()[kidx].parent, Some(b_id));
         assert_eq!(c.spans()[kidx].span.parent, Some(b_id));
-        assert!(c.children_of(a_id).is_empty());
-        assert_eq!(c.children_of(b_id).len(), 1);
+        assert!(c.child_indices(1).is_empty());
+        assert_eq!(c.child_indices(2), &[kidx]);
         assert_eq!(c.root_indices(), &[0]);
-        // re-parenting to an absent span makes it a root
+        // re-parenting to an absent span makes it a root, and back again
         c.set_parent(kidx, SpanId(u64::MAX));
         assert_eq!(c.root_indices(), &[0, kidx]);
+        assert!(c.child_indices(2).is_empty());
+        c.set_parent(kidx, a_id);
+        assert_eq!(c.root_indices(), &[0]);
+        assert_eq!(c.child_indices(1), &[kidx]);
     }
 
     #[test]

@@ -339,7 +339,8 @@ impl<W: Write> FoldedStacksWriter<W> {
 
     /// Streams the folded stacks of one correlated trace (typically a
     /// single evaluation run) to the output, walking the trace's built-once
-    /// root/children indices — no per-export adjacency rebuild.
+    /// root/children indices — no per-export adjacency rebuild. Each walk
+    /// stays in its root's run and visits a span at most once.
     pub fn write_run(&mut self, trace: &CorrelatedTrace) -> io::Result<()> {
         let mut stack = Vec::new();
         for &r in trace.root_indices() {
@@ -356,7 +357,7 @@ impl<W: Write> FoldedStacksWriter<W> {
     ) -> io::Result<()> {
         let span = &trace.spans()[idx].span;
         stack.push(span.name.replace([';', ' '], "_"));
-        let kids = trace.child_indices(span.id);
+        let kids = trace.child_indices(idx);
         let child_time: u64 = kids
             .iter()
             .map(|&k| trace.spans()[k].span.duration_ns())

@@ -2,21 +2,20 @@
 //! (§I) materialized as a tree for step-through navigation.
 
 use crate::correlate::CorrelatedTrace;
-use crate::fxhash::FxHashMap;
-use crate::span::{Span, SpanId};
+use crate::span::Span;
 
 /// A parent/child tree over the spans of a correlated trace.
 ///
 /// The tree is an index-based *view*: it borrows the trace's span table —
-/// no span is cloned — and reuses its root set, but derives its own child
-/// adjacency because the presentation needs differ from the trace's
-/// built-once map (present-parents only, children in chronological rather
-/// than appearance order).
+/// no span is cloned — and reuses its root set and adjacency, reordered
+/// chronologically for presentation. Spans are addressed by the span
+/// itself, whose trace id and span id locate it in its own run, so a tree
+/// over runs that repeat span ids never mixes them.
 #[derive(Debug, Clone)]
 pub struct SpanTree<'a> {
     trace: &'a CorrelatedTrace,
-    /// Children per parent, chronological (by start timestamp).
-    children: FxHashMap<SpanId, Vec<usize>>,
+    /// Child indices of each span, chronological (by start timestamp).
+    children: Vec<Vec<usize>>,
     /// Root indices, chronological.
     roots: Vec<usize>,
 }
@@ -25,24 +24,17 @@ impl<'a> SpanTree<'a> {
     /// Builds the tree view over a correlated trace.
     pub fn build(trace: &'a CorrelatedTrace) -> Self {
         let spans = trace.spans();
-        let mut children: FxHashMap<SpanId, Vec<usize>> = FxHashMap::default();
-        for (i, c) in spans.iter().enumerate() {
-            if let Some(p) = c.parent {
-                if trace.position(p).is_some() {
-                    children.entry(p).or_default().push(i);
-                }
-            }
-        }
-        // Children in chronological order, the natural step-through order.
-        for v in children.values_mut() {
+        let chronological = |idxs: &[usize]| {
+            let mut v = idxs.to_vec();
             v.sort_by_key(|&i| spans[i].span.start_ns);
-        }
-        let mut roots = trace.root_indices().to_vec();
-        roots.sort_by_key(|&i| spans[i].span.start_ns);
+            v
+        };
         Self {
             trace,
-            children,
-            roots,
+            children: (0..spans.len())
+                .map(|i| chronological(trace.child_indices(i)))
+                .collect(),
+            roots: chronological(trace.root_indices()),
         }
     }
 
@@ -50,48 +42,46 @@ impl<'a> SpanTree<'a> {
         &self.trace.spans()[idx].span
     }
 
+    /// The index of `span` in the trace, looked up in its own run.
+    fn index(&self, span: &Span) -> Option<usize> {
+        self.trace.position(span.trace_id, span.id)
+    }
+
     /// The root spans (no parent), chronological.
     pub fn roots(&self) -> Vec<&'a Span> {
         self.roots.iter().map(|&i| self.span(i)).collect()
     }
 
-    /// Children of `id`, chronological.
-    pub fn children(&self, id: SpanId) -> Vec<&'a Span> {
-        self.children
-            .get(&id)
-            .map(|v| v.iter().map(|&i| self.span(i)).collect())
-            .unwrap_or_default()
+    /// Children of `span`, chronological.
+    pub fn children(&self, span: &Span) -> Vec<&'a Span> {
+        let kids = self.index(span).map_or(&[][..], |i| &self.children[i]);
+        kids.iter().map(|&k| self.span(k)).collect()
     }
 
-    /// Looks up a span by id.
-    pub fn get(&self, id: SpanId) -> Option<&'a Span> {
-        self.trace.find(id).map(|c| &c.span)
-    }
-
-    /// All descendants of `id` (pre-order).
-    pub fn descendants(&self, id: SpanId) -> Vec<&'a Span> {
+    /// All descendants of `span` (pre-order).
+    pub fn descendants(&self, span: &Span) -> Vec<&'a Span> {
         let mut out = Vec::new();
-        let mut stack: Vec<SpanId> = self.children(id).iter().map(|s| s.id).collect();
+        let mut stack: Vec<usize> = self
+            .index(span)
+            .map_or(Vec::new(), |i| self.children[i].clone());
         stack.reverse();
         while let Some(next) = stack.pop() {
-            if let Some(s) = self.get(next) {
-                out.push(s);
-                let mut kids: Vec<SpanId> = self.children(next).iter().map(|k| k.id).collect();
-                kids.reverse();
-                stack.extend(kids);
-            }
+            out.push(self.span(next));
+            stack.extend(self.children[next].iter().rev());
         }
         out
     }
 
-    /// Depth of the subtree rooted at `id` (1 = leaf).
-    pub fn depth(&self, id: SpanId) -> usize {
-        1 + self
-            .children(id)
-            .iter()
-            .map(|c| self.depth(c.id))
-            .max()
-            .unwrap_or(0)
+    /// Depth of the subtree rooted at `span` (1 = leaf).
+    pub fn depth(&self, span: &Span) -> usize {
+        fn go(tree: &SpanTree<'_>, idx: usize) -> usize {
+            1 + tree.children[idx]
+                .iter()
+                .map(|&k| go(tree, k))
+                .max()
+                .unwrap_or(0)
+        }
+        self.index(span).map_or(1, |i| go(self, i))
     }
 
     /// Renders an indented textual view of the hierarchy — the "smooth
@@ -115,10 +105,8 @@ impl<'a> SpanTree<'a> {
             s.level,
             s.duration_ms()
         );
-        if let Some(kids) = self.children.get(&s.id) {
-            for &child in kids {
-                self.render_node(child, depth + 1, out);
-            }
+        for &child in &self.children[idx] {
+            self.render_node(child, depth + 1, out);
         }
     }
 
@@ -136,7 +124,7 @@ impl<'a> SpanTree<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::correlate::reconstruct_parents;
+    use crate::correlate::{reconstruct_parents, CorrelatedSpan};
     use crate::server::Trace;
     use crate::span::{SpanBuilder, StackLevel, TraceId};
 
@@ -170,20 +158,20 @@ mod tests {
         let roots = tree.roots();
         assert_eq!(roots.len(), 1);
         assert_eq!(roots[0].name, "predict");
-        let layers = tree.children(roots[0].id);
+        let layers = tree.children(roots[0]);
         assert_eq!(layers.len(), 2);
         assert_eq!(layers[0].name, "conv");
-        let kernels = tree.children(layers[0].id);
+        let kernels = tree.children(layers[0]);
         assert_eq!(kernels.len(), 2);
         assert_eq!(kernels[0].name, "k1");
-        assert_eq!(tree.depth(roots[0].id), 3);
+        assert_eq!(tree.depth(roots[0]), 3);
     }
 
     #[test]
     fn descendants_are_preorder() {
         let trace = make_trace();
         let tree = SpanTree::build(&trace);
-        let root = tree.roots()[0].id;
+        let root = tree.roots()[0];
         let names: Vec<&str> = tree
             .descendants(root)
             .iter()
@@ -203,10 +191,33 @@ mod tests {
     }
 
     #[test]
+    fn runs_that_repeat_span_ids_stay_apart() {
+        let one = make_trace();
+        let two = one.spans().iter().map(|c| CorrelatedSpan {
+            span: Span {
+                trace_id: TraceId(2),
+                ..c.span.clone()
+            },
+            ..c.clone()
+        });
+        let spans = one.spans().iter().cloned().chain(two).collect();
+        let both = CorrelatedTrace::new(spans, Default::default());
+        let tree = SpanTree::build(&both);
+        let roots = tree.roots();
+        assert_eq!(roots.len(), 2);
+        for root in roots {
+            let family = tree.descendants(root);
+            assert_eq!(family.len(), 4, "each root reaches its own run only");
+            assert!(family.iter().all(|s| s.trace_id == root.trace_id));
+        }
+        assert_eq!(tree.render().lines().count(), 10);
+    }
+
+    #[test]
     fn children_are_chronological() {
         let trace = make_trace();
         let tree = SpanTree::build(&trace);
-        let root = tree.roots()[0].id;
+        let root = tree.roots()[0];
         let starts: Vec<u64> = tree.children(root).iter().map(|s| s.start_ns).collect();
         let mut sorted = starts.clone();
         sorted.sort_unstable();

@@ -8,7 +8,7 @@
 //! parents whose intervals include it. The implementation is an implicit
 //! balanced BST over intervals sorted by start point, augmented with the
 //! maximum end point of each subtree — `O(n log n)` construction,
-//! `O(log n + k)` stabbing queries.
+//! `O(log n + k)` containment queries.
 
 /// A closed interval `[start, end]` with an opaque payload (usually an index
 /// into a span table).
@@ -34,18 +34,6 @@ impl Interval {
     pub fn contains_range(&self, lo: u64, hi: u64) -> bool {
         self.start <= lo && hi <= self.end
     }
-
-    /// Whether this interval contains the point `p`.
-    #[inline]
-    pub fn contains_point(&self, p: u64) -> bool {
-        self.start <= p && p <= self.end
-    }
-
-    /// Whether this interval overlaps `[lo, hi]` at all.
-    #[inline]
-    pub fn overlaps(&self, lo: u64, hi: u64) -> bool {
-        self.start <= hi && lo <= self.end
-    }
 }
 
 #[derive(Debug, Clone)]
@@ -66,8 +54,9 @@ struct Node {
 ///     Interval::new(10, 40, 1),   // a kernel inside it
 ///     Interval::new(60, 90, 2),   // another kernel
 /// ]);
-/// let parents: Vec<usize> = tree.containing(10, 40).map(|iv| iv.key).collect();
-/// assert!(parents.contains(&0));
+/// let mut parents = Vec::new();
+/// tree.containing_into(10, 40, &mut parents);
+/// assert_eq!(parents, vec![0, 1]);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct IntervalTree {
@@ -125,23 +114,16 @@ impl IntervalTree {
         self.nodes.is_empty()
     }
 
-    /// All intervals that fully contain the range `[lo, hi]`.
-    ///
-    /// This is the query parent reconstruction uses: candidate parents of a
-    /// span are exactly the intervals containing the span's interval.
-    pub fn containing(&self, lo: u64, hi: u64) -> impl Iterator<Item = &Interval> {
-        let mut out = Vec::new();
-        self.visit_containing(self.root, lo, hi, &mut out);
-        out.into_iter()
+    /// Appends the key of every interval that fully contains the range
+    /// `[lo, hi]` to `out`, in ascending `(start, end)` order — the query
+    /// parent reconstruction makes: candidate parents of a span are exactly
+    /// the intervals containing the span's interval. The caller owns `out`,
+    /// so a probe allocates nothing once the buffer has grown.
+    pub fn containing_into(&self, lo: u64, hi: u64, out: &mut Vec<usize>) {
+        self.visit_containing(self.root, lo, hi, out);
     }
 
-    fn visit_containing<'a>(
-        &'a self,
-        node: Option<usize>,
-        lo: u64,
-        hi: u64,
-        out: &mut Vec<&'a Interval>,
-    ) {
+    fn visit_containing(&self, node: Option<usize>, lo: u64, hi: u64, out: &mut Vec<usize>) {
         let Some(idx) = node else { return };
         let n = &self.nodes[idx];
         // An interval containing [lo, hi] must have end >= hi; prune subtrees
@@ -152,73 +134,12 @@ impl IntervalTree {
         // Visit left subtree: starts there are <= this node's start.
         self.visit_containing(n.left, lo, hi, out);
         if n.iv.contains_range(lo, hi) {
-            out.push(&n.iv);
+            out.push(n.iv.key);
         }
         // Right subtree only holds intervals starting at >= this start; if
         // this node already starts after `lo`, so does everything right of it.
         if n.iv.start <= lo {
             self.visit_containing(n.right, lo, hi, out);
-        }
-    }
-
-    /// All intervals overlapping `[lo, hi]`.
-    pub fn overlapping(&self, lo: u64, hi: u64) -> impl Iterator<Item = &Interval> {
-        let mut out = Vec::new();
-        self.visit_overlapping(self.root, lo, hi, &mut out);
-        out.into_iter()
-    }
-
-    fn visit_overlapping<'a>(
-        &'a self,
-        node: Option<usize>,
-        lo: u64,
-        hi: u64,
-        out: &mut Vec<&'a Interval>,
-    ) {
-        let Some(idx) = node else { return };
-        let n = &self.nodes[idx];
-        if n.max_end < lo {
-            return;
-        }
-        self.visit_overlapping(n.left, lo, hi, out);
-        if n.iv.overlaps(lo, hi) {
-            out.push(&n.iv);
-        }
-        if n.iv.start <= hi {
-            self.visit_overlapping(n.right, lo, hi, out);
-        }
-    }
-
-    /// All intervals containing the point `p` (stabbing query).
-    pub fn stab(&self, p: u64) -> impl Iterator<Item = &Interval> {
-        self.containing(p, p)
-    }
-
-    /// All intervals fully contained within `[lo, hi]`.
-    pub fn contained_in(&self, lo: u64, hi: u64) -> impl Iterator<Item = &Interval> {
-        let mut out = Vec::new();
-        self.visit_contained(self.root, lo, hi, &mut out);
-        out.into_iter()
-    }
-
-    fn visit_contained<'a>(
-        &'a self,
-        node: Option<usize>,
-        lo: u64,
-        hi: u64,
-        out: &mut Vec<&'a Interval>,
-    ) {
-        let Some(idx) = node else { return };
-        let n = &self.nodes[idx];
-        if n.max_end < lo {
-            return;
-        }
-        self.visit_contained(n.left, lo, hi, out);
-        if lo <= n.iv.start && n.iv.end <= hi {
-            out.push(&n.iv);
-        }
-        if n.iv.start <= hi {
-            self.visit_contained(n.right, lo, hi, out);
         }
     }
 
@@ -239,8 +160,9 @@ impl IntervalTree {
 mod tests {
     use super::*;
 
-    fn sorted_keys<'a>(it: impl Iterator<Item = &'a Interval>) -> Vec<usize> {
-        let mut v: Vec<usize> = it.map(|iv| iv.key).collect();
+    fn sorted_keys(tree: &IntervalTree, lo: u64, hi: u64) -> Vec<usize> {
+        let mut v = Vec::new();
+        tree.containing_into(lo, hi, &mut v);
         v.sort_unstable();
         v
     }
@@ -249,7 +171,7 @@ mod tests {
     fn empty_tree() {
         let t = IntervalTree::build(vec![]);
         assert!(t.is_empty());
-        assert_eq!(t.stab(5).count(), 0);
+        assert!(sorted_keys(&t, 5, 5).is_empty());
         assert_eq!(t.depth(), 0);
     }
 
@@ -261,46 +183,28 @@ mod tests {
             Interval::new(510, 900, 2), // layer 2
             Interval::new(20, 100, 3),  // kernel in layer 1
         ]);
-        assert_eq!(sorted_keys(t.containing(20, 100)), vec![0, 1, 3]);
-        assert_eq!(sorted_keys(t.containing(510, 900)), vec![0, 2]);
-        assert_eq!(sorted_keys(t.containing(5, 5)), vec![0]);
-    }
-
-    #[test]
-    fn contained_in_finds_descendants() {
-        let t = IntervalTree::build(vec![
-            Interval::new(0, 1000, 0),
-            Interval::new(10, 500, 1),
-            Interval::new(20, 100, 2),
-            Interval::new(600, 700, 3),
-        ]);
-        assert_eq!(sorted_keys(t.contained_in(10, 500)), vec![1, 2]);
-        assert_eq!(sorted_keys(t.contained_in(0, 1000)), vec![0, 1, 2, 3]);
-        assert_eq!(sorted_keys(t.contained_in(21, 99)), Vec::<usize>::new());
-    }
-
-    #[test]
-    fn overlapping_respects_boundaries() {
-        let t = IntervalTree::build(vec![
-            Interval::new(0, 10, 0),
-            Interval::new(10, 20, 1),
-            Interval::new(21, 30, 2),
-        ]);
-        // closed intervals: [0,10] and [10,20] both touch point 10
-        assert_eq!(sorted_keys(t.overlapping(10, 10)), vec![0, 1]);
-        assert_eq!(sorted_keys(t.overlapping(0, 30)), vec![0, 1, 2]);
-        assert_eq!(sorted_keys(t.overlapping(31, 40)), Vec::<usize>::new());
+        // Keys are appended in ascending start order, which breaks ties
+        // between candidate parents.
+        let mut out = vec![7];
+        t.containing_into(20, 100, &mut out);
+        assert_eq!(out, vec![7, 0, 1, 3]);
+        assert_eq!(sorted_keys(&t, 510, 900), vec![0, 2]);
+        assert_eq!(sorted_keys(&t, 5, 5), vec![0]);
     }
 
     #[test]
     fn stab_is_containing_point() {
+        // A zero-length span probes with `lo == hi`: every closed interval
+        // holding that point contains it, boundaries included.
         let t = IntervalTree::build(vec![
             Interval::new(0, 100, 0),
             Interval::new(50, 60, 1),
             Interval::new(55, 58, 2),
+            Interval::new(58, 70, 3),
         ]);
-        assert_eq!(sorted_keys(t.stab(56)), vec![0, 1, 2]);
-        assert_eq!(sorted_keys(t.stab(61)), vec![0]);
+        assert_eq!(sorted_keys(&t, 56, 56), vec![0, 1, 2]);
+        assert_eq!(sorted_keys(&t, 58, 58), vec![0, 1, 2, 3]);
+        assert_eq!(sorted_keys(&t, 61, 61), vec![0, 3]);
     }
 
     #[test]
@@ -330,7 +234,7 @@ mod tests {
             Interval::new(5, 10, 1),
             Interval::new(5, 10, 2),
         ]);
-        assert_eq!(sorted_keys(t.containing(6, 7)), vec![0, 1, 2]);
+        assert_eq!(sorted_keys(&t, 6, 7), vec![0, 1, 2]);
     }
 
     // Exhaustive cross-check against a naive scan on a fixed pseudo-random set.
@@ -355,38 +259,13 @@ mod tests {
         for probe in 0..40 {
             let lo = probe * 25;
             let hi = lo + probe * 3;
-            let naive_containing: Vec<usize> = {
-                let mut v: Vec<usize> = intervals
-                    .iter()
-                    .filter(|iv| iv.contains_range(lo, hi))
-                    .map(|iv| iv.key)
-                    .collect();
-                v.sort_unstable();
-                v
-            };
-            assert_eq!(sorted_keys(tree.containing(lo, hi)), naive_containing);
-
-            let naive_overlap: Vec<usize> = {
-                let mut v: Vec<usize> = intervals
-                    .iter()
-                    .filter(|iv| iv.overlaps(lo, hi))
-                    .map(|iv| iv.key)
-                    .collect();
-                v.sort_unstable();
-                v
-            };
-            assert_eq!(sorted_keys(tree.overlapping(lo, hi)), naive_overlap);
-
-            let naive_contained: Vec<usize> = {
-                let mut v: Vec<usize> = intervals
-                    .iter()
-                    .filter(|iv| lo <= iv.start && iv.end <= hi)
-                    .map(|iv| iv.key)
-                    .collect();
-                v.sort_unstable();
-                v
-            };
-            assert_eq!(sorted_keys(tree.contained_in(lo, hi)), naive_contained);
+            let mut naive: Vec<usize> = intervals
+                .iter()
+                .filter(|iv| iv.contains_range(lo, hi))
+                .map(|iv| iv.key)
+                .collect();
+            naive.sort_unstable();
+            assert_eq!(sorted_keys(&tree, lo, hi), naive);
         }
     }
 }

@@ -4,35 +4,27 @@
 //! different tracers into one application timeline trace").
 
 use crate::fxhash::FxHashMap;
-use crate::span::{Span, SpanId, StackLevel, TraceId};
+use crate::span::{Span, TraceId};
 use crate::tracer::{ChannelTracer, SpanBuffer};
 use crossbeam_channel::{Receiver, Sender};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
 
 /// An aggregated timeline trace: every span published during one (or more)
 /// evaluation runs, in publication order.
 ///
-/// The trace is an *indexed* store, not a bare span list: construction
-/// buckets the spans per evaluation run once ([`Trace::trace_ids`] and
-/// [`Trace::run_indices`] are O(1) reads), and the `SpanId → index` and
-/// `parent → children` maps behind [`Trace::find`] / [`Trace::children_of`]
-/// are built on first use and reused for every later lookup. Spans are
-/// immutable once stored, so the indexes never go stale.
+/// The trace is a span table plus a per-run index: construction buckets
+/// the spans per evaluation run once ([`Trace::trace_ids`] and
+/// [`Trace::run_indices`] are O(1) reads), which the correlation engine
+/// consumes for every trace. Lookups by span id and parent adjacency
+/// belong to the correlated trace, where parents are resolved.
 #[derive(Debug, Clone, Default)]
 pub struct Trace {
     spans: Vec<Span>,
     /// Distinct evaluation runs in first-appearance order, each with the
-    /// indices of its spans (in appearance order). Built eagerly — the
-    /// correlation engine consumes it for every trace.
+    /// indices of its spans (in appearance order).
     runs: Vec<(TraceId, Vec<usize>)>,
-    /// Lazily built `SpanId → index` map (first occurrence wins, matching
-    /// the historical linear-scan `find`).
-    index_of: OnceLock<FxHashMap<SpanId, usize>>,
-    /// Lazily built explicit-parent adjacency (indices in appearance order).
-    children: OnceLock<FxHashMap<SpanId, Vec<usize>>>,
 }
 
 impl Trace {
@@ -65,12 +57,7 @@ impl Trace {
             runs.iter().map(|(_, v)| v.len()).sum::<usize>(),
             spans.len()
         );
-        Self {
-            spans,
-            runs,
-            index_of: OnceLock::new(),
-            children: OnceLock::new(),
-        }
+        Self { spans, runs }
     }
 
     /// All spans, in publication order.
@@ -93,47 +80,6 @@ impl Trace {
         self.spans.is_empty()
     }
 
-    /// Spans at a given stack level.
-    pub fn at_level(&self, level: StackLevel) -> impl Iterator<Item = &Span> {
-        self.spans.iter().filter(move |s| s.level == level)
-    }
-
-    /// The distinct stack levels present, ordered top to bottom.
-    pub fn levels_present(&self) -> Vec<StackLevel> {
-        StackLevel::ALL
-            .iter()
-            .copied()
-            .filter(|l| self.spans.iter().any(|s| s.level == *l))
-            .collect()
-    }
-
-    fn index(&self) -> &FxHashMap<SpanId, usize> {
-        self.index_of.get_or_init(|| {
-            let mut map = FxHashMap::default();
-            map.reserve(self.spans.len());
-            for (i, s) in self.spans.iter().enumerate() {
-                map.entry(s.id).or_insert(i);
-            }
-            map
-        })
-    }
-
-    /// Looks up a span by id through the built-once index map.
-    pub fn find(&self, id: SpanId) -> Option<&Span> {
-        self.index().get(&id).map(|&i| &self.spans[i])
-    }
-
-    /// Spans restricted to a single evaluation run.
-    pub fn for_trace_id(&self, trace_id: TraceId) -> Trace {
-        let spans = self
-            .runs
-            .iter()
-            .find(|(tid, _)| *tid == trace_id)
-            .map(|(_, idxs)| idxs.iter().map(|&i| self.spans[i].clone()).collect())
-            .unwrap_or_default();
-        Trace::from_spans(spans)
-    }
-
     /// The distinct evaluation runs present, in first-appearance order.
     pub fn trace_ids(&self) -> Vec<TraceId> {
         self.runs.iter().map(|(tid, _)| *tid).collect()
@@ -154,40 +100,6 @@ impl Trace {
     /// correlation engine reads its runs from.
     pub(crate) fn into_parts(self) -> (Vec<Span>, Vec<(TraceId, Vec<usize>)>) {
         (self.spans, self.runs)
-    }
-
-    /// Clones the span table and run index only, leaving the lazy lookup
-    /// maps unbuilt — for consumers (the borrowing `reconstruct_parents`
-    /// wrapper) that immediately decompose the clone and would throw any
-    /// copied maps away.
-    pub(crate) fn clone_parts(&self) -> Trace {
-        Trace::from_parts(self.spans.clone(), self.runs.clone())
-    }
-
-    /// Direct children of `parent` (explicit parent references only),
-    /// through the built-once adjacency map.
-    pub fn children_of(&self, parent: SpanId) -> Vec<&Span> {
-        self.children
-            .get_or_init(|| {
-                let mut map: FxHashMap<SpanId, Vec<usize>> = FxHashMap::default();
-                for (i, s) in self.spans.iter().enumerate() {
-                    if let Some(p) = s.parent {
-                        map.entry(p).or_default().push(i);
-                    }
-                }
-                map
-            })
-            .get(&parent)
-            .map(|v| v.iter().map(|&i| &self.spans[i]).collect())
-            .unwrap_or_default()
-    }
-
-    /// Appends all spans of `other`, rebuilding the run buckets (the lazy
-    /// lookup maps reset and rebuild on next use).
-    pub fn merge(&mut self, other: Trace) {
-        let mut spans = std::mem::take(&mut self.spans);
-        spans.extend(other.spans);
-        *self = Trace::from_spans(spans);
     }
 }
 
@@ -305,7 +217,7 @@ impl TracingServer {
 
     /// Drains like [`TracingServer::drain`] (same buffer, same grouped-by-
     /// trace-id order — it *is* a drain) but hands each span to `f` as the
-    /// buckets stream out, without assembling a [`Trace`] or its index maps:
+    /// buckets stream out, without assembling a [`Trace`]:
     /// spans can be fed straight into a [`crate::export::stream`] writer so
     /// the serialized trace is never materialized (see
     /// `examples/application_pipeline.rs`). Peak memory is the drained
@@ -318,7 +230,7 @@ impl TracingServer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::span::SpanBuilder;
+    use crate::span::{SpanBuilder, StackLevel};
     use crate::tracer::Tracer;
 
     fn span(trace_id: TraceId, name: &str, level: StackLevel, s: u64, e: u64) -> Span {
@@ -334,11 +246,8 @@ mod tests {
         t1.report(span(id, "predict", StackLevel::Model, 0, 100));
         t2.report(span(id, "conv", StackLevel::Layer, 10, 60));
         let trace = server.drain();
-        assert_eq!(trace.len(), 2);
-        assert_eq!(
-            trace.levels_present(),
-            vec![StackLevel::Model, StackLevel::Layer]
-        );
+        let levels: Vec<StackLevel> = trace.spans().iter().map(|s| s.level).collect();
+        assert_eq!(levels, vec![StackLevel::Model, StackLevel::Layer]);
         // second drain is empty
         assert!(server.drain().is_empty());
     }
@@ -371,27 +280,8 @@ mod tests {
         t.report(span(run2, "p", StackLevel::Model, 20, 35));
         let all = server.drain();
         assert_eq!(all.trace_ids(), vec![run1, run2]);
-        assert_eq!(all.for_trace_id(run1).len(), 1);
-        assert_eq!(all.for_trace_id(run2).spans()[0].start_ns, 20);
-    }
-
-    #[test]
-    fn children_of_uses_explicit_parents() {
-        let server = TracingServer::new();
-        let t = server.tracer("fw");
-        let id = server.fresh_trace_id();
-        let parent = span(id, "predict", StackLevel::Model, 0, 100);
-        let pid = parent.id;
-        let child = SpanBuilder::new("conv", StackLevel::Layer, id)
-            .start(5)
-            .parent(pid)
-            .finish(50);
-        t.report(parent);
-        t.report(child);
-        let trace = server.drain();
-        let kids = trace.children_of(pid);
-        assert_eq!(kids.len(), 1);
-        assert_eq!(kids[0].name, "conv");
+        assert_eq!(all.run_indices(run1), &[0]);
+        assert_eq!(all.spans()[all.run_indices(run2)[0]].start_ns, 20);
     }
 
     #[test]
@@ -420,20 +310,11 @@ mod tests {
             "first-appearance order kept"
         );
         assert_eq!(trace.run_indices(TraceId(17)), &[17, RUNS as usize]);
-        assert_eq!(trace.for_trace_id(TraceId(17)).len(), 2);
         assert!(
             started.elapsed() < std::time::Duration::from_secs(10),
             "{RUNS}-run indexing took {:?} — quadratic accumulation is back",
             started.elapsed()
         );
-    }
-
-    #[test]
-    fn merge_concatenates() {
-        let mut a = Trace::from_spans(vec![span(TraceId(1), "x", StackLevel::Model, 0, 1)]);
-        let b = Trace::from_spans(vec![span(TraceId(2), "y", StackLevel::Layer, 2, 3)]);
-        a.merge(b);
-        assert_eq!(a.len(), 2);
     }
 
     #[test]

@@ -227,12 +227,6 @@ impl SpanStore {
         idx
     }
 
-    /// Appends a span consumed by value (the drain path). Strings still
-    /// intern — the owned allocations are reused only on first appearance.
-    pub fn push_owned(&mut self, span: Span) -> u32 {
-        self.push(&span)
-    }
-
     /// Appends a span's fixed-width fields without tags or logs; returns
     /// its index. Follow with [`SpanStore::raw_tag`] / [`SpanStore::raw_log`]
     /// *before the next push* — tags and logs live in shared arenas and

@@ -27,41 +27,12 @@ proptest! {
     fn tree_containing_matches_naive(intervals in arb_intervals(120), lo in 0u64..1100, len in 0u64..120) {
         let hi = lo + len;
         let tree = IntervalTree::build(intervals.clone());
-        let mut got: Vec<usize> = tree.containing(lo, hi).map(|iv| iv.key).collect();
+        let mut got = Vec::new();
+        tree.containing_into(lo, hi, &mut got);
         got.sort_unstable();
         let mut want: Vec<usize> = intervals
             .iter()
             .filter(|iv| iv.contains_range(lo, hi))
-            .map(|iv| iv.key)
-            .collect();
-        want.sort_unstable();
-        prop_assert_eq!(got, want);
-    }
-
-    #[test]
-    fn tree_overlapping_matches_naive(intervals in arb_intervals(120), lo in 0u64..1100, len in 0u64..120) {
-        let hi = lo + len;
-        let tree = IntervalTree::build(intervals.clone());
-        let mut got: Vec<usize> = tree.overlapping(lo, hi).map(|iv| iv.key).collect();
-        got.sort_unstable();
-        let mut want: Vec<usize> = intervals
-            .iter()
-            .filter(|iv| iv.overlaps(lo, hi))
-            .map(|iv| iv.key)
-            .collect();
-        want.sort_unstable();
-        prop_assert_eq!(got, want);
-    }
-
-    #[test]
-    fn tree_contained_in_matches_naive(intervals in arb_intervals(120), lo in 0u64..1100, len in 0u64..200) {
-        let hi = lo + len;
-        let tree = IntervalTree::build(intervals.clone());
-        let mut got: Vec<usize> = tree.contained_in(lo, hi).map(|iv| iv.key).collect();
-        got.sort_unstable();
-        let mut want: Vec<usize> = intervals
-            .iter()
-            .filter(|iv| lo <= iv.start && iv.end <= hi)
             .map(|iv| iv.key)
             .collect();
         want.sort_unstable();
@@ -124,7 +95,7 @@ proptest! {
         for s in correlated.spans() {
             if s.span.level == StackLevel::Kernel {
                 let parent = s.parent.expect("kernel parented");
-                let p = correlated.find(parent).unwrap();
+                let p = &correlated.spans()[correlated.position(trace_id, parent).unwrap()];
                 prop_assert_eq!(p.span.level, StackLevel::Layer);
                 prop_assert!(p.span.contains(&s.span));
             }
@@ -777,7 +748,8 @@ fn oracle_single_run(spans: &[Span]) -> (Vec<CorrelatedSpan>, AmbiguityReport) {
         'search: for ancestor in (0..pos).rev() {
             let tree = &trees[&levels[ancestor]];
             for &(lo, hi) in &probes {
-                candidates = tree.containing(lo, hi).map(|iv| iv.key).collect();
+                candidates.clear();
+                tree.containing_into(lo, hi, &mut candidates);
                 candidates.retain(|&c| c != i);
                 if !candidates.is_empty() {
                     break 'search;

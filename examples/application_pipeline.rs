@@ -102,14 +102,14 @@ fn main() {
     let tree = SpanTree::build(&correlated);
     let roots = tree.roots();
     assert_eq!(roots.len(), 1, "one application root");
-    let models = tree.children(roots[0].id);
+    let models = tree.children(roots[0]);
     println!(
         "application: {} ({:.2} ms)",
         roots[0].name,
         roots[0].duration_ms()
     );
     for m in &models {
-        let layers = tree.children(m.id);
+        let layers = tree.children(m);
         println!(
             "  {}: {:.2} ms across {} layers",
             m.name,

@@ -12,7 +12,7 @@ use std::collections::HashMap;
 use std::io::Write;
 use std::process::ExitCode;
 use xsp_core::analysis::{self, AxAnalysis};
-use xsp_core::export::{export_profile, export_run_profile, ExportFormat, ExportSink};
+use xsp_core::export::{export_correlated, export_profile, ExportFormat, ExportSink};
 use xsp_core::profile::{ProfileRequest, ProfilingLevel, Xsp, XspConfig};
 use xsp_core::report::{fmt_bound, fmt_mb, fmt_ms, fmt_pct, Table};
 use xsp_core::scheduler::Parallelism;
@@ -618,7 +618,7 @@ fn export_live_sink(
 
 /// `xsp export --from`: converts a saved capture offline (§III-A: the
 /// conversion "can be performed off-line by processing the output of the
-/// profiler") — the spans are re-correlated via `profile_from_trace` and
+/// profiler") — the spans are correlated once and the correlated trace is
 /// streamed out; no model is re-profiled. The capture may be
 /// span-JSON-lines or `.xspb` span binary; the input format is sniffed
 /// from the magic bytes, with `--from-format` as the explicit override.
@@ -671,20 +671,19 @@ fn export_offline(
         trace.len(),
         trace.trace_ids().len()
     );
-    // The level is metadata on RunProfile only; exports never read it.
-    let profile = xsp_core::pipeline::profile_from_trace(trace, ProfilingLevel::ModelLayerGpu);
+    let correlated = xsp_trace::CorrelationEngine::new().correlate(trace);
     let written = match flags.get("out") {
         Some(path) => {
             let file =
                 std::fs::File::create(path).map_err(|e| format!("cannot create {path}: {e}"))?;
-            let written = export_run_profile(&profile, format, std::io::BufWriter::new(file))
+            let written = export_correlated(&correlated, format, std::io::BufWriter::new(file))
                 .map_err(|e| format!("export to {path} failed: {e}"))?;
             eprintln!("{format} export written to {path}");
             written
         }
         None => {
             let stdout = std::io::stdout();
-            let written = export_run_profile(&profile, format, stdout.lock())
+            let written = export_correlated(&correlated, format, stdout.lock())
                 .map_err(|e| format!("export to stdout failed: {e}"))?;
             std::io::stdout().flush().map_err(|e| e.to_string())?;
             written

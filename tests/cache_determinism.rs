@@ -9,11 +9,17 @@ use proptest::sample::select;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use xsp_core::cache::{self, GraphFingerprint};
-use xsp_core::profile::{ProfileMode, ProfileRequest, ProfilingLevel, Xsp, XspConfig};
+use xsp_core::pipeline::{profile_from_trace, RunProfile};
+use xsp_core::profile::{
+    LeveledProfile, ProfileMode, ProfileRequest, ProfilingLevel, Xsp, XspConfig,
+};
 use xsp_core::scheduler::Parallelism;
 use xsp_framework::FrameworkKind;
 use xsp_gpu::systems;
+use xsp_models::transformer::{self, DecodeAttention};
 use xsp_models::zoo;
+use xsp_trace::correlate::CorrelatedSpan;
+use xsp_trace::Trace;
 
 fn config(seed: u64, runs: usize, parallelism: Parallelism) -> XspConfig {
     XspConfig::new(systems::tesla_v100(), FrameworkKind::TensorFlow)
@@ -208,4 +214,42 @@ fn corrupt_disk_entries_degrade_to_recompute() {
     );
     assert!(cache::load_from_dir(&dir, fp).is_some(), "honest load");
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A `.xspc` run stores the spans its correlation produced, so a reload
+/// builds the correlated trace from them without correlating again. Bucket
+/// for bucket it must hold the spans, parents, layers and kernels that
+/// re-correlating the same records gives, for a CNN and for a transformer;
+/// only the ambiguity report differs, which a reload leaves empty.
+#[test]
+fn xspc_reload_matches_recorrelating_its_records() {
+    let cfg = config(5, 1, Parallelism::Serial);
+    let graphs = [
+        zoo::by_name("MobileNet_v1_0.25_128").unwrap().graph(1),
+        transformer::gpt2_decode_step(2, 64, DecodeAttention::Materialized),
+    ];
+    let buckets = |p: &LeveledProfile| {
+        let runs = [&p.m_runs, &p.ml_runs, &p.mlg_runs, &p.metric_runs];
+        runs.map(Vec::len)
+    };
+    for graph in &graphs {
+        let profile = Xsp::new(cfg.clone()).run(ProfileRequest::new(graph));
+        let mode = ProfileMode::Leveled;
+        let fp = GraphFingerprint::of(&cfg, graph, ProfilingLevel::ModelLayerGpu, mode);
+        let bytes = cache::xspc_to_bytes(fp, &profile);
+        let (_, reloaded) = cache::read_xspc(&mut &bytes[..]).expect("round trip");
+        assert_eq!(buckets(&reloaded), buckets(&profile));
+        assert!(!buckets(&profile).contains(&0), "every bucket is exercised");
+        for (got, stored) in reloaded.runs().zip(profile.runs()) {
+            let records = stored.trace.iter_spans().cloned().collect();
+            let want = profile_from_trace(Trace::from_spans(records), stored.level);
+            let view = |c: &CorrelatedSpan| (c.span.clone(), c.parent, c.launch_interval);
+            let spans = |r: &RunProfile| r.trace.spans().iter().map(view).collect::<Vec<_>>();
+            assert_eq!(spans(got), spans(&want));
+            let views =
+                |r: &RunProfile| format!("{:?}", (&r.layers, &r.kernels, r.phases, r.trace_id));
+            assert_eq!(views(got), views(&want));
+            assert!(got.trace.ambiguities.is_clean());
+        }
+    }
 }

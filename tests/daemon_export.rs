@@ -7,15 +7,17 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
-use xsp_core::export::{export_profile, ExportFormat};
+use xsp_core::export::{export_correlated, export_profile, ExportFormat};
 use xsp_core::profile::{ProfileRequest, ProfilingLevel, Xsp, XspConfig};
 use xsp_core::scheduler::Parallelism;
-use xsp_daemon::{spawn, DaemonClient, DaemonConfig, DaemonHandle, OpenOptions};
+use xsp_daemon::{
+    spawn, DaemonClient, DaemonConfig, DaemonHandle, OnFull, OpenOptions, Session, DEFAULT_QUOTA,
+};
 use xsp_framework::FrameworkKind;
 use xsp_gpu::systems;
 use xsp_models::zoo;
 use xsp_trace::export::read_span_json_lines;
-use xsp_trace::Span;
+use xsp_trace::{CorrelationEngine, Span, SpanBuilder, SpanId, StackLevel, Trace, TraceId};
 
 static SOCKET_SEQ: AtomicUsize = AtomicUsize::new(0);
 
@@ -184,4 +186,63 @@ fn two_sessions_share_the_process_wide_export_cache() {
     c.close(first).expect("close first");
     c.close(second).expect("close second");
     handle.shutdown();
+}
+
+/// `xsp export --from` of a capture holding `spans`, in `format`.
+fn from_bytes(spans: &[Span], format: ExportFormat) -> Vec<u8> {
+    let correlated = CorrelationEngine::new().correlate(Trace::from_spans(spans.to_vec()));
+    let mut out = Vec::new();
+    export_correlated(&correlated, format, &mut out).expect("Vec export cannot fail");
+    out
+}
+
+/// Streams `capture` into a standalone session as one batch and checks
+/// that every format exports the `--from` bytes of the same capture.
+fn assert_session_exports_from_bytes(capture: Vec<Span>) {
+    let mut session = Session::new(1, DEFAULT_QUOTA, OnFull::Shed, None);
+    session
+        .append(capture.clone())
+        .expect("the batch fits the quota");
+    for format in ExportFormat::ALL {
+        assert!(
+            session.export_bytes(format) == from_bytes(&capture, format),
+            "{format}: the session's export differs from the --from conversion"
+        );
+    }
+}
+
+/// A session keeps the order a batch arrived in: a batch whose runs come
+/// as trace ids 2 then 1 exports what `xsp export --from` writes.
+#[test]
+fn a_batch_with_runs_out_of_id_order_exports_the_from_bytes() {
+    let profile = one_shot("MobileNet_v1_0.25_128", Parallelism::Serial);
+    let runs = [(&profile.m_runs[0], 2), (&profile.mlg_runs[0], 1)];
+    let batch = runs.into_iter().flat_map(|(run, trace_id)| {
+        run.trace.iter_spans().map(move |s| Span {
+            trace_id: TraceId(trace_id),
+            ..s.clone()
+        })
+    });
+    assert_session_exports_from_bytes(batch.collect());
+}
+
+/// A capture may repeat a span id. Two spans sharing id 1, the second
+/// naming 1 as its parent, export as one root with one child, offline and
+/// in a session, instead of a walk that never ends.
+#[test]
+fn a_repeated_span_id_exports_once_per_span() {
+    let span = |name: &str, start_ns, end_ns, parent| Span {
+        id: SpanId(1),
+        parent,
+        start_ns,
+        end_ns,
+        ..SpanBuilder::new(name, StackLevel::Model, TraceId(1)).finish(0)
+    };
+    let capture = vec![
+        span("outer", 0, 100_000, None),
+        span("inner", 10_000, 30_000, Some(SpanId(1))),
+    ];
+    let folded = from_bytes(&capture, ExportFormat::Folded);
+    assert_eq!(folded, b"outer 80\nouter;inner 20\n");
+    assert_session_exports_from_bytes(capture);
 }

@@ -68,10 +68,10 @@ fn without_layer_level_kernels_bind_to_model_span() {
     let p = run_once_with_metrics(&cfg(), &graph, ProfilingLevel::ModelLayerGpu, 0, true);
     // layer info still exists in M/L/G; emulate M/G by checking the trace:
     // every kernel's resolved parent is a layer (level check)
-    for s in p.trace.spans() {
+    for (i, s) in p.trace.spans().iter().enumerate() {
         if s.span.level == StackLevel::Kernel && s.span.is_async_execution() {
-            let parent = s.parent.expect("kernel parented");
-            let pspan = p.trace.find(parent).expect("parent exists");
+            let parent = p.trace.parent_index(i).expect("parent exists");
+            let pspan = &p.trace.spans()[parent];
             assert!(
                 pspan.span.level == StackLevel::Layer || pspan.span.level == StackLevel::Model,
                 "kernel parent at {:?}",

@@ -60,13 +60,13 @@ fn span_hierarchy_nests_cleanly() {
         .iter()
         .find(|s| s.name == "model_prediction")
         .expect("predict span");
-    for layer in tree.children(predict.id) {
+    for layer in tree.children(predict) {
         assert!(
             layer.start_ns >= predict.start_ns && layer.end_ns <= predict.end_ns,
             "layer {} outside predict span",
             layer.name
         );
-        for kernel in tree.children(layer.id) {
+        for kernel in tree.children(layer) {
             assert!(
                 kernel.start_ns >= layer.start_ns && kernel.end_ns <= layer.end_ns,
                 "kernel {} outside layer {}",

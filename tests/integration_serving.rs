@@ -1,20 +1,27 @@
 //! Integration tests of the inference-serving tier: the continuous-batching
 //! scheduler's determinism contract (identical reports and byte-identical
-//! streamed span traces for any worker count and across replays), and the
-//! re-correlation idempotence of the runs a serving step streams.
+//! streamed span traces for any worker count and across replays), the
+//! re-correlation idempotence of the runs a serving step streams, and the
+//! per-step re-correlating path kept as the reference the streamed bytes
+//! must reproduce.
 
 use proptest::prelude::*;
+use std::io::{self, Write};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use xsp_core::export::ExportSink;
+use xsp_core::export::{export_correlated, ExportFormat, ExportSink};
 use xsp_core::profile::{ProfileRequest, ProfilingLevel, Xsp, XspConfig};
 use xsp_core::scheduler::Parallelism;
-use xsp_core::serving::{simulate, simulate_streaming, ArrivalTrace, ServingConfig, ServingModel};
+use xsp_core::serving::{
+    simulate, simulate_streaming, ArrivalTrace, ServingConfig, ServingModel, ServingReport,
+    StepKind,
+};
 use xsp_framework::FrameworkKind;
 use xsp_gpu::systems;
 use xsp_models::transformer::{self, DecodeAttention};
-use xsp_trace::export::to_chrome_trace_of;
-use xsp_trace::{CorrelationEngine, Span, Trace, TraceId};
+use xsp_trace::export::{read_span_json_lines, to_chrome_trace_of};
+use xsp_trace::{CorrelatedTrace, CorrelationEngine, Span, Trace, TraceId};
 
 fn xsp(parallelism: Parallelism) -> Xsp {
     Xsp::new(
@@ -121,10 +128,10 @@ fn streamed_trace_carries_one_run_per_step() {
     }
 }
 
-/// Re-correlating a correlated run changes nothing: the idempotence a
-/// streamed serving step relies on when it correlates its memoized run
-/// again. Checked on GPT-2 decode steps over both attention paths and on
-/// one prefill, at M, M/L and M/L/G.
+/// Re-correlating a correlated run changes nothing: the idempotence that
+/// lets a serving step write its memoized run without correlating it again.
+/// Checked on GPT-2 decode steps over both attention paths and on one
+/// prefill, at M, M/L and M/L/G.
 #[test]
 fn recorrelating_a_serving_run_reproduces_its_bytes() {
     let graphs = [
@@ -206,4 +213,170 @@ fn serving_models_cover_the_transformer_tier() {
         );
     }
     assert_eq!(ServingModel::from_zoo_id(1), None);
+}
+
+/// Streams one simulation into the sink `xsp analyze --trace` opens for a
+/// file of `format`, and returns the file's bytes.
+fn stream_as(
+    xsp: &Xsp,
+    trace: &ArrivalTrace,
+    cfg: &ServingConfig,
+    format: ExportFormat,
+) -> Vec<u8> {
+    let ext = match format {
+        ExportFormat::Spans => "jsonl",
+        ExportFormat::Binary => "xspb",
+        ExportFormat::Chrome => "json",
+        ExportFormat::Folded => "folded",
+    };
+    let seq = SEQ.fetch_add(1, Ordering::SeqCst);
+    let path = std::env::temp_dir().join(format!("xsp_serving_{}_{seq}.{ext}", std::process::id()));
+    let sink = ExportSink::create(&path).unwrap();
+    simulate_streaming(xsp, ServingModel::Gpt2Small, trace, cfg, Some(&sink));
+    sink.finish().unwrap();
+    let bytes = std::fs::read(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    bytes
+}
+
+static SEQ: AtomicUsize = AtomicUsize::new(0);
+
+/// The per-step path the stream took before it wrote memoized runs as they
+/// are: each step's run cloned, re-stamped with the step's trace id and
+/// start time, and correlated again on its own.
+fn recorrelated_steps(
+    xsp: &Xsp,
+    report: &ServingReport,
+    cfg: &ServingConfig,
+) -> Vec<CorrelatedTrace> {
+    let mut engine = CorrelationEngine::new();
+    let mut steps = Vec::new();
+    for step in &report.steps {
+        let graph = match step.kind {
+            StepKind::Prefill { prompt_tokens, .. } => transformer::gpt2_small(1, prompt_tokens),
+            StepKind::Decode {
+                batch,
+                attend_tokens,
+                ..
+            } => transformer::gpt2_decode_step(batch, attend_tokens, cfg.attention),
+        };
+        let profile = xsp.run_shared(ProfileRequest::new(&graph).level(cfg.level));
+        let run = match cfg.level {
+            ProfilingLevel::Model => &profile.m_runs[0].trace,
+            ProfilingLevel::ModelLayer => &profile.ml_runs[0].trace,
+            ProfilingLevel::ModelLayerGpu => &profile.mlg_runs[0].trace,
+        };
+        let base_ns = run.iter_spans().map(|s| s.start_ns).min().unwrap();
+        let offset_ns = (step.start_ms * 1_000_000.0).round() as u64;
+        let restamped = run.iter_spans().map(|s| Span {
+            trace_id: TraceId(step.index as u64 + 1),
+            start_ns: s.start_ns - base_ns + offset_ns,
+            end_ns: s.end_ns - base_ns + offset_ns,
+            ..s.clone()
+        });
+        steps.push(engine.correlate(Trace::from_spans(restamped.collect())));
+    }
+    steps
+}
+
+/// Writes the re-correlated steps as one stream: span formats write every
+/// step's spans in order inside one envelope, and folded stacks, which have
+/// none, are each step's stacks in turn.
+fn write_steps(steps: &[CorrelatedTrace], format: ExportFormat) -> Vec<u8> {
+    let mut out = Vec::new();
+    if format == ExportFormat::Folded {
+        for step in steps {
+            export_correlated(step, format, &mut out).unwrap();
+        }
+    } else {
+        let spans = steps
+            .iter()
+            .flat_map(|s| s.spans().iter().cloned())
+            .collect();
+        export_correlated(
+            &CorrelatedTrace::new(spans, Default::default()),
+            format,
+            &mut out,
+        )
+        .unwrap();
+    }
+    out
+}
+
+/// Streaming a memoized run under a per-step trace id and time shift writes
+/// exactly what re-correlating each re-stamped step writes: every sink
+/// format, at M, M/L and M/L/G, over prefill and decode steps on both
+/// attention paths.
+#[test]
+fn streamed_steps_match_recorrelating_each_step() {
+    let config = XspConfig::new(systems::tesla_v100(), FrameworkKind::TensorFlow);
+    let xsp = Xsp::new(config.runs(1).cached(true));
+    let trace = ArrivalTrace::synthetic(11, 3, 60.0, (8, 24), (2, 4));
+    for level in [
+        ProfilingLevel::Model,
+        ProfilingLevel::ModelLayer,
+        ProfilingLevel::ModelLayerGpu,
+    ] {
+        for attention in [DecodeAttention::Materialized, DecodeAttention::Fused] {
+            let cfg = ServingConfig::default()
+                .max_batch(2)
+                .level(level)
+                .attention(attention);
+            let report = simulate(&xsp, ServingModel::Gpt2Small, &trace, &cfg);
+            let prefills = report
+                .steps
+                .iter()
+                .filter(|s| matches!(s.kind, StepKind::Prefill { .. }))
+                .count();
+            assert!(prefills > 0 && prefills < report.steps.len());
+            let steps = recorrelated_steps(&xsp, &report, &cfg);
+            for format in ExportFormat::ALL {
+                assert!(
+                    stream_as(&xsp, &trace, &cfg, format) == write_steps(&steps, format),
+                    "{level:?}/{attention:?}/{format}: streamed bytes differ"
+                );
+            }
+        }
+    }
+}
+
+/// A writer that fails past a byte cap, so a conversion that multiplies
+/// its output stops early.
+struct Capped(Vec<u8>, usize);
+
+impl Write for Capped {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        if self.0.len() + buf.len() > self.1 {
+            return Err(io::Error::other("output cap exceeded"));
+        }
+        self.0.extend_from_slice(buf);
+        Ok(buf.len())
+    }
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+/// Every serving step repeats its memoized run's span ids under its own
+/// trace id. Converting the streamed JSONL offline (`xsp export --from`)
+/// walks each step's tree in its own run, so every format, folded
+/// included, equals the trace written live.
+#[test]
+fn offline_conversion_of_a_serving_trace_equals_the_live_trace() {
+    let xsp = xsp(Parallelism::Serial);
+    let trace = ArrivalTrace::synthetic(5, 3, 60.0, (8, 16), (2, 4));
+    let cfg = ServingConfig::default()
+        .max_batch(2)
+        .level(ProfilingLevel::ModelLayer);
+    let jsonl = stream_as(&xsp, &trace, &cfg, ExportFormat::Spans);
+    let correlated = CorrelationEngine::new().correlate(read_span_json_lines(&jsonl[..]).unwrap());
+    for format in ExportFormat::ALL {
+        let live = stream_as(&xsp, &trace, &cfg, format);
+        let mut out = Capped(Vec::new(), 2 * live.len());
+        export_correlated(&correlated, format, &mut out).expect("within twice the live size");
+        assert!(
+            out.0 == live,
+            "{format}: the conversion differs from the live trace"
+        );
+    }
 }
