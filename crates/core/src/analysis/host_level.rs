@@ -31,21 +31,21 @@ pub fn ax2_host_dispatch(profile: &LeveledProfile) -> Vec<HostDispatchRow> {
     };
     let mut rows: Vec<HostDispatchRow> = Vec::new();
     for s in run.trace.spans() {
-        if s.span.level != StackLevel::Kernel {
+        if s.level != StackLevel::Kernel {
             continue;
         }
-        let Some(op_type) = s.span.name.strip_prefix("host:dispatch:") else {
+        let Some(op_type) = s.name.strip_prefix("host:dispatch:") else {
             continue;
         };
         match rows.iter_mut().find(|r| r.op_type == op_type) {
             Some(r) => {
                 r.count += 1;
-                r.total_ms += s.span.duration_ms();
+                r.total_ms += s.duration_ms();
             }
             None => rows.push(HostDispatchRow {
                 op_type: op_type.to_owned(),
                 count: 1,
-                total_ms: s.span.duration_ms(),
+                total_ms: s.duration_ms(),
                 percent: 0.0,
             }),
         }

@@ -38,7 +38,7 @@ pub fn ax1_library_calls(profile: &LeveledProfile) -> Vec<LibraryCallRow> {
     };
     let mut rows: Vec<LibraryCallRow> = Vec::new();
     for (i, s) in run.trace.spans().iter().enumerate() {
-        if s.span.level != StackLevel::Library {
+        if s.level != StackLevel::Library {
             continue;
         }
         // Children come from the trace's built-once adjacency — the old
@@ -46,18 +46,18 @@ pub fn ax1_library_calls(profile: &LeveledProfile) -> Vec<LibraryCallRow> {
         let kernels = run
             .trace
             .children_of(i)
-            .filter(|k| k.span.level == StackLevel::Kernel)
+            .filter(|k| k.level == StackLevel::Kernel)
             .count();
-        match rows.iter_mut().find(|r| r.api == s.span.name) {
+        match rows.iter_mut().find(|r| r.api == s.name) {
             Some(r) => {
                 r.count += 1;
-                r.total_ms += s.span.duration_ms();
+                r.total_ms += s.duration_ms();
                 r.kernels += kernels;
             }
             None => rows.push(LibraryCallRow {
-                api: s.span.name.clone(),
+                api: s.name.clone(),
                 count: 1,
-                total_ms: s.span.duration_ms(),
+                total_ms: s.duration_ms(),
                 percent: 0.0,
                 kernels,
             }),
@@ -95,8 +95,8 @@ pub fn library_span_layers(profile: &LeveledProfile) -> Vec<(String, Option<u64>
                 .at_level(StackLevel::Library)
                 .map(|s| {
                     (
-                        s.span.name.clone(),
-                        s.span.tag(tag_keys::LAYER_INDEX).and_then(|v| v.as_u64()),
+                        s.name.clone(),
+                        s.tag(tag_keys::LAYER_INDEX).and_then(|v| v.as_u64()),
                     )
                 })
                 .collect()
@@ -148,13 +148,13 @@ mod tests {
         let run = &p.mlg_runs[0];
         let mut lib_with_kernels = 0usize;
         let spans = run.trace.spans().iter().enumerate();
-        for (i, s) in spans.filter(|(_, s)| s.span.level == StackLevel::Library) {
+        for (i, s) in spans.filter(|(_, s)| s.level == StackLevel::Library) {
             for k in run.trace.children_of(i) {
                 assert!(
-                    s.span.contains(&k.span),
+                    s.contains(k),
                     "kernel {} outside API span {}",
-                    k.span.name,
-                    s.span.name
+                    k.name,
+                    s.name
                 );
                 lib_with_kernels += 1;
             }

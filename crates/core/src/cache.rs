@@ -10,7 +10,7 @@
 //!   over the graph structure (layers, params, batch), framework
 //!   personality, system, profiling level, mode, and the measurement
 //!   policy knobs that shape the runs (`runs`, `trim`, `seed`, `jitter`,
-//!   `metrics`, `serialize_on_ambiguity`, `library_level`, `host_level`).
+//!   `metrics`, `library_level`, `host_level`).
 //!   The engine's [`Parallelism`](crate::scheduler::Parallelism) setting
 //!   and any attached export sink are deliberately *excluded*: they cannot
 //!   change the profile bytes, so a profile computed at `XSP_THREADS=4`
@@ -19,8 +19,7 @@
 //!   `parking_lot`-locked maps holding [`Arc`]-shared values, so a hit is
 //!   a pointer bump, not a span-vector deep copy. [`global`] hands out the
 //!   process-wide [`ProfileCache`] that [`Xsp::run`](crate::profile::Xsp)
-//!   consults when a request opts in via
-//!   [`ProfileRequest::cached`](crate::profile::ProfileRequest::cached) or
+//!   consults when the config opts in via
 //!   [`XspConfig::cached`](crate::profile::XspConfig).
 //! * `.xspc` is the on-disk tier: a corruption-safe, length-prefixed
 //!   envelope carrying the fingerprint, the profile metadata, and every
@@ -44,7 +43,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use xsp_framework::LayerGraph;
-use xsp_trace::correlate::{AmbiguityReport, CorrelatedSpan, CorrelatedTrace};
+use xsp_trace::correlate::{AmbiguityReport, CorrelatedTrace};
 use xsp_trace::export::{BinaryReadError, SpanBinaryReader, SpanBinaryWriter};
 use xsp_trace::Span;
 
@@ -119,7 +118,7 @@ impl Default for Fnv128 {
 /// Hashed: the graph (layers, params, shapes, batch — via its canonical
 /// JSON serialization), framework personality, system, profiling level,
 /// mode, `runs`, `trim`, `seed`, `jitter`, the metric selection,
-/// `serialize_on_ambiguity`, `library_level`, and `host_level`.
+/// `library_level`, and `host_level`.
 ///
 /// Excluded: [`XspConfig::parallelism`](crate::profile::XspConfig) and the
 /// export sink — the determinism contract guarantees the worker count
@@ -163,10 +162,6 @@ impl GraphFingerprint {
         h.write_field(
             "metrics",
             &json(serde_json::to_string(&cfg.metrics).expect("metrics serialize")),
-        );
-        h.write_field(
-            "serialize_on_ambiguity",
-            &[cfg.serialize_on_ambiguity as u8],
         );
         h.write_field("library_level", &[cfg.library_level as u8]);
         h.write_field("host_level", &[cfg.host_level as u8]);
@@ -688,14 +683,8 @@ pub fn read_xspc(src: &mut impl Read) -> Result<(GraphFingerprint, LeveledProfil
                 "run {i}: expected a run record (0x02), found {kind:#04x}"
             )));
         }
-        // Collected first so the run keeps an exactly sized span table.
         let spans: Vec<Span> = SpanBinaryReader::new(&payload[..]).collect::<Result<_, _>>()?;
-        let spans = spans.into_iter().map(|span| CorrelatedSpan {
-            parent: span.parent,
-            launch_interval: None,
-            span,
-        });
-        let correlated = CorrelatedTrace::new(spans.collect(), AmbiguityReport::default());
+        let correlated = CorrelatedTrace::new(spans, AmbiguityReport::default());
         let mut run = crate::pipeline::profile_from_correlated(correlated, level);
         run.used_serialized_rerun = rerun;
         match bucket.as_str() {

@@ -656,7 +656,7 @@ mod tests {
         let mut run = profile().metric_runs[0].trace.clone();
         let levels: Vec<StackLevel> = run.iter_spans().map(|s| s.level).collect();
         let layer = levels.iter().position(|&l| l == StackLevel::Layer);
-        let layer = run.spans()[layer.expect("an M/L/G run has layers")].span.id;
+        let layer = run.spans()[layer.expect("an M/L/G run has layers")].id;
         for i in (0..levels.len()).filter(|&i| levels[i] == StackLevel::Kernel) {
             run.set_parent(i, layer);
         }

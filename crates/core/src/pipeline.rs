@@ -226,7 +226,7 @@ pub fn run_once_with_metrics(
     // Serialized re-run for ambiguous parents (§III-A). The repeated run
     // executes with CUDA_LAUNCH_BLOCKING semantics, yielding unambiguous
     // kernel→layer assignment by launch order, which we graft back.
-    if correlated.ambiguities.needs_serialized_rerun() && cfg.serialize_on_ambiguity {
+    if correlated.ambiguities.needs_serialized_rerun() {
         used_rerun = true;
         let assignment = serialized_kernel_assignment(cfg, graph, level, run_idx);
         apply_assignment(&mut correlated, &assignment);
@@ -295,9 +295,9 @@ fn apply_assignment(correlated: &mut CorrelatedTrace, assignment: &[Option<usize
     // layer index -> span id in this trace
     let mut layer_span: HashMap<usize, SpanId> = HashMap::new();
     for s in correlated.spans() {
-        if s.span.level == StackLevel::Layer {
-            if let Some(idx) = s.span.tag(tag_keys::LAYER_INDEX).and_then(|v| v.as_u64()) {
-                layer_span.insert(idx as usize, s.span.id);
+        if s.level == StackLevel::Layer {
+            if let Some(idx) = s.tag(tag_keys::LAYER_INDEX).and_then(|v| v.as_u64()) {
+                layer_span.insert(idx as usize, s.id);
             }
         }
     }
@@ -307,13 +307,13 @@ fn apply_assignment(correlated: &mut CorrelatedTrace, assignment: &[Option<usize
         .iter()
         .enumerate()
         .filter(|(_, s)| {
-            s.span.level == StackLevel::Kernel
-                && s.span.is_async_execution()
-                && s.span.tag(tag_keys::GRID).is_some()
+            s.level == StackLevel::Kernel
+                && s.is_async_execution()
+                && s.tag(tag_keys::GRID).is_some()
         })
         .map(|(i, _)| i)
         .collect();
-    kernel_positions.sort_by_key(|&i| correlated.spans()[i].span.correlation_id().unwrap_or(0));
+    kernel_positions.sort_by_key(|&i| correlated.spans()[i].correlation_id().unwrap_or(0));
     for (order, &pos) in kernel_positions.iter().enumerate() {
         if let Some(Some(layer_idx)) = assignment.get(order) {
             if let Some(&sid) = layer_span.get(layer_idx) {
@@ -331,8 +331,8 @@ fn extract_phases(trace: &CorrelatedTrace) -> ModelPhases {
         trace
             .spans()
             .iter()
-            .find(|s| s.span.level == StackLevel::Model && s.span.name == name)
-            .map(|s| s.span.duration_ms())
+            .find(|s| s.level == StackLevel::Model && s.name == name)
+            .map(|s| s.duration_ms())
             .unwrap_or(0.0)
     };
     ModelPhases {
@@ -346,31 +346,28 @@ fn extract_layers(trace: &CorrelatedTrace) -> Vec<LayerProfile> {
     let mut layers: Vec<LayerProfile> = trace
         .spans()
         .iter()
-        .filter(|s| s.span.level == StackLevel::Layer)
+        .filter(|s| s.level == StackLevel::Layer)
         .filter_map(|s| {
-            let index = s.span.tag(tag_keys::LAYER_INDEX)?.as_u64()? as usize;
+            let index = s.tag(tag_keys::LAYER_INDEX)?.as_u64()? as usize;
             Some(LayerProfile {
                 index,
-                name: s.span.name.clone(),
+                name: s.name.clone(),
                 type_name: s
-                    .span
                     .tag(tag_keys::LAYER_TYPE)
                     .and_then(|v| v.as_str())
                     .unwrap_or("?")
                     .to_owned(),
                 shape: s
-                    .span
                     .tag(tag_keys::LAYER_SHAPE)
                     .and_then(|v| v.as_str())
                     .unwrap_or("")
                     .to_owned(),
-                latency_ms: s.span.duration_ms(),
+                latency_ms: s.duration_ms(),
                 alloc_bytes: s
-                    .span
                     .tag(tag_keys::ALLOC_BYTES)
                     .and_then(|v| v.as_u64())
                     .unwrap_or(0),
-                span_id: s.span.id,
+                span_id: s.id,
             })
         })
         .collect();
@@ -398,45 +395,34 @@ fn extract_kernels(trace: &CorrelatedTrace, layers: &[LayerProfile]) -> Vec<Kern
         .iter()
         .enumerate()
         .filter(|(_, s)| {
-            s.span.level == StackLevel::Kernel
-                && s.span.is_async_execution()
-                && s.span.tag(tag_keys::GRID).is_some()
+            s.level == StackLevel::Kernel
+                && s.is_async_execution()
+                && s.tag(tag_keys::GRID).is_some()
         })
         .map(|(i, s)| {
-            let cid = s.span.correlation_id().unwrap_or(0);
+            let cid = s.correlation_id().unwrap_or(0);
             let layer_index = resolve_layer(i);
             (
                 cid,
                 KernelProfile {
                     order: 0,
-                    name: s.span.name.clone(),
+                    name: s.name.clone(),
                     layer_index,
-                    latency_ms: s.span.duration_ms(),
+                    latency_ms: s.duration_ms(),
                     grid: s
-                        .span
                         .tag(tag_keys::GRID)
                         .and_then(|v| v.as_str())
                         .unwrap_or("")
                         .to_owned(),
                     block: s
-                        .span
                         .tag(tag_keys::BLOCK)
                         .and_then(|v| v.as_str())
                         .unwrap_or("")
                         .to_owned(),
-                    flops: s.span.tag(tag_keys::FLOP_COUNT_SP).and_then(|v| v.as_u64()),
-                    dram_read: s
-                        .span
-                        .tag(tag_keys::DRAM_READ_BYTES)
-                        .and_then(|v| v.as_u64()),
-                    dram_write: s
-                        .span
-                        .tag(tag_keys::DRAM_WRITE_BYTES)
-                        .and_then(|v| v.as_u64()),
-                    occupancy: s
-                        .span
-                        .tag(tag_keys::ACHIEVED_OCCUPANCY)
-                        .and_then(|v| v.as_f64()),
+                    flops: s.tag(tag_keys::FLOP_COUNT_SP).and_then(|v| v.as_u64()),
+                    dram_read: s.tag(tag_keys::DRAM_READ_BYTES).and_then(|v| v.as_u64()),
+                    dram_write: s.tag(tag_keys::DRAM_WRITE_BYTES).and_then(|v| v.as_u64()),
+                    occupancy: s.tag(tag_keys::ACHIEVED_OCCUPANCY).and_then(|v| v.as_f64()),
                 },
             )
         })
@@ -480,7 +466,7 @@ pub fn profile_from_correlated(correlated: CorrelatedTrace, level: ProfilingLeve
     let trace_id = correlated
         .spans()
         .first()
-        .map(|s| s.span.trace_id)
+        .map(|s| s.trace_id)
         .unwrap_or(xsp_trace::TraceId(0));
     let phases = extract_phases(&correlated);
     let layers = extract_layers(&correlated);

@@ -129,8 +129,6 @@ pub struct XspConfig {
     pub jitter: f64,
     /// GPU metrics to collect in M/L/G runs.
     pub metrics: Vec<MetricKind>,
-    /// Re-run serialized when parent reconstruction is ambiguous.
-    pub serialize_on_ambiguity: bool,
     /// §III-E extension: capture library-level (cuDNN/cuBLAS API) spans
     /// between the layer and kernel levels in M/L/G runs.
     pub library_level: bool,
@@ -148,9 +146,7 @@ pub struct XspConfig {
     pub export_sink: Option<ExportSink>,
     /// Consult the process-wide content-addressed profile cache
     /// ([`crate::cache`]) on every request: hits skip profiling entirely
-    /// and hand back the shared profile. Off by default — a request can
-    /// still opt in per call via
-    /// [`ProfileRequest::cached`](ProfileRequest::cached).
+    /// and hand back the shared profile. Off by default.
     pub cached: bool,
     /// On-disk cache directory: misses that find a persisted `.xspc` here
     /// rebuild from it instead of re-profiling, and computed profiles are
@@ -171,7 +167,6 @@ impl XspConfig {
             seed: 0x5E_ED,
             jitter: 0.012,
             metrics: MetricKind::ALL.to_vec(),
-            serialize_on_ambiguity: true,
             library_level: false,
             host_level: false,
             parallelism: Parallelism::from_env_or(Parallelism::Auto),
@@ -567,8 +562,6 @@ pub struct ProfileRequest<'g> {
     graph: &'g LayerGraph,
     level: ProfilingLevel,
     mode: ProfileMode,
-    /// Per-request cache override; `None` defers to [`XspConfig::cached`].
-    cached: Option<bool>,
 }
 
 impl<'g> ProfileRequest<'g> {
@@ -579,7 +572,6 @@ impl<'g> ProfileRequest<'g> {
             graph,
             level: ProfilingLevel::ModelLayerGpu,
             mode: ProfileMode::Leveled,
-            cached: None,
         }
     }
 
@@ -597,23 +589,9 @@ impl<'g> ProfileRequest<'g> {
         self
     }
 
-    /// Overrides the config's [`XspConfig::cached`] policy for this one
-    /// request: `true` consults (and fills) the process-wide profile
-    /// cache, `false` forces a cold profile even under a cached config.
-    pub fn cached(mut self, cached: bool) -> Self {
-        self.cached = Some(cached);
-        self
-    }
-
     /// The graph being profiled.
     pub fn graph(&self) -> &'g LayerGraph {
         self.graph
-    }
-
-    /// Whether this request goes through the profile cache, after applying
-    /// the per-request override on top of the config default.
-    fn effective_cached(&self, cfg: &XspConfig) -> bool {
-        self.cached.unwrap_or(cfg.cached)
     }
 
     /// The run kinds the request expands to, in submission order.
@@ -754,8 +732,8 @@ impl Xsp {
     /// where a cache hit must stay a pointer bump instead of a span-vector
     /// deep copy.
     ///
-    /// When the request opts into caching (via [`ProfileRequest::cached`]
-    /// or [`XspConfig::cached`]), the process-wide
+    /// When the config opts into caching ([`XspConfig::cached`]), the
+    /// process-wide
     /// [`crate::cache::global`] cache is consulted first, then the
     /// [`XspConfig::cache_dir`] disk tier, and only then is the profile
     /// computed (and stored back in both tiers). A hit replays the
@@ -764,7 +742,7 @@ impl Xsp {
     /// cold run streams — so sink bytes stay identical, warm or cold, at
     /// any worker count.
     pub fn run_shared(&self, request: ProfileRequest<'_>) -> Arc<LeveledProfile> {
-        if !request.effective_cached(&self.cfg) {
+        if !self.cfg.cached {
             let profile = Arc::new(self.profile_of(request.graph(), &request.run_kinds()));
             return profile;
         }

@@ -335,11 +335,11 @@ mod tests {
         let kernels: Vec<_> = correlated
             .spans()
             .iter()
-            .filter(|s| s.span.name == "volta_sgemm_128x64_nn")
+            .filter(|s| s.name == "volta_sgemm_128x64_nn")
             .collect();
         assert_eq!(kernels.len(), 2);
         for k in kernels {
-            assert!(k.launch_interval.is_some(), "merged with launch half");
+            assert!(k.is_async_launch(), "merged with launch half");
         }
     }
 

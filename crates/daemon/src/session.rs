@@ -294,11 +294,13 @@ impl Session {
     /// per-session [`StoreCorrelationCache`] re-correlates only runs whose
     /// store bucket grew since the previous export (append-only stores keep
     /// finalized runs bit-identical), so a repeat export is O(new spans).
-    /// The cache materializes the same per-run correlations the batch
-    /// engine computes, and the correlated trace is written by the same
-    /// [`export_correlated`] the offline path calls, so a capture streamed
-    /// through the daemon exports byte-identically to the same capture
-    /// converted one-shot.
+    /// The cache keeps the engine's verdicts per run and turns them into
+    /// spans through the step an owned trace's correlation uses — the same
+    /// parents and the same launch-tag fold, even when a batch boundary
+    /// split a launch from its execution — and the correlated trace is
+    /// written by the same [`export_correlated`] the offline path calls,
+    /// so a capture streamed through the daemon exports byte-identically
+    /// to the same capture converted one-shot.
     /// When a daemon-wide [`ExportCache`] is installed, the finished bytes
     /// are additionally shared by content fingerprint: a second session
     /// that ingested the same capture serves its export straight from the

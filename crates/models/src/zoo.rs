@@ -926,15 +926,15 @@ fn edit_distance(a: &str, b: &str) -> usize {
     row[b_chars.len()]
 }
 
-/// Forgiving model lookup across every tier: exact name first, then
-/// case-insensitive with `-`/`_` interchangeable, then unique-prefix
-/// (`bert-base` → BERT-Base_SQuAD_384). An exact normalized match wins
-/// outright, so a full name that happens to prefix another entry
-/// (DeepLabv3_MobileNet_v2 vs ..._DM0.5) is never reported ambiguous.
-/// Failures come back as a structured [`LookupError`] carrying the nearest
-/// zoo ids/names.
+/// Forgiving model lookup across every tier: the zoo id `xsp list-models`
+/// prints (`56`), or the exact name, then case-insensitive with `-`/`_`
+/// interchangeable, then unique-prefix (`bert-base` →
+/// BERT-Base_SQuAD_384). An exact normalized match wins outright, so a
+/// full name that happens to prefix another entry (DeepLabv3_MobileNet_v2
+/// vs ..._DM0.5) is never reported ambiguous. Failures come back as a
+/// structured [`LookupError`] carrying the nearest zoo ids/names.
 pub fn lookup(name: &str) -> Result<ModelEntry, LookupError> {
-    if let Some(exact) = by_name(name) {
+    if let Some(exact) = name.parse().ok().and_then(by_id).or_else(|| by_name(name)) {
         return Ok(exact);
     }
     let needle = normalize(name);
@@ -979,6 +979,9 @@ mod tests {
     #[test]
     fn lookup_is_forgiving() {
         assert_eq!(lookup("BERT-Base_SQuAD_384").unwrap().id, 56);
+        assert_eq!(lookup("5").unwrap().id, 5, "the id list-models prints");
+        assert_eq!(lookup("58").unwrap().name, "GPT2_Small_256");
+        assert!(lookup("59").is_err() && lookup("0").is_err());
         assert_eq!(lookup("bert-base").unwrap().id, 56);
         assert_eq!(lookup("gpt2_small_256").unwrap().id, 58);
     }

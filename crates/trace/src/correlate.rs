@@ -8,7 +8,7 @@
 //!    (CUPTI activity API), linked by a `correlation_id` tag. Per the paper,
 //!    "XSP uses the launch span's parent as the parent of the asynchronous
 //!    function and uses the execution span to get the performance
-//!    information": each pair becomes one entry with the execution's timing,
+//!    information": each pair becomes one span with the execution's timing,
 //!    the launch's parent, and the launch tags the execution lacks.
 //!
 //! 2. **Parent reconstruction** — profilers at different stack levels cannot
@@ -20,48 +20,27 @@
 //!    re-run with serialized execution (`CUDA_LAUNCH_BLOCKING=1`).
 //!
 //! The [`CorrelationEngine`] runs this pass over either span container: an
-//! owned [`Trace`] ([`CorrelationEngine::correlate`], which moves the spans
-//! into the result without cloning them) or a columnar [`SpanStore`]
-//! ([`CorrelationEngine::correlate_store`] and the per-run
-//! [`StoreCorrelationCache`], which reference store indices and build no
-//! owned span). The pass reads a run through a small positional view and
-//! writes its verdicts into an engine-owned buffer, so both containers get
-//! their merge, parent and ambiguity results from the same code. Interval
-//! trees are built *lazily*: a level's tree is built on the first probe
-//! against it and cached for the rest of the run, so levels nothing probes
-//! (notably the kernel level, which holds most spans but can never be
-//! anyone's parent) never pay for construction. [`reconstruct_parents`] is
-//! the borrowing wrapper the offline paths and tests use.
+//! owned [`Trace`] ([`CorrelationEngine::correlate`]) or a columnar
+//! [`SpanStore`] ([`CorrelationEngine::correlate_store`] and the per-run
+//! [`StoreCorrelationCache`], which keep only the pass's verdicts until
+//! spans are asked for). The pass reads a run through a small positional
+//! view and writes its verdicts into an engine-owned buffer, so both
+//! containers get their merge, parent and ambiguity results from the same
+//! code; one private step then turns a run's verdicts into the plain
+//! [`Span`]s of a [`CorrelatedTrace`] for both — moving them out of a
+//! `Trace` without cloning, or materializing them from a store — and one
+//! function folds a launch's tags into its execution. Interval trees are
+//! built *lazily*: a level's tree is built on the first probe against it
+//! and cached for the rest of the run, so levels nothing probes (notably
+//! the kernel level, which holds most spans but can never be anyone's
+//! parent) never pay for construction. [`reconstruct_parents`] is the
+//! borrowing wrapper the offline paths and tests use.
 
 use crate::fxhash::FxHashMap;
 use crate::interval::{Interval, IntervalTree};
 use crate::server::Trace;
 use crate::span::{tag_keys, Span, SpanId, StackLevel, TagValue, TraceId};
-use crate::store::{SpanStore, HAS_CID, IS_EXEC, IS_LAUNCH};
-
-/// A span with its resolved parent and, for async operations, the launch
-/// interval used during parent matching.
-#[derive(Debug, Clone)]
-pub struct CorrelatedSpan {
-    /// The effective span. For async operations this carries the *execution*
-    /// timing (performance information) with tags merged from both halves.
-    pub span: Span,
-    /// `[start, end]` of the launch span for async operations; parent
-    /// matching uses this interval because the execution may slide past the
-    /// end of the enclosing layer.
-    pub launch_interval: Option<(u64, u64)>,
-    /// Resolved parent (explicit or reconstructed).
-    pub parent: Option<SpanId>,
-}
-
-impl CorrelatedSpan {
-    /// The interval used for parent matching: the launch interval for async
-    /// spans, the span's own interval otherwise.
-    pub fn anchor_interval(&self) -> (u64, u64) {
-        self.launch_interval
-            .unwrap_or((self.span.start_ns, self.span.end_ns))
-    }
-}
+use crate::store::{SpanStore, TagRef, HAS_CID, IS_EXEC, IS_LAUNCH};
 
 /// Ambiguities discovered during parent reconstruction.
 #[derive(Debug, Clone, Default)]
@@ -94,23 +73,24 @@ impl AmbiguityReport {
     }
 }
 
-/// A fully correlated trace: every span has a resolved parent (where one
-/// exists) and async pairs are merged.
+/// A fully correlated trace: plain [`Span`]s whose `parent` is resolved
+/// (where one exists), with async pairs merged.
 ///
 /// The span table is built once by the [`CorrelationEngine`] together with
-/// a `(trace id, span id) → index` map, the resolved-parent adjacency by
-/// index, and the root set. A parent reference resolves only within its
-/// span's own run, and a repeated id resolves to its first occurrence, so
-/// the adjacency is a forest: a walk from the roots stays in one run and
-/// visits each span at most once, even when runs repeat span ids (serving
-/// steps replay one memoized run) or a capture repeats an id. The span
-/// table is private; the only mutation the pipeline needs — re-parenting
-/// a span after a serialized re-run — goes through
-/// [`CorrelatedTrace::set_parent`], which keeps every index coherent.
+/// a `(trace id, span id) → index` map, the adjacency by index that the
+/// spans' `parent` fields induce, and the root set. A parent reference
+/// resolves only within its span's own run, and a repeated id resolves to
+/// its first occurrence, so the adjacency is a forest: a walk from the
+/// roots stays in one run and visits each span at most once, even when
+/// runs repeat span ids (serving steps replay one memoized run) or a
+/// capture repeats an id. The span table is private; the only mutation the
+/// pipeline needs — re-parenting a span after a serialized re-run — goes
+/// through [`CorrelatedTrace::set_parent`], which keeps every index
+/// coherent.
 #[derive(Debug, Clone, Default)]
 pub struct CorrelatedTrace {
     /// Correlated spans in publication order.
-    spans: Vec<CorrelatedSpan>,
+    spans: Vec<Span>,
     /// `(trace id, span id) → index` (first occurrence wins).
     index_of: FxHashMap<(TraceId, SpanId), usize>,
     /// Child indices of each span, in appearance order.
@@ -122,14 +102,14 @@ pub struct CorrelatedTrace {
 }
 
 impl CorrelatedTrace {
-    /// Builds the indexed store from correlated spans (used by the engine,
-    /// by the profile cache, which reloads spans a correlation already
-    /// produced, and by tests that assemble traces by hand).
-    pub fn new(spans: Vec<CorrelatedSpan>, ambiguities: AmbiguityReport) -> Self {
+    /// Indexes correlated spans (used by the engine, by the profile cache,
+    /// which reloads spans a correlation already produced, and by tests
+    /// that assemble traces by hand).
+    pub fn new(spans: Vec<Span>, ambiguities: AmbiguityReport) -> Self {
         let mut index_of = FxHashMap::default();
         index_of.reserve(spans.len());
         for (i, s) in spans.iter().enumerate() {
-            index_of.entry((s.span.trace_id, s.span.id)).or_insert(i);
+            index_of.entry((s.trace_id, s.id)).or_insert(i);
         }
         let mut trace = Self {
             children: vec![Vec::new(); spans.len()],
@@ -148,23 +128,23 @@ impl CorrelatedTrace {
     }
 
     /// All correlated spans, in publication order.
-    pub fn spans(&self) -> &[CorrelatedSpan] {
+    pub fn spans(&self) -> &[Span] {
         &self.spans
     }
 
-    /// Iterates the effective [`Span`]s in publication order (the view
+    /// Iterates the correlated spans in publication order (the view
     /// exporters stream).
     pub fn iter_spans(&self) -> impl Iterator<Item = &Span> {
-        self.spans.iter().map(|s| &s.span)
+        self.spans.iter()
     }
 
     /// Spans at the given level.
-    pub fn at_level(&self, level: StackLevel) -> impl Iterator<Item = &CorrelatedSpan> {
-        self.spans.iter().filter(move |s| s.span.level == level)
+    pub fn at_level(&self, level: StackLevel) -> impl Iterator<Item = &Span> {
+        self.spans.iter().filter(move |s| s.level == level)
     }
 
     /// Direct children of the span at `idx`, in appearance order.
-    pub fn children_of(&self, idx: usize) -> impl Iterator<Item = &CorrelatedSpan> {
+    pub fn children_of(&self, idx: usize) -> impl Iterator<Item = &Span> {
         self.children[idx].iter().map(|&i| &self.spans[i])
     }
 
@@ -186,11 +166,11 @@ impl CorrelatedTrace {
         self.index_of.get(&(trace_id, id)).copied()
     }
 
-    /// The index of the resolved parent of the span at `idx`, when that
-    /// parent is present in the span's run.
+    /// The index of the parent of the span at `idx`, when that parent is
+    /// present in the span's run.
     pub fn parent_index(&self, idx: usize) -> Option<usize> {
         let s = &self.spans[idx];
-        self.position(s.span.trace_id, s.parent?)
+        self.position(s.trace_id, s.parent?)
     }
 
     /// Re-parents the span at `idx`, keeping the span table, adjacency and
@@ -199,7 +179,6 @@ impl CorrelatedTrace {
     pub fn set_parent(&mut self, idx: usize, parent: SpanId) {
         let old = self.parent_index(idx);
         self.spans[idx].parent = Some(parent);
-        self.spans[idx].span.parent = Some(parent);
         let new = self.parent_index(idx);
         if old == new {
             return;
@@ -280,7 +259,8 @@ struct Verdict {
 }
 
 /// What the correlation pass reads of one evaluation run, by position in
-/// the run — implemented once per span container.
+/// the run — implemented once per span container — plus the two reads
+/// [`spans_of_run`] makes to turn the run's verdicts into spans.
 trait RunView {
     fn len(&self) -> usize;
     fn role(&self, pos: usize) -> AsyncRole;
@@ -288,11 +268,14 @@ trait RunView {
     fn level(&self, pos: usize) -> StackLevel;
     fn interval(&self, pos: usize) -> (u64, u64);
     fn parent(&self, pos: usize) -> Option<SpanId>;
+    fn tags(&self, pos: usize) -> impl Iterator<Item = (&str, TagRef<'_>)>;
+    /// The owned span at `pos`, taken at most once per position.
+    fn take(&mut self, pos: usize) -> Span;
 }
 
 /// One run of an owned span table: the table plus the run's indices.
 struct SpanRun<'a> {
-    spans: &'a [Span],
+    spans: &'a mut [Span],
     idxs: &'a [usize],
 }
 
@@ -330,6 +313,31 @@ impl RunView for SpanRun<'_> {
 
     fn parent(&self, pos: usize) -> Option<SpanId> {
         self.at(pos).parent
+    }
+
+    fn tags(&self, pos: usize) -> impl Iterator<Item = (&str, TagRef<'_>)> {
+        self.at(pos)
+            .tags
+            .iter()
+            .map(|(k, v)| (k.as_str(), TagRef::from(v)))
+    }
+
+    /// Moves the span out of the table, leaving an empty span that owns no
+    /// heap memory: spans leave in run order, which differs from table
+    /// order when runs interleave.
+    fn take(&mut self, pos: usize) -> Span {
+        let empty = Span {
+            id: SpanId(0),
+            trace_id: TraceId(0),
+            name: String::new(),
+            level: StackLevel::Kernel,
+            start_ns: 0,
+            end_ns: 0,
+            parent: None,
+            tags: Vec::new(),
+            logs: Vec::new(),
+        };
+        std::mem::replace(&mut self.spans[self.idxs[pos]], empty)
     }
 }
 
@@ -372,24 +380,41 @@ impl RunView for StoreRun<'_> {
     fn parent(&self, pos: usize) -> Option<SpanId> {
         self.store.parent_at(self.idxs[pos])
     }
+
+    fn tags(&self, pos: usize) -> impl Iterator<Item = (&str, TagRef<'_>)> {
+        self.store.view(self.idxs[pos]).tags()
+    }
+
+    fn take(&mut self, pos: usize) -> Span {
+        self.store.materialize(self.idxs[pos])
+    }
 }
 
-/// Moves the span out of `slot`, leaving an empty span that owns no heap
-/// memory: [`CorrelationEngine::correlate`] takes spans out of the trace's
-/// table in run order, which differs from table order when runs interleave.
-fn take_span(slot: &mut Span) -> Span {
-    let empty = Span {
-        id: SpanId(0),
-        trace_id: TraceId(0),
-        name: String::new(),
-        level: StackLevel::Kernel,
-        start_ns: 0,
-        end_ns: 0,
-        parent: None,
-        tags: Vec::new(),
-        logs: Vec::new(),
-    };
-    std::mem::replace(slot, empty)
+/// Turns one run's verdicts into owned spans, appended to `out` in run
+/// order — the one output step of both containers. Each span gets its
+/// verdict's parent, and a merged execution gets its launch's tags through
+/// [`fold_launch_tags`]. A folded launch has no verdict of its own, so it
+/// is still in place for every execution that pairs with it.
+fn spans_of_run(run: &mut impl RunView, verdicts: &[Verdict], out: &mut Vec<Span>) {
+    for v in verdicts {
+        let mut span = run.take(v.src as usize);
+        span.parent = v.parent;
+        if let Some(l) = v.launch {
+            fold_launch_tags(&mut span, run.tags(l as usize));
+        }
+        out.push(span);
+    }
+}
+
+/// The tag half of the async merge: appends each launch tag whose key the
+/// execution does not carry yet, in launch order, so the execution's own
+/// values win and a key the launch repeats contributes its first value.
+fn fold_launch_tags<'t>(exec: &mut Span, launch_tags: impl Iterator<Item = (&'t str, TagRef<'t>)>) {
+    for (key, value) in launch_tags {
+        if exec.tag(key).is_none() {
+            exec.tags.push((key.to_owned(), value.to_value()));
+        }
+    }
 }
 
 /// The correlation engine: one pass per evaluation run, plus the scratch
@@ -450,86 +475,29 @@ impl CorrelationEngine {
     /// byte-identity goldens pin this).
     pub fn correlate(&mut self, trace: Trace) -> CorrelatedTrace {
         let (mut spans, runs) = trace.into_parts();
-        let mut out: Vec<CorrelatedSpan> = Vec::with_capacity(spans.len());
+        let mut out = Vec::with_capacity(spans.len());
         let mut ambiguities = AmbiguityReport::default();
         for (_, idxs) in &runs {
-            let run = SpanRun {
-                spans: &spans,
+            let mut run = SpanRun {
+                spans: &mut spans,
                 idxs,
             };
             self.correlate_run(&run, &mut ambiguities);
-            for v in &self.verdicts {
-                let mut span = take_span(&mut spans[idxs[v.src as usize]]);
-                span.parent = v.parent;
-                // A folded launch has no verdict of its own, so it is still
-                // in the table for every execution that pairs with it.
-                let launch_interval = v.launch.map(|l| {
-                    let launch = &spans[idxs[l as usize]];
-                    for (k, val) in &launch.tags {
-                        if span.tag(k).is_none() {
-                            span.tags.push((k.clone(), val.clone()));
-                        }
-                    }
-                    (launch.start_ns, launch.end_ns)
-                });
-                out.push(CorrelatedSpan {
-                    span,
-                    launch_interval,
-                    parent: v.parent,
-                });
-            }
+            spans_of_run(&mut run, &self.verdicts, &mut out);
         }
         CorrelatedTrace::new(out, ambiguities)
     }
 
-    /// Correlates every run of `store` without materializing a single
-    /// owned [`Span`]: the same pass as [`CorrelationEngine::correlate`],
-    /// with async roles from the store's pre-computed columns and merged
-    /// launch tags kept as arena *references* instead of clones.
-    pub fn correlate_store(&mut self, store: &SpanStore) -> StoreCorrelation {
-        let mut out = StoreCorrelation::default();
-        out.entries.reserve(store.len());
-        for (_, idxs) in store.run_buckets() {
-            self.correlate_store_run(store, idxs, &mut out);
-        }
-        out
-    }
-
-    /// Correlates one run bucket of `store` and appends its entries to
-    /// `out`. A merged launch tag counts as missing when neither the
-    /// execution's own tags nor the extras appended before it carry its key
-    /// — the same rule as the owned path's growing tag list.
-    fn correlate_store_run(&mut self, store: &SpanStore, idxs: &[u32], out: &mut StoreCorrelation) {
-        self.correlate_run(&StoreRun { store, idxs }, &mut out.ambiguities);
-        out.entries.reserve(self.verdicts.len());
-        for v in &self.verdicts {
-            let si = idxs[v.src as usize];
-            let extras_start = out.extra_tags.len();
-            let launch_interval = v.launch.map(|l| {
-                let li = idxs[l as usize];
-                let exec_tags = store.tag_range(si);
-                for lt in store.tag_range(li) {
-                    let key = store.tag_key_at(lt);
-                    let present = exec_tags.clone().any(|t| store.tag_key_at(t) == key)
-                        || out.extra_tags[extras_start..]
-                            .iter()
-                            .any(|&e| store.tag_key_at(e as usize) == key);
-                    if !present {
-                        out.extra_tags.push(lt as u32);
-                    }
-                }
-                store.interval_at(li)
-            });
-            out.entries.push(StoreEntry {
-                span: si,
-                parent: v.parent,
-                launch_interval,
-                extras: (
-                    extras_start as u32,
-                    (out.extra_tags.len() - extras_start) as u32,
-                ),
-            });
-        }
+    /// Correlates every run of `store` without building a single owned
+    /// [`Span`]: the same pass as [`CorrelationEngine::correlate`], with
+    /// async roles read from the store's pre-computed columns. Returns the
+    /// verdicts of every run as a filled [`StoreCorrelationCache`], whose
+    /// [`materialize`](StoreCorrelationCache::materialize) builds the
+    /// spans.
+    pub fn correlate_store(&mut self, store: &SpanStore) -> StoreCorrelationCache {
+        let mut cache = StoreCorrelationCache::new();
+        cache.refresh(self, store);
+        cache
     }
 
     /// The correlation pass over one run: merges async pairs, then
@@ -679,107 +647,17 @@ impl CorrelationEngine {
     }
 }
 
-/// One correlated span in a [`StoreCorrelation`]: a store index plus the
-/// correlation results (resolved parent, launch interval of a merged async
-/// pair, and any launch tags folded in — kept as arena references, not
-/// clones).
-#[derive(Debug, Clone, Copy)]
-pub struct StoreEntry {
-    /// Index of the underlying span in the correlated [`SpanStore`].
-    pub span: u32,
-    /// Parent after correlation: the span's own explicit parent, the
-    /// merged launch's parent, or a reconstructed one.
-    pub parent: Option<SpanId>,
-    /// `(start_ns, end_ns)` of the merged launch half, when this entry is
-    /// a correlated async pair.
-    pub launch_interval: Option<(u64, u64)>,
-    /// `(start, len)` range into the correlation's extra-tag arena.
-    extras: (u32, u32),
-}
-
-/// The result of [`CorrelationEngine::correlate_store`]: correlation
-/// verdicts over a [`SpanStore`], without any owned [`Span`]s.
-///
-/// Entries reference spans by store index; merged launch tags are indices
-/// into the store's tag arena. [`StoreCorrelation::materialize`] converts
-/// the result into the owned [`CorrelatedTrace`] the analysis and export
-/// layers consume — the same trace [`CorrelationEngine::correlate`] yields
-/// for the materialized spans, since both run the one correlation pass.
-#[derive(Debug, Default)]
-pub struct StoreCorrelation {
-    entries: Vec<StoreEntry>,
-    /// Arena indices (into the store's tag arena) of launch tags merged
-    /// into execution entries; sliced per entry via `StoreEntry::extras`.
-    extra_tags: Vec<u32>,
-    /// Parent reconstructions that failed or were ambiguous.
-    pub ambiguities: AmbiguityReport,
-}
-
-impl StoreCorrelation {
-    /// Number of correlated entries (merged async pairs count once).
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when no spans were correlated.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// The correlated entries, in run order.
-    pub fn entries(&self) -> &[StoreEntry] {
-        &self.entries
-    }
-
-    /// The launch tags merged into `entry`, as `(key, value)` pairs
-    /// resolved from the store's arena.
-    pub fn extra_tags_of<'s>(
-        &'s self,
-        entry: &StoreEntry,
-        store: &'s SpanStore,
-    ) -> impl Iterator<Item = (String, TagValue)> + 's {
-        let (start, len) = entry.extras;
-        self.extra_tags[start as usize..(start + len) as usize]
-            .iter()
-            .map(move |&arena| store.tag_pair_at(arena as usize))
-    }
-
-    /// Materializes the correlation into an owned [`CorrelatedTrace`]: each
-    /// entry's span is rebuilt from the store with the correlated parent
-    /// applied and any merged launch tags appended in launch order.
-    pub fn materialize(&self, store: &SpanStore) -> CorrelatedTrace {
-        CorrelatedTrace::new(self.materialized_spans(store), self.ambiguities.clone())
-    }
-
-    /// The owned correlated spans of [`StoreCorrelation::materialize`],
-    /// without the trace indexing — the daemon's cached per-run
-    /// correlations collect these and index once at the end.
-    fn materialized_spans(&self, store: &SpanStore) -> Vec<CorrelatedSpan> {
-        self.entries
-            .iter()
-            .map(|entry| {
-                let mut span = store.materialize(entry.span);
-                span.parent = entry.parent;
-                span.tags.extend(self.extra_tags_of(entry, store));
-                CorrelatedSpan {
-                    parent: entry.parent,
-                    launch_interval: entry.launch_interval,
-                    span,
-                }
-            })
-            .collect()
-    }
-}
-
 /// One run's cached correlation: the run id and span count it was computed
-/// at, plus the verdicts themselves.
+/// at, plus the engine's verdicts and the run's ambiguity report.
 struct CachedRun {
     trace_id: TraceId,
     /// Span count of the run bucket when the correlation was computed; a
     /// grown bucket invalidates this entry (runs are append-only, so a
     /// matching `(trace_id, len)` pair means an identical bucket).
     len: usize,
-    correlation: StoreCorrelation,
+    /// Verdicts by position in the run bucket.
+    verdicts: Vec<Verdict>,
+    ambiguities: AmbiguityReport,
 }
 
 /// A per-run correlation cache over an append-only [`SpanStore`] — the
@@ -843,28 +721,31 @@ impl StoreCorrelationCache {
             .count();
         self.runs.truncate(valid);
         for (tid, idxs) in buckets.iter().skip(valid) {
-            let mut correlation = StoreCorrelation::default();
-            engine.correlate_store_run(store, idxs, &mut correlation);
+            let mut ambiguities = AmbiguityReport::default();
+            engine.correlate_run(&StoreRun { store, idxs }, &mut ambiguities);
             self.passes += 1;
             self.runs.push(CachedRun {
                 trace_id: *tid,
                 len: idxs.len(),
-                correlation,
+                verdicts: engine.verdicts.clone(),
+                ambiguities,
             });
         }
     }
 
-    /// Materializes the cached correlations, in run order, into one
-    /// [`CorrelatedTrace`] — identical to
-    /// `engine.correlate_store(store).materialize(store)` (runs correlate
-    /// independently and the cache preserves bucket order), but only the
-    /// refresh paid correlation cost.
+    /// Materializes the cached verdicts, in run order, into one
+    /// [`CorrelatedTrace`] — the spans [`CorrelationEngine::correlate`]
+    /// yields for the same spans (runs correlate independently and the
+    /// cache preserves bucket order), but only the refreshes paid
+    /// correlation cost. `store` must be the store of the last
+    /// [`refresh`](StoreCorrelationCache::refresh).
     pub fn materialize(&self, store: &SpanStore) -> CorrelatedTrace {
-        let mut spans = Vec::new();
+        let mut spans = Vec::with_capacity(self.runs.iter().map(|r| r.verdicts.len()).sum());
         let mut ambiguities = AmbiguityReport::default();
-        for run in &self.runs {
-            spans.extend(run.correlation.materialized_spans(store));
-            ambiguities.merge(run.correlation.ambiguities.clone());
+        for (run, (tid, idxs)) in self.runs.iter().zip(store.run_buckets()) {
+            debug_assert!(run.trace_id == *tid && run.len == idxs.len(), "stale cache");
+            spans_of_run(&mut StoreRun { store, idxs }, &run.verdicts, &mut spans);
+            ambiguities.merge(run.ambiguities.clone());
         }
         CorrelatedTrace::new(spans, ambiguities)
     }
@@ -950,15 +831,10 @@ mod tests {
         let c = reconstruct_parents(&Trace::from_spans(vec![l, x]));
         assert_eq!(c.len(), 1);
         let m = &c.spans()[0];
-        assert_eq!(m.span.start_ns, 150, "execution timing retained");
+        assert_eq!(m.start_ns, 150, "execution timing retained");
         assert_eq!(m.parent, Some(SpanId(42)), "parent from the launch");
-        assert_eq!(m.span.parent, Some(SpanId(42)));
-        assert_eq!(m.launch_interval, Some((100, 110)));
-        assert_eq!(m.anchor_interval(), (100, 110));
-        assert_eq!(
-            m.span.tag(tag_keys::FLOP_COUNT_SP).unwrap().as_u64(),
-            Some(1000)
-        );
+        assert!(m.is_async_launch(), "the launch's flag folded in");
+        assert_eq!(m.tag(tag_keys::FLOP_COUNT_SP).unwrap().as_u64(), Some(1000));
     }
 
     #[test]
@@ -967,7 +843,9 @@ mod tests {
         let x = exec("kernel", 2, 10, 20);
         let c = reconstruct_parents(&Trace::from_spans(vec![l, x]));
         assert_eq!(c.len(), 2, "both unpaired halves kept");
-        assert!(c.spans().iter().all(|s| s.launch_interval.is_none()));
+        assert!(c
+            .iter_spans()
+            .all(|s| s.is_async_launch() != s.is_async_execution()));
     }
 
     #[test]
@@ -985,11 +863,7 @@ mod tests {
         let trace = Trace::from_spans(vec![model, layer1, layer2, l, x]);
         let c = reconstruct_parents(&trace);
         assert!(c.ambiguities.is_clean(), "{:?}", c.ambiguities);
-        let kernel = c
-            .spans()
-            .iter()
-            .find(|s| s.span.name == "volta_scudnn")
-            .unwrap();
+        let kernel = c.spans().iter().find(|s| s.name == "volta_scudnn").unwrap();
         assert_eq!(
             kernel.parent,
             Some(l1),
@@ -1005,7 +879,7 @@ mod tests {
         layer.parent = Some(mid);
         let trace = Trace::from_spans(vec![model, layer]);
         let c = reconstruct_parents(&trace);
-        let l = c.spans().iter().find(|s| s.span.name == "conv").unwrap();
+        let l = c.spans().iter().find(|s| s.name == "conv").unwrap();
         assert_eq!(l.parent, Some(mid));
     }
 
@@ -1018,7 +892,7 @@ mod tests {
         let trace = Trace::from_spans(vec![model, k]);
         let c = reconstruct_parents(&trace);
         assert!(c.ambiguities.is_clean());
-        let kernel = c.spans().iter().find(|s| s.span.name == "kernel").unwrap();
+        let kernel = c.spans().iter().find(|s| s.name == "kernel").unwrap();
         assert_eq!(kernel.parent, Some(mid));
     }
 
@@ -1038,7 +912,7 @@ mod tests {
         assert!(c.ambiguities.needs_serialized_rerun());
         assert_eq!(c.ambiguities.ambiguous.len(), 1);
         // best effort picked the tighter span (layerA)
-        let kernel = c.spans().iter().find(|s| s.span.name == "kernel").unwrap();
+        let kernel = c.spans().iter().find(|s| s.name == "kernel").unwrap();
         assert_eq!(kernel.parent, Some(a_id));
     }
 
@@ -1066,7 +940,7 @@ mod tests {
         let m = c
             .spans()
             .iter()
-            .find(|s| s.span.name == "cudaMemcpyH2D")
+            .find(|s| s.name == "cudaMemcpyH2D")
             .unwrap();
         assert_eq!(m.parent, Some(mid));
     }
@@ -1090,7 +964,7 @@ mod tests {
         let parents: Vec<Option<SpanId>> = c
             .spans()
             .iter()
-            .filter(|s| s.span.level == StackLevel::Kernel)
+            .filter(|s| s.level == StackLevel::Kernel)
             .map(|s| s.parent)
             .collect();
         assert_eq!(parents, vec![Some(m1_id), Some(m2_id)]);
@@ -1158,7 +1032,7 @@ mod tests {
         let c = reconstruct_parents(&trace);
         assert_eq!(c.position(TraceId(1), lid), Some(1));
         assert_eq!(c.position(TraceId(2), lid), None, "lookups stay in a run");
-        let kids: Vec<&str> = c.children_of(1).map(|k| k.span.name.as_str()).collect();
+        let kids: Vec<&str> = c.children_of(1).map(|k| k.name.as_str()).collect();
         assert_eq!(kids, ["k1", "k2"]);
         assert_eq!(c.parent_index(2), Some(1));
         assert_eq!(c.root_indices(), &[0], "only the model span is a root");
@@ -1181,7 +1055,7 @@ mod tests {
         assert_eq!(c.spans()[kidx].parent, Some(a_id));
         c.set_parent(kidx, b_id);
         assert_eq!(c.spans()[kidx].parent, Some(b_id));
-        assert_eq!(c.spans()[kidx].span.parent, Some(b_id));
+        assert_eq!(c.spans()[kidx].parent, Some(b_id));
         assert!(c.child_indices(1).is_empty());
         assert_eq!(c.child_indices(2), &[kidx]);
         assert_eq!(c.root_indices(), &[0]);
@@ -1241,7 +1115,7 @@ mod tests {
         for pair in all.spans().chunks(2) {
             assert_eq!(
                 pair[1].parent,
-                Some(pair[0].span.id),
+                Some(pair[0].id),
                 "kernel binds in its own run"
             );
         }
@@ -1274,17 +1148,9 @@ mod tests {
         assert_eq!(cache.passes(), 2, "one pass per run");
         assert_eq!(cache.runs_cached(), 2);
 
-        // Identity vs the one-shot store pass.
-        let batch = CorrelationEngine::new()
-            .correlate_store(&store)
-            .materialize(&store);
-        let cached = cache.materialize(&store);
-        assert_eq!(cached.len(), batch.len());
-        for (c, b) in cached.spans().iter().zip(batch.spans()) {
-            assert_eq!(c.span, b.span);
-            assert_eq!(c.parent, b.parent);
-            assert_eq!(c.launch_interval, b.launch_interval);
-        }
+        // Identity vs the owned-trace pass.
+        let batch = CorrelationEngine::new().correlate(store.to_trace());
+        assert_eq!(cache.materialize(&store).spans(), batch.spans());
 
         // Nothing new: a refresh re-correlates nothing.
         cache.refresh(&mut engine, &store);
@@ -1305,15 +1171,8 @@ mod tests {
         assert_eq!(cache.passes(), 4);
 
         // The refreshed cache still matches the batch pass.
-        let batch = CorrelationEngine::new()
-            .correlate_store(&store)
-            .materialize(&store);
-        let cached = cache.materialize(&store);
-        assert_eq!(cached.len(), batch.len());
-        for (c, b) in cached.spans().iter().zip(batch.spans()) {
-            assert_eq!(c.span, b.span);
-            assert_eq!(c.parent, b.parent);
-        }
+        let batch = CorrelationEngine::new().correlate(store.to_trace());
+        assert_eq!(cache.materialize(&store).spans(), batch.spans());
 
         // Invalidation after a store clear: everything recorrelates.
         store.clear();
@@ -1344,7 +1203,7 @@ mod tests {
         }
         let store = crate::store::SpanStore::from_spans(&spans);
         let mut engine = CorrelationEngine::new();
-        let c = engine.correlate_store(&store);
+        let c = engine.correlate_store(&store).materialize(&store);
         assert!(c.ambiguities.is_clean(), "{:?}", c.ambiguities);
         assert_eq!(c.len(), 1 + 20 + 100, "pairs merged");
         assert_eq!(engine.trees_built_at(StackLevel::Kernel), 0);

@@ -340,37 +340,50 @@ impl<W: Write> FoldedStacksWriter<W> {
     /// Streams the folded stacks of one correlated trace (typically a
     /// single evaluation run) to the output, walking the trace's built-once
     /// root/children indices — no per-export adjacency rebuild. Each walk
-    /// stays in its root's run and visits a span at most once.
+    /// stays in its root's run and visits a span at most once. The walk is
+    /// pre-order on an explicit stack of open spans, so a deep parent chain
+    /// costs heap, not call-stack frames.
     pub fn write_run(&mut self, trace: &CorrelatedTrace) -> io::Result<()> {
-        let mut stack = Vec::new();
-        for &r in trace.root_indices() {
-            self.emit(trace, r, &mut stack)?;
+        let spans = trace.spans();
+        // The open path's frames, `;`-joined, and per open span: its index,
+        // the position of its next child, and where its frame starts.
+        let mut line = String::new();
+        let mut open: Vec<(usize, usize, usize)> = Vec::new();
+        let mut roots = trace.root_indices().iter();
+        loop {
+            let idx = match open.last_mut() {
+                Some((parent, next, start)) => match trace.child_indices(*parent).get(*next) {
+                    Some(&kid) => {
+                        *next += 1;
+                        kid
+                    }
+                    None => {
+                        line.truncate(*start);
+                        open.pop();
+                        continue;
+                    }
+                },
+                None => match roots.next() {
+                    Some(&root) => root,
+                    None => return Ok(()),
+                },
+            };
+            open.push((idx, 0, line.len()));
+            if !line.is_empty() {
+                line.push(';');
+            }
+            let span = &spans[idx];
+            line.extend(span.name.chars().map(|c| match c {
+                ';' | ' ' => '_',
+                c => c,
+            }));
+            let kids = trace.child_indices(idx);
+            let child_time: u64 = kids.iter().map(|&k| spans[k].duration_ns()).sum();
+            let self_us = span.duration_ns().saturating_sub(child_time) / 1_000;
+            if self_us > 0 || kids.is_empty() {
+                writeln!(self.out, "{line} {}", self_us.max(1))?;
+            }
         }
-        Ok(())
-    }
-
-    fn emit(
-        &mut self,
-        trace: &CorrelatedTrace,
-        idx: usize,
-        stack: &mut Vec<String>,
-    ) -> io::Result<()> {
-        let span = &trace.spans()[idx].span;
-        stack.push(span.name.replace([';', ' '], "_"));
-        let kids = trace.child_indices(idx);
-        let child_time: u64 = kids
-            .iter()
-            .map(|&k| trace.spans()[k].span.duration_ns())
-            .sum();
-        let self_us = span.duration_ns().saturating_sub(child_time) / 1_000;
-        if self_us > 0 || kids.is_empty() {
-            writeln!(self.out, "{} {}", stack.join(";"), self_us.max(1))?;
-        }
-        for &k in kids {
-            self.emit(trace, k, stack)?;
-        }
-        stack.pop();
-        Ok(())
     }
 
     /// Flushes without consuming the writer (for long-lived sinks that

@@ -26,7 +26,7 @@ impl<'a> SpanTree<'a> {
         let spans = trace.spans();
         let chronological = |idxs: &[usize]| {
             let mut v = idxs.to_vec();
-            v.sort_by_key(|&i| spans[i].span.start_ns);
+            v.sort_by_key(|&i| spans[i].start_ns);
             v
         };
         Self {
@@ -39,7 +39,7 @@ impl<'a> SpanTree<'a> {
     }
 
     fn span(&self, idx: usize) -> &'a Span {
-        &self.trace.spans()[idx].span
+        &self.trace.spans()[idx]
     }
 
     /// The index of `span` in the trace, looked up in its own run.
@@ -60,54 +60,49 @@ impl<'a> SpanTree<'a> {
 
     /// All descendants of `span` (pre-order).
     pub fn descendants(&self, span: &Span) -> Vec<&'a Span> {
-        let mut out = Vec::new();
-        let mut stack: Vec<usize> = self
-            .index(span)
-            .map_or(Vec::new(), |i| self.children[i].clone());
-        stack.reverse();
-        while let Some(next) = stack.pop() {
-            out.push(self.span(next));
-            stack.extend(self.children[next].iter().rev());
-        }
-        out
+        let kids = self.index(span).map_or(&[][..], |i| &self.children[i]);
+        self.preorder(kids).map(|(k, _)| self.span(k)).collect()
     }
 
     /// Depth of the subtree rooted at `span` (1 = leaf).
     pub fn depth(&self, span: &Span) -> usize {
-        fn go(tree: &SpanTree<'_>, idx: usize) -> usize {
-            1 + tree.children[idx]
-                .iter()
-                .map(|&k| go(tree, k))
+        self.index(span).map_or(1, |i| {
+            self.preorder(&[i])
+                .map(|(_, depth)| depth + 1)
                 .max()
-                .unwrap_or(0)
-        }
-        self.index(span).map_or(1, |i| go(self, i))
+                .unwrap_or(1)
+        })
     }
 
     /// Renders an indented textual view of the hierarchy — the "smooth
     /// hierarchical step-through" presentation.
     pub fn render(&self) -> String {
+        use std::fmt::Write;
         let mut out = String::new();
-        for root in &self.roots {
-            self.render_node(*root, 0, &mut out);
+        for (idx, depth) in self.preorder(&self.roots) {
+            let s = self.span(idx);
+            let _ = writeln!(
+                out,
+                "{}{} [{}] {:.3} ms",
+                "  ".repeat(depth),
+                s.name,
+                s.level,
+                s.duration_ms()
+            );
         }
         out
     }
 
-    fn render_node(&self, idx: usize, depth: usize, out: &mut String) {
-        let s = self.span(idx);
-        use std::fmt::Write;
-        let _ = writeln!(
-            out,
-            "{}{} [{}] {:.3} ms",
-            "  ".repeat(depth),
-            s.name,
-            s.level,
-            s.duration_ms()
-        );
-        for &child in &self.children[idx] {
-            self.render_node(child, depth + 1, out);
-        }
+    /// The subtrees under `tops` in pre-order, as `(index, depth below the
+    /// top)`, walked on an explicit stack so a deep chain cannot overflow
+    /// the call stack.
+    fn preorder<'t>(&'t self, tops: &[usize]) -> impl Iterator<Item = (usize, usize)> + 't {
+        let mut pending: Vec<(usize, usize)> = tops.iter().rev().map(|&i| (i, 0)).collect();
+        std::iter::from_fn(move || {
+            let (idx, depth) = pending.pop()?;
+            pending.extend(self.children[idx].iter().rev().map(|&k| (k, depth + 1)));
+            Some((idx, depth))
+        })
     }
 
     /// Total number of spans.
@@ -124,7 +119,7 @@ impl<'a> SpanTree<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::correlate::{reconstruct_parents, CorrelatedSpan};
+    use crate::correlate::reconstruct_parents;
     use crate::server::Trace;
     use crate::span::{SpanBuilder, StackLevel, TraceId};
 
@@ -193,12 +188,9 @@ mod tests {
     #[test]
     fn runs_that_repeat_span_ids_stay_apart() {
         let one = make_trace();
-        let two = one.spans().iter().map(|c| CorrelatedSpan {
-            span: Span {
-                trace_id: TraceId(2),
-                ..c.span.clone()
-            },
-            ..c.clone()
+        let two = one.iter_spans().map(|s| Span {
+            trace_id: TraceId(2),
+            ..s.clone()
         });
         let spans = one.spans().iter().cloned().chain(two).collect();
         let both = CorrelatedTrace::new(spans, Default::default());

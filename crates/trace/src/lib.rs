@@ -44,8 +44,7 @@ pub mod tracer;
 
 pub use clock::VirtualClock;
 pub use correlate::{
-    reconstruct_parents, AmbiguityReport, CorrelatedTrace, CorrelationEngine, StoreCorrelation,
-    StoreCorrelationCache,
+    reconstruct_parents, AmbiguityReport, CorrelatedTrace, CorrelationEngine, StoreCorrelationCache,
 };
 pub use hierarchy::SpanTree;
 pub use intern::{NameTable, Symbol};

@@ -26,7 +26,12 @@
 //! Conversion back to the interchange shape is always available:
 //! [`SpanStore::materialize`] rebuilds a byte-identical [`Span`] (tag and
 //! log order preserved), and [`SpanStore::to_trace`] rebuilds a [`Trace`]
-//! with the same run bucketing `Trace::from_spans` would derive.
+//! with the same run bucketing `Trace::from_spans` would derive. A
+//! correlated store becomes owned spans the same way: the correlation
+//! pass keeps only verdicts, and
+//! [`crate::correlate::StoreCorrelationCache::materialize`] rebuilds each
+//! surviving span with its verdict's parent and any launch tags folded
+//! in, through the step that builds an owned trace's output too.
 
 use crate::fxhash::FxHashMap;
 use crate::intern::{NameTable, Symbol};
@@ -466,20 +471,6 @@ impl SpanStore {
         off as usize..(off + len) as usize
     }
 
-    pub(crate) fn tag_key_at(&self, arena_idx: usize) -> Symbol {
-        self.tag_keys_col[arena_idx]
-    }
-
-    /// Resolves an arena tag slot to an owned `(key, value)` pair — the
-    /// materialization step for tags referenced across spans (merged async
-    /// launch tags).
-    pub(crate) fn tag_pair_at(&self, arena_idx: usize) -> (String, TagValue) {
-        (
-            self.names.resolve(self.tag_keys_col[arena_idx]).to_owned(),
-            self.tag_value(self.tag_cells[arena_idx]),
-        )
-    }
-
     fn tag_value(&self, cell: TagCell) -> TagValue {
         match cell {
             TagCell::Str(s) => TagValue::Str(self.names.resolve(s).to_owned()),
@@ -566,7 +557,7 @@ impl<'a> SpanView<'a> {
 
     /// Iterates the span's tags as borrowed `(key, value)` pairs, in push
     /// order.
-    pub fn tags(&self) -> impl Iterator<Item = (&'a str, TagRef<'a>)> + '_ {
+    pub fn tags(&self) -> impl Iterator<Item = (&'a str, TagRef<'a>)> + 'a {
         let store = self.store;
         store.tag_range(self.idx).map(move |t| {
             (

@@ -3,7 +3,6 @@
 
 use proptest::prelude::*;
 use std::collections::HashMap;
-use xsp_trace::correlate::CorrelatedSpan;
 use xsp_trace::interval::{Interval, IntervalTree};
 use xsp_trace::span::{tag_keys, Span, SpanId, TagValue};
 use xsp_trace::stats::{percentile, trimmed_mean, Summary};
@@ -93,11 +92,11 @@ proptest! {
         let correlated = reconstruct_parents(&Trace::from_spans(spans));
         prop_assert!(correlated.ambiguities.is_clean(), "{:?}", correlated.ambiguities);
         for s in correlated.spans() {
-            if s.span.level == StackLevel::Kernel {
+            if s.level == StackLevel::Kernel {
                 let parent = s.parent.expect("kernel parented");
                 let p = &correlated.spans()[correlated.position(trace_id, parent).unwrap()];
-                prop_assert_eq!(p.span.level, StackLevel::Layer);
-                prop_assert!(p.span.contains(&s.span));
+                prop_assert_eq!(p.level, StackLevel::Layer);
+                prop_assert!(p.contains(s));
             }
         }
     }
@@ -427,8 +426,10 @@ proptest! {
     /// — overlapping layers (ambiguity), spans outside every candidate
     /// (orphans), async launch/execution pairs, unpaired halves, library
     /// spans, multiple runs — [`CorrelationEngine`] must produce exactly
-    /// the spans, parents, launch intervals and ambiguity report of the
+    /// the spans, parents and ambiguity report of the
     /// naive oracle that rebuilds one interval tree per level per run.
+    /// Spans are compared as span JSON, which carries each span's parent
+    /// and every tag a launch folded in.
     #[test]
     fn engine_matches_naive_per_level_rebuild_oracle(spans in arb_correlation_forest()) {
         let trace = Trace::from_spans(spans);
@@ -438,12 +439,10 @@ proptest! {
         prop_assert_eq!(got.len(), oracle_spans.len(), "span count diverged");
         for (g, o) in got.spans().iter().zip(&oracle_spans) {
             prop_assert_eq!(
-                serde_json::to_string(&g.span).unwrap(),
-                serde_json::to_string(&o.span).unwrap(),
-                "span payload diverged"
+                serde_json::to_string(g).unwrap(),
+                serde_json::to_string(o).unwrap(),
+                "span diverged"
             );
-            prop_assert_eq!(g.parent, o.parent, "parent diverged for {}", g.span.name);
-            prop_assert_eq!(g.launch_interval, o.launch_interval);
         }
         prop_assert_eq!(&got.ambiguities.ambiguous, &oracle_ambiguities.ambiguous);
         prop_assert_eq!(&got.ambiguities.orphans, &oracle_ambiguities.orphans);
@@ -452,8 +451,8 @@ proptest! {
     /// The store-cache contract: growing a [`SpanStore`] by the same span
     /// stream at arbitrary batch boundaries, refreshing a
     /// [`StoreCorrelationCache`] after every batch, and materializing must
-    /// reproduce the owned-trace engine exactly — same spans, parents,
-    /// launch intervals and ambiguity report.
+    /// reproduce the owned-trace engine exactly — same spans (parents and
+    /// folded launch tags included) and ambiguity report.
     #[test]
     fn store_cache_matches_batch_for_random_batch_splits(
         spans in arb_correlation_forest(),
@@ -486,12 +485,10 @@ proptest! {
         prop_assert_eq!(cached.len(), batch.len(), "span count diverged");
         for (g, o) in cached.spans().iter().zip(batch.spans()) {
             prop_assert_eq!(
-                serde_json::to_string(&g.span).unwrap(),
-                serde_json::to_string(&o.span).unwrap(),
-                "span payload diverged"
+                serde_json::to_string(g).unwrap(),
+                serde_json::to_string(o).unwrap(),
+                "span diverged"
             );
-            prop_assert_eq!(g.parent, o.parent, "parent diverged for {}", g.span.name);
-            prop_assert_eq!(g.launch_interval, o.launch_interval, "launch interval diverged");
         }
         prop_assert_eq!(&cached.ambiguities.ambiguous, &batch.ambiguities.ambiguous);
         prop_assert_eq!(&cached.ambiguities.orphans, &batch.ambiguities.orphans);
@@ -650,7 +647,7 @@ fn launch_half(b: SpanBuilder, parent: Option<SpanId>) -> SpanBuilder {
 
 /// The pre-engine implementation, kept verbatim as the oracle: one interval
 /// tree per level, rebuilt per run, spans cloned per run.
-fn oracle_reconstruct(trace: &Trace) -> (Vec<CorrelatedSpan>, AmbiguityReport) {
+fn oracle_reconstruct(trace: &Trace) -> (Vec<Span>, AmbiguityReport) {
     let mut spans = Vec::new();
     let mut ambiguities = AmbiguityReport::default();
     for tid in trace.trace_ids() {
@@ -670,8 +667,10 @@ fn oracle_reconstruct(trace: &Trace) -> (Vec<CorrelatedSpan>, AmbiguityReport) {
 /// The naive async merge: an execution half takes the parent and the
 /// missing tags of the last launch half with its correlation id, a launch
 /// half with an execution disappears into it, everything else (unpaired
-/// halves, spans carrying both flags) passes through unchanged.
-fn oracle_merge(spans: &[Span]) -> Vec<CorrelatedSpan> {
+/// halves, spans carrying both flags) passes through unchanged. Each span
+/// comes with the interval parent matching probes first: a merged pair's
+/// launch interval, otherwise the span's own.
+fn oracle_merge(spans: &[Span]) -> Vec<(Span, (u64, u64))> {
     let role = |s: &Span| match s.correlation_id() {
         Some(cid) => match (s.is_async_launch(), s.is_async_execution()) {
             (true, false) => Some((cid, true)),
@@ -685,7 +684,7 @@ fn oracle_merge(spans: &[Span]) -> Vec<CorrelatedSpan> {
     let mut out = Vec::new();
     for s in spans {
         let mut span = s.clone();
-        let mut launch_interval = None;
+        let mut anchor = (s.start_ns, s.end_ns);
         match role(s) {
             Some((cid, true)) if has_execution(cid) => continue,
             Some((cid, false)) => {
@@ -696,34 +695,31 @@ fn oracle_merge(spans: &[Span]) -> Vec<CorrelatedSpan> {
                             span.tags.push((k.clone(), v.clone()));
                         }
                     }
-                    launch_interval = Some((launch.start_ns, launch.end_ns));
+                    anchor = (launch.start_ns, launch.end_ns);
                 }
             }
             _ => {}
         }
-        out.push(CorrelatedSpan {
-            parent: span.parent,
-            launch_interval,
-            span,
-        });
+        out.push((span, anchor));
     }
     out
 }
 
-fn oracle_single_run(spans: &[Span]) -> (Vec<CorrelatedSpan>, AmbiguityReport) {
-    let mut correlated = oracle_merge(spans);
+fn oracle_single_run(spans: &[Span]) -> (Vec<Span>, AmbiguityReport) {
+    let (mut correlated, anchors): (Vec<Span>, Vec<(u64, u64)>) =
+        oracle_merge(spans).into_iter().unzip();
     let levels: Vec<StackLevel> = StackLevel::ALL
         .iter()
         .copied()
-        .filter(|l| correlated.iter().any(|s| s.span.level == *l))
+        .filter(|l| correlated.iter().any(|s| s.level == *l))
         .collect();
     let mut trees: HashMap<StackLevel, IntervalTree> = HashMap::new();
     for &level in &levels {
         let intervals: Vec<Interval> = correlated
             .iter()
             .enumerate()
-            .filter(|(_, s)| s.span.level == level)
-            .map(|(i, s)| Interval::new(s.span.start_ns, s.span.end_ns, i))
+            .filter(|(_, s)| s.level == level)
+            .map(|(i, s)| Interval::new(s.start_ns, s.end_ns, i))
             .collect();
         trees.insert(level, IntervalTree::build(intervals));
     }
@@ -732,15 +728,15 @@ fn oracle_single_run(spans: &[Span]) -> (Vec<CorrelatedSpan>, AmbiguityReport) {
         if correlated[i].parent.is_some() {
             continue;
         }
-        let child_level = correlated[i].span.level;
+        let child_level = correlated[i].level;
         let Some(pos) = levels.iter().position(|l| *l == child_level) else {
             continue;
         };
         if pos == 0 {
             continue;
         }
-        let mut probes: Vec<(u64, u64)> = vec![correlated[i].anchor_interval()];
-        let own = (correlated[i].span.start_ns, correlated[i].span.end_ns);
+        let mut probes: Vec<(u64, u64)> = vec![anchors[i]];
+        let own = (correlated[i].start_ns, correlated[i].end_ns);
         if probes[0] != own {
             probes.push(own);
         }
@@ -757,22 +753,16 @@ fn oracle_single_run(spans: &[Span]) -> (Vec<CorrelatedSpan>, AmbiguityReport) {
             }
         }
         match candidates.len() {
-            0 => ambiguities.orphans.push(correlated[i].span.id),
-            1 => {
-                let pid = correlated[candidates[0]].span.id;
-                correlated[i].parent = Some(pid);
-                correlated[i].span.parent = Some(pid);
-            }
+            0 => ambiguities.orphans.push(correlated[i].id),
+            1 => correlated[i].parent = Some(correlated[candidates[0]].id),
             _ => {
                 let best = *candidates
                     .iter()
-                    .min_by_key(|&&c| correlated[c].span.end_ns - correlated[c].span.start_ns)
+                    .min_by_key(|&&c| correlated[c].end_ns - correlated[c].start_ns)
                     .expect("nonempty");
-                let all: Vec<SpanId> = candidates.iter().map(|&c| correlated[c].span.id).collect();
-                ambiguities.ambiguous.push((correlated[i].span.id, all));
-                let pid = correlated[best].span.id;
-                correlated[i].parent = Some(pid);
-                correlated[i].span.parent = Some(pid);
+                let all: Vec<SpanId> = candidates.iter().map(|&c| correlated[c].id).collect();
+                ambiguities.ambiguous.push((correlated[i].id, all));
+                correlated[i].parent = Some(correlated[best].id);
             }
         }
     }

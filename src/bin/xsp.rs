@@ -254,11 +254,7 @@ fn build_config(flags: &HashMap<String, String>) -> Result<(XspConfig, xsp_gpu::
         "mxnet" | "mx" => FrameworkKind::MXNet,
         other => return Err(format!("unknown framework '{other}'")),
     };
-    let runs: usize = flags
-        .get("runs")
-        .map(|s| s.parse().map_err(|_| format!("bad --runs '{s}'")))
-        .transpose()?
-        .unwrap_or(2);
+    let runs = positive(flags, "runs", 2)?;
     let mut cfg = XspConfig::new(system.clone(), framework).runs(runs);
     if flags.contains_key("library-level") {
         cfg = cfg.library_level(true);
@@ -279,6 +275,16 @@ fn build_config(flags: &HashMap<String, String>) -> Result<(XspConfig, xsp_gpu::
         cfg = cfg.cache_dir(dir);
     }
     Ok((cfg, system))
+}
+
+/// The count flag `--key`, `default` when absent; zero is refused.
+fn positive(flags: &HashMap<String, String>, key: &str, default: usize) -> Result<usize, String> {
+    match flags.get(key).map(|s| (s, s.parse::<usize>())) {
+        None => Ok(default),
+        Some((_, Ok(n))) if n > 0 => Ok(n),
+        Some((s, Ok(_))) => Err(format!("bad --{key} '{s}' (must be at least 1)")),
+        Some((s, Err(_))) => Err(format!("bad --{key} '{s}'")),
+    }
 }
 
 /// The cache directory: `--cache-dir`, defaulting to the `XSP_CACHE_DIR`
@@ -369,7 +375,7 @@ fn cache_cmd(verb: Option<&str>, flags: &HashMap<String, String>) -> ExitCode {
                     system.name,
                     level.label()
                 );
-                let profile = xsp.run_shared(ProfileRequest::new(&graph).level(level).cached(true));
+                let profile = xsp.run_shared(ProfileRequest::new(&graph).level(level));
                 let stats = xsp_core::cache::global().stats();
                 println!(
                     "{} now holds {} run(s), {} span(s) [{stats}]",
@@ -1098,16 +1104,13 @@ fn analyze_serving(flags: &HashMap<String, String>) -> Result<(), String> {
             entry.name
         )
     })?;
-    let parse_num = |key: &str, default: usize| -> Result<usize, String> {
-        flags
-            .get(key)
-            .map(|s| s.parse().map_err(|_| format!("bad --{key} '{s}'")))
-            .transpose()
-            .map(|v| v.unwrap_or(default))
-    };
-    let max_batch = parse_num("max-batch", 8)?;
-    let requests = parse_num("requests", 24)?;
-    let cache_bucket = parse_num("cache-bucket", 64)?;
+    let max_batch = positive(flags, "max-batch", 8)?;
+    let requests: usize = flags
+        .get("requests")
+        .map(|s| s.parse().map_err(|_| format!("bad --requests '{s}'")))
+        .transpose()?
+        .unwrap_or(24);
+    let cache_bucket = positive(flags, "cache-bucket", 64)?;
     let seed: u64 = flags
         .get("seed")
         .map(|s| s.parse().map_err(|_| format!("bad --seed '{s}'")))

@@ -18,7 +18,6 @@ use xsp_framework::FrameworkKind;
 use xsp_gpu::systems;
 use xsp_models::transformer::{self, DecodeAttention};
 use xsp_models::zoo;
-use xsp_trace::correlate::CorrelatedSpan;
 use xsp_trace::Trace;
 
 fn config(seed: u64, runs: usize, parallelism: Parallelism) -> XspConfig {
@@ -243,9 +242,7 @@ fn xspc_reload_matches_recorrelating_its_records() {
         for (got, stored) in reloaded.runs().zip(profile.runs()) {
             let records = stored.trace.iter_spans().cloned().collect();
             let want = profile_from_trace(Trace::from_spans(records), stored.level);
-            let view = |c: &CorrelatedSpan| (c.span.clone(), c.parent, c.launch_interval);
-            let spans = |r: &RunProfile| r.trace.spans().iter().map(view).collect::<Vec<_>>();
-            assert_eq!(spans(got), spans(&want));
+            assert_eq!(got.trace.spans(), want.trace.spans());
             let views =
                 |r: &RunProfile| format!("{:?}", (&r.layers, &r.kernels, r.phases, r.trace_id));
             assert_eq!(views(got), views(&want));

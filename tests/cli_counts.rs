@@ -1,0 +1,45 @@
+//! Count flags that must be at least 1 are refused with an `error:` line
+//! and exit status 1, never an assertion panic, and `--model` accepts the
+//! zoo ids `xsp list-models` prints.
+
+use std::process::{Command, Output};
+
+/// Runs the CLI on a space-separated argument line.
+fn xsp(args: &str) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_xsp"))
+        .args(args.split(' '))
+        .output()
+        .unwrap()
+}
+
+#[test]
+fn zero_counts_are_refused_with_an_error() {
+    for (args, flag) in [
+        ("profile --model 5 --runs 0", "--runs"),
+        ("analyze --ax 4 --model gpt2 --max-batch 0", "--max-batch"),
+        (
+            "analyze --ax 4 --model gpt2 --cache-bucket 0",
+            "--cache-bucket",
+        ),
+    ] {
+        let out = xsp(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args}: {stderr}");
+        let expected = format!("error: bad {flag} '0' (must be at least 1)\n");
+        assert_eq!(stderr, expected, "{args}");
+    }
+}
+
+#[test]
+fn model_accepts_the_ids_list_models_prints() {
+    let listed = String::from_utf8(xsp("list-models").stdout).unwrap();
+    assert!(listed.contains("| 5  | ResNet_v2_101 "), "{listed}");
+    let out = xsp("profile --model 5 --runs 1");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.starts_with("profiling ResNet_v2_101 @ batch 1"),
+        "{stdout}"
+    );
+}

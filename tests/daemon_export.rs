@@ -6,18 +6,22 @@
 //! sessions streaming concurrently.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 use xsp_core::export::{export_correlated, export_profile, ExportFormat};
 use xsp_core::profile::{ProfileRequest, ProfilingLevel, Xsp, XspConfig};
 use xsp_core::scheduler::Parallelism;
+use xsp_cupti::{Cupti, CuptiConfig};
 use xsp_daemon::{
     spawn, DaemonClient, DaemonConfig, DaemonHandle, OnFull, OpenOptions, Session, DEFAULT_QUOTA,
 };
-use xsp_framework::FrameworkKind;
-use xsp_gpu::systems;
+use xsp_framework::{FrameworkKind, RunOptions};
+use xsp_gpu::{systems, CudaContext, CudaContextConfig};
 use xsp_models::zoo;
 use xsp_trace::export::read_span_json_lines;
-use xsp_trace::{CorrelationEngine, Span, SpanBuilder, SpanId, StackLevel, Trace, TraceId};
+use xsp_trace::{
+    CorrelationEngine, Span, SpanBuilder, SpanId, StackLevel, Trace, TraceId, Tracer, TracingServer,
+};
 
 static SOCKET_SEQ: AtomicUsize = AtomicUsize::new(0);
 
@@ -245,4 +249,86 @@ fn a_repeated_span_id_exports_once_per_span() {
     let folded = from_bytes(&capture, ExportFormat::Folded);
     assert_eq!(folded, b"outer 80\nouter;inner 20\n");
     assert_session_exports_from_bytes(capture);
+}
+
+/// A raw capture as the profilers publish it, before any correlation: a
+/// model span, the framework's layer spans, and CUPTI's kernel spans as
+/// separate launch and execution halves that name no parent.
+fn raw_capture() -> Vec<Span> {
+    let system = systems::tesla_v100();
+    let graph = zoo::by_name("MobileNet_v1_0.25_128").unwrap().graph(1);
+    let ctx = Arc::new(CudaContext::new(CudaContextConfig::new(system.clone())));
+    let cupti = Arc::new(Cupti::new(CuptiConfig::default(), system.gpu.clone()));
+    ctx.register_hook(cupti.clone());
+    let server = TracingServer::new();
+    let trace_id = server.fresh_trace_id();
+    let layers = server.tracer("framework_profiler");
+    let model =
+        SpanBuilder::new("model_prediction", StackLevel::Model, trace_id).start(ctx.clock().now());
+    xsp_framework::Session::new(FrameworkKind::TensorFlow, &graph, ctx.clone())
+        .predict(&RunOptions::with_layer_profiling(&layers, trace_id));
+    server
+        .tracer("model_timer")
+        .report(model.finish(ctx.clock().now()));
+    cupti.flush_to_tracer(&server.tracer("cupti"), trace_id);
+    server.drain().spans().to_vec()
+}
+
+/// The daemon's merge path: a raw capture, appended in batches that split
+/// launch/execution pairs and exported live after every batch, writes the
+/// `--from` bytes of what it holds so far, and all four formats of the
+/// whole capture at the end.
+#[test]
+fn a_raw_capture_appended_in_split_batches_exports_the_from_bytes() {
+    let capture = raw_capture();
+    let launches = capture.iter().filter(|s| s.is_async_launch()).count();
+    assert!(launches > 0, "the capture has kernel launches");
+    assert!(
+        capture
+            .iter()
+            .all(|s| !(s.is_async_launch() && s.is_async_execution())),
+        "no pair is merged yet"
+    );
+    assert!(
+        capture
+            .iter()
+            .filter(|s| s.level == StackLevel::Kernel)
+            .all(|s| s.parent.is_none()),
+        "kernels name no parent"
+    );
+    const BATCH: usize = 5;
+    let split = |cut: usize| {
+        capture[..cut].iter().any(|l| {
+            l.is_async_launch()
+                && capture[cut..]
+                    .iter()
+                    .any(|x| x.is_async_execution() && x.correlation_id() == l.correlation_id())
+        })
+    };
+    assert!(
+        (BATCH..capture.len()).step_by(BATCH).any(split),
+        "some append boundary separates a launch from its execution"
+    );
+
+    let handle = start_daemon();
+    let mut c = DaemonClient::connect(handle.socket_path()).expect("connect");
+    let session = c.open(&OpenOptions::default()).expect("open");
+    let mut held = 0;
+    for (i, batch) in capture.chunks(BATCH).enumerate() {
+        c.append_spans(session, batch).expect("append");
+        held += batch.len();
+        let format = ExportFormat::ALL[i % ExportFormat::ALL.len()];
+        assert!(
+            c.export(session, format).expect("export") == from_bytes(&capture[..held], format),
+            "{format} after {held} spans: the live export differs from --from"
+        );
+    }
+    for format in ExportFormat::ALL {
+        assert!(
+            c.export(session, format).expect("export") == from_bytes(&capture, format),
+            "{format}: the live export differs from --from"
+        );
+    }
+    c.close(session).expect("close");
+    handle.shutdown();
 }

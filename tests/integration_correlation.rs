@@ -69,13 +69,13 @@ fn without_layer_level_kernels_bind_to_model_span() {
     // layer info still exists in M/L/G; emulate M/G by checking the trace:
     // every kernel's resolved parent is a layer (level check)
     for (i, s) in p.trace.spans().iter().enumerate() {
-        if s.span.level == StackLevel::Kernel && s.span.is_async_execution() {
+        if s.level == StackLevel::Kernel && s.is_async_execution() {
             let parent = p.trace.parent_index(i).expect("parent exists");
             let pspan = &p.trace.spans()[parent];
             assert!(
-                pspan.span.level == StackLevel::Layer || pspan.span.level == StackLevel::Model,
+                pspan.level == StackLevel::Layer || pspan.level == StackLevel::Model,
                 "kernel parent at {:?}",
-                pspan.span.level
+                pspan.level
             );
         }
     }

@@ -183,7 +183,7 @@ fn folded_stack_export_covers_model_time() {
         .spans()
         .iter()
         .filter(|s| s.parent.is_none())
-        .map(|s| s.span.duration_ns() / 1_000)
+        .map(|s| s.duration_ns() / 1_000)
         .sum();
     let ratio = total_us as f64 / root_us as f64;
     assert!(
