@@ -6,9 +6,9 @@
 //! independently — each point builds its own tracing server, CUDA context
 //! and framework session, and the simulator is deterministic per seed — so
 //! the points of a sweep can execute concurrently without observing each
-//! other. The engine exploits exactly that: [`parmap`] distributes points
-//! over a [`crossbeam_channel`] work queue consumed by scoped worker
-//! threads, then reassembles the results by submission index.
+//! other. The engine exploits exactly that: [`parmap`]'s scoped worker
+//! threads take points from one shared queue under a lock, and each writes
+//! its result into the slot of that point's submission index.
 //!
 //! # Determinism contract
 //!
@@ -20,7 +20,7 @@
 //! 2. span ids are allocated from deterministic per-point scopes
 //!    ([`xsp_trace::with_span_id_scope`]) instead of a process-global
 //!    counter, so id assignment cannot depend on worker interleaving;
-//! 3. results are merged by submission index, never by completion order
+//! 3. results land in slots by submission index, never by completion order
 //!    (and span batches are grouped by trace id at the server — see
 //!    [`xsp_trace::TracingServer::drain`]).
 //!
@@ -30,6 +30,7 @@
 //! themselves profile in parallel — run their inner level serially instead
 //! of oversubscribing the machine.
 
+use parking_lot::Mutex;
 use std::cell::Cell;
 use std::thread;
 
@@ -120,11 +121,11 @@ impl Parallelism {
 /// Runs `f` over every item of `items` — possibly concurrently, per `par` —
 /// and returns the results *in submission order*.
 ///
-/// `f` receives `(submission index, item)`. Items are distributed to
-/// workers through an unbounded channel (a faster worker takes more
-/// points), results are merged by index, so the output is identical for
-/// every worker count. A panic in any worker propagates to the caller once
-/// all workers have stopped.
+/// `f` receives `(submission index, item)`. Workers take items from one
+/// shared queue (a faster worker takes more points) and write each result
+/// into the slot of its index, so the output is identical for every worker
+/// count. A panic in any worker propagates to the caller once all workers
+/// have stopped.
 ///
 /// ```
 /// use xsp_core::scheduler::{parmap, Parallelism};
@@ -148,40 +149,28 @@ where
             .collect();
     }
 
-    let (task_tx, task_rx) = crossbeam_channel::unbounded::<(usize, T)>();
-    let (result_tx, result_rx) = crossbeam_channel::unbounded::<(usize, R)>();
-    for task in items.into_iter().enumerate() {
-        task_tx.send(task).expect("task receiver alive");
-    }
-    // Dropping the sender lets workers observe queue exhaustion and exit.
-    drop(task_tx);
-
+    let tasks = Mutex::new(items.into_iter().enumerate());
+    let slots: Mutex<Vec<Option<R>>> = Mutex::new((0..n).map(|_| None).collect());
     thread::scope(|scope| {
         for _ in 0..workers {
-            let task_rx = task_rx.clone();
-            let result_tx = result_tx.clone();
-            let f = &f;
-            scope.spawn(move || {
+            scope.spawn(|| {
                 let _guard = WorkerGuard::enter();
-                while let Ok((index, item)) = task_rx.recv() {
-                    // A send failure means the caller is unwinding; stop
-                    // pulling work.
-                    if result_tx.send((index, f(index, item))).is_err() {
-                        break;
-                    }
+                loop {
+                    // Bind the task first so the queue lock is released
+                    // before `f` runs.
+                    let task = tasks.lock().next();
+                    let Some((index, item)) = task else { break };
+                    let result = f(index, item);
+                    slots.lock()[index] = Some(result);
                 }
             });
         }
         // The scope joins every worker before returning; a worker panic
         // re-raises here, before result assembly.
     });
-    drop(result_tx);
 
-    let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    for (index, result) in result_rx.try_iter() {
-        slots[index] = Some(result);
-    }
     slots
+        .into_inner()
         .into_iter()
         .map(|slot| slot.expect("every submitted point produced a result"))
         .collect()

@@ -8,7 +8,7 @@
 //!
 //! * [`Span`]s — timed operations with unique ids, stack-level tags, key/value
 //!   annotations and optional parent references (§III-A).
-//! * [`Tracer`]s — per-profiler span publishers; spans flow over a channel to
+//! * [`Tracer`]s — per-profiler span publishers; spans are published to
 //!   a [`TracingServer`] that aggregates them into a single timeline
 //!   [`Trace`] (§III-A).
 //! * A [`CorrelationEngine`] that reconstructs missing parent-child
@@ -53,4 +53,4 @@ pub use server::{Trace, TracingServer};
 pub use span::{with_span_id_scope, Span, SpanBuilder, SpanId, StackLevel, TagValue, TraceId};
 pub use stats::{trimmed_mean, Summary};
 pub use store::{SpanStore, SpanView, TagRef};
-pub use tracer::{ChannelTracer, NoopTracer, SpanBuffer, Tracer};
+pub use tracer::{NoopTracer, ServerTracer, SpanBuffer, Tracer};

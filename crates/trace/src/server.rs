@@ -5,11 +5,11 @@
 
 use crate::fxhash::FxHashMap;
 use crate::span::{Span, TraceId};
-use crate::tracer::{ChannelTracer, SpanBuffer};
-use crossbeam_channel::{Receiver, Sender};
+use crate::tracer::{Published, ServerTracer, SpanBuffer};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// An aggregated timeline trace: every span published during one (or more)
 /// evaluation runs, in publication order.
@@ -105,15 +105,15 @@ impl Trace {
 
 /// Aggregation endpoint for all tracers in the process.
 ///
-/// The server hands out [`ChannelTracer`]s; spans published through them are
-/// buffered internally. [`TracingServer::drain`] collects everything
-/// published so far into a [`Trace`], and [`TracingServer::fresh_trace_id`]
-/// allocates per-run trace ids so a multi-run experiment can be demultiplexed
-/// later.
+/// The server hands out [`ServerTracer`]s; spans published through them are
+/// appended to the server's list of published batches, in arrival order.
+/// [`TracingServer::drain`] collects everything published so far into a
+/// [`Trace`], and [`TracingServer::fresh_trace_id`] allocates per-run trace
+/// ids so a multi-run experiment can be demultiplexed later.
 ///
 /// # Concurrent producers
 ///
-/// The channel carries atomic span batches, and [`TracingServer::drain`]
+/// Each batch is appended whole under one lock, and [`TracingServer::drain`]
 /// orders the result by trace id (stable within a trace). As long as each
 /// evaluation run (= trace id) is produced by a single worker — the model
 /// of the parallel evaluation engine, which gives each worker a
@@ -121,9 +121,9 @@ impl Trace {
 /// *independent of cross-thread arrival order*: workers finishing in any
 /// order yield byte-identical traces.
 pub struct TracingServer {
-    tx: Sender<Vec<Span>>,
-    rx: Receiver<Vec<Span>>,
-    registered: Mutex<HashMap<&'static str, ChannelTracer>>,
+    /// The published batches; tracers hold weak references to it.
+    published: Arc<Published>,
+    registered: Mutex<HashMap<&'static str, ServerTracer>>,
     next_trace_id: AtomicU64,
 }
 
@@ -136,10 +136,8 @@ impl Default for TracingServer {
 impl TracingServer {
     /// Creates a new server with an empty buffer.
     pub fn new() -> Self {
-        let (tx, rx) = crossbeam_channel::unbounded();
         Self {
-            tx,
-            rx,
+            published: Arc::new(Mutex::new(Vec::new())),
             registered: Mutex::new(HashMap::new()),
             next_trace_id: AtomicU64::new(1),
         }
@@ -150,10 +148,10 @@ impl TracingServer {
     /// Multiple profilers may coexist within a stack level (§III-A: "multiple
     /// tracers (or profilers) can exist within a stack level"); each gets its
     /// own named tracer, all feeding the same timeline.
-    pub fn tracer(&self, name: &'static str) -> ChannelTracer {
+    pub fn tracer(&self, name: &'static str) -> ServerTracer {
         let mut reg = self.registered.lock();
         reg.entry(name)
-            .or_insert_with(|| ChannelTracer::new(name, self.tx.clone()))
+            .or_insert_with(|| ServerTracer::new(name, Arc::downgrade(&self.published)))
             .clone()
     }
 
@@ -180,12 +178,12 @@ impl TracingServer {
     /// Collects the per-trace-id buckets of every span published since the
     /// previous drain — the shared O(n) body of [`TracingServer::drain`] and
     /// [`TracingServer::drain_each`]. Buckets iterate in ascending trace-id
-    /// order; within one bucket the per-producer publication order is
-    /// preserved (the channel is FIFO per sender and appends keep arrival
-    /// order).
+    /// order; within one bucket the publication order is preserved (the
+    /// list keeps arrival order and appends keep list order).
     fn drain_buckets(&self) -> BTreeMap<TraceId, Vec<Span>> {
+        let batches = std::mem::take(&mut *self.published.lock());
         let mut buckets: BTreeMap<TraceId, Vec<Span>> = BTreeMap::new();
-        for batch in self.rx.try_iter() {
+        for batch in batches {
             for span in batch {
                 buckets.entry(span.trace_id).or_default().push(span);
             }
@@ -199,8 +197,8 @@ impl TracingServer {
     /// accumulation — O(n) in the span count, no sort. The historical
     /// contract — "spans in publication order" — held only while every
     /// producer shared one thread; grouping by trace id keeps the order
-    /// deterministic when producers of *different* runs race on the channel
-    /// (within one run the per-producer publication order is preserved).
+    /// deterministic when producers of *different* runs race to publish
+    /// (within one run the publication order is preserved).
     pub fn drain(&self) -> Trace {
         let buckets = self.drain_buckets();
         let mut spans = Vec::with_capacity(buckets.values().map(Vec::len).sum());

@@ -9,7 +9,7 @@
 //! [`crate::correlate`]).
 
 use serde::{Deserialize, Serialize};
-use std::cell::RefCell;
+use std::cell::Cell;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -31,9 +31,11 @@ pub struct TraceId(pub u64);
 static NEXT_SPAN_ID: AtomicU64 = AtomicU64::new(1);
 
 thread_local! {
-    /// Stack of `(scope key, next local counter)` pushed by
-    /// [`with_span_id_scope`]; the innermost scope wins.
-    static ID_SCOPES: RefCell<Vec<(u64, u64)>> = const { RefCell::new(Vec::new()) };
+    /// The innermost [`with_span_id_scope`] on this thread, as `(scope key,
+    /// next local counter)`; enclosing scopes wait in their calls' guards.
+    /// Plain `Copy` data: entering a scope never allocates, so a thread's
+    /// allocation count does not depend on whether it ever ran one.
+    static ID_SCOPE: Cell<Option<(u64, u64)>> = const { Cell::new(None) };
 }
 
 /// Scope keys occupy the high id bits (offset by 1 so scoped ids never
@@ -60,16 +62,14 @@ const SCOPE_COUNTER_BITS: u64 = 32;
 /// assert_ne!(a.0, with_span_id_scope(8, SpanId::next));
 /// ```
 pub fn with_span_id_scope<R>(scope: u64, f: impl FnOnce() -> R) -> R {
-    struct Guard;
+    /// Restores the enclosing scope (or none) when `f` returns or unwinds.
+    struct Guard(Option<(u64, u64)>);
     impl Drop for Guard {
         fn drop(&mut self) {
-            ID_SCOPES.with(|s| {
-                s.borrow_mut().pop();
-            });
+            ID_SCOPE.with(|s| s.set(self.0));
         }
     }
-    ID_SCOPES.with(|s| s.borrow_mut().push((scope, 0)));
-    let _guard = Guard;
+    let _guard = Guard(ID_SCOPE.with(|s| s.replace(Some((scope, 0)))));
     f()
 }
 
@@ -77,14 +77,11 @@ impl SpanId {
     /// Allocates a fresh span id: scope-deterministic inside
     /// [`with_span_id_scope`], process-unique (global counter) otherwise.
     pub fn next() -> Self {
-        let scoped = ID_SCOPES.with(|s| {
-            let mut stack = s.borrow_mut();
-            stack.last_mut().map(|(scope, counter)| {
-                let key = (*scope & ((1 << SCOPE_KEY_BITS) - 1)) + 1;
-                let id = (key << SCOPE_COUNTER_BITS) | (*counter & ((1 << SCOPE_COUNTER_BITS) - 1));
-                *counter += 1;
-                id
-            })
+        let scoped = ID_SCOPE.with(|s| {
+            let (scope, counter) = s.get()?;
+            s.set(Some((scope, counter + 1)));
+            let key = (scope & ((1 << SCOPE_KEY_BITS) - 1)) + 1;
+            Some((key << SCOPE_COUNTER_BITS) | (counter & ((1 << SCOPE_COUNTER_BITS) - 1)))
         });
         match scoped {
             Some(id) => SpanId(id),

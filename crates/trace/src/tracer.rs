@@ -3,13 +3,14 @@
 //!
 //! Every profiler — the model-level timer, the framework layer profiler, the
 //! CUPTI adapter — holds a [`Tracer`] and publishes finished spans through
-//! it. Spans travel over a lock-free channel to the [`crate::TracingServer`],
-//! so publication is asynchronous and adds negligible overhead to the
-//! profiled application (§III-C: "creating spans online adds negligible
-//! overhead per span"). Tracers can be enabled and disabled at runtime, which
-//! is the mechanism behind leveled experimentation.
+//! it. A publish appends the span to the [`crate::TracingServer`]'s list of
+//! published batches under a lock that a drain holds only long enough to
+//! take the list, so publication adds negligible overhead to the profiled
+//! application (§III-C: "creating spans online adds negligible overhead per
+//! span"). Tracers can be enabled and disabled at runtime, which is the
+//! mechanism behind leveled experimentation.
 //!
-//! The channel carries *batches* of spans. A plain [`ChannelTracer`]
+//! The server collects *batches* of spans. A plain [`ServerTracer`]
 //! publishes singleton batches; a [`SpanBuffer`] accumulates spans locally
 //! and flushes them as one atomic batch, so spans produced by one worker
 //! arrive at the server contiguously even when many workers publish to the
@@ -17,10 +18,12 @@
 //! shared buffer — is what keeps concurrent trace assembly deterministic.
 
 use crate::span::Span;
-use crossbeam_channel::Sender;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
+
+/// A tracing server's published span batches, in arrival order.
+pub(crate) type Published = Mutex<Vec<Vec<Span>>>;
 
 /// A destination for finished spans.
 pub trait Tracer: Send + Sync {
@@ -35,24 +38,26 @@ pub trait Tracer: Send + Sync {
     }
 }
 
-/// A tracer that forwards spans to a tracing server over a channel.
+/// A tracer that publishes spans to a [`crate::TracingServer`], handed out
+/// by [`crate::TracingServer::tracer`].
 ///
-/// The channel is unbounded: the profiled application never blocks on the
-/// aggregation side. An atomic enable flag supports runtime toggling
-/// (§III-A: "tracers can be enabled or disabled at runtime").
+/// The tracer holds only a weak reference to the server's batch list: spans
+/// reported after the server is dropped are dropped silently. An atomic
+/// enable flag supports runtime toggling (§III-A: "tracers can be enabled
+/// or disabled at runtime").
 #[derive(Clone)]
-pub struct ChannelTracer {
+pub struct ServerTracer {
     name: &'static str,
-    tx: Sender<Vec<Span>>,
+    published: Weak<Published>,
     enabled: Arc<AtomicBool>,
 }
 
-impl ChannelTracer {
-    /// Creates a tracer named `name` publishing into `tx`.
-    pub fn new(name: &'static str, tx: Sender<Vec<Span>>) -> Self {
+impl ServerTracer {
+    /// Creates a tracer named `name` publishing into `published`.
+    pub(crate) fn new(name: &'static str, published: Weak<Published>) -> Self {
         Self {
             name,
-            tx,
+            published,
             enabled: Arc::new(AtomicBool::new(true)),
         }
     }
@@ -70,18 +75,28 @@ impl ChannelTracer {
     /// Publishes a batch of spans atomically: the batch arrives at the
     /// server contiguously, with no spans from other producers interleaved.
     pub fn report_batch(&self, spans: Vec<Span>) {
-        if !spans.is_empty() && self.is_enabled() {
-            // The server may already have shut down during teardown; spans
-            // reported after that point are intentionally dropped.
-            let _ = self.tx.send(spans);
+        if self.is_enabled() {
+            self.publish(spans);
+        }
+    }
+
+    /// Appends a non-empty batch to the server's list under one lock. The
+    /// server may already have shut down during teardown; spans published
+    /// after that point are intentionally dropped.
+    fn publish(&self, spans: Vec<Span>) {
+        if spans.is_empty() {
+            return;
+        }
+        if let Some(published) = self.published.upgrade() {
+            published.lock().push(spans);
         }
     }
 }
 
-impl Tracer for ChannelTracer {
+impl Tracer for ServerTracer {
     fn report(&self, span: Span) {
         if self.is_enabled() {
-            let _ = self.tx.send(vec![span]);
+            self.publish(vec![span]);
         }
     }
 
@@ -99,13 +114,13 @@ impl Tracer for ChannelTracer {
 /// every run's spans contiguously — trace assembly then depends only on
 /// trace ids, never on cross-thread arrival interleaving.
 pub struct SpanBuffer {
-    inner: ChannelTracer,
+    inner: ServerTracer,
     buf: Mutex<Vec<Span>>,
 }
 
 impl SpanBuffer {
     /// Creates a buffer that flushes into `inner`.
-    pub fn new(inner: ChannelTracer) -> Self {
+    pub fn new(inner: ServerTracer) -> Self {
         Self {
             inner,
             buf: Mutex::new(Vec::new()),
@@ -122,7 +137,7 @@ impl SpanBuffer {
         self.buf.lock().is_empty()
     }
 
-    /// Sends every buffered span to the server as one atomic batch and
+    /// Publishes every buffered span to the server as one atomic batch and
     /// returns how many were flushed.
     ///
     /// The enable flag gates *buffering* ([`Tracer::report`]); spans that
@@ -131,11 +146,9 @@ impl SpanBuffer {
     pub fn flush(&self) -> usize {
         let spans = std::mem::take(&mut *self.buf.lock());
         let n = spans.len();
-        if n > 0 {
-            // Deliberately bypasses report_batch's enable check (same
-            // module): the gate already ran at report() time.
-            let _ = self.inner.tx.send(spans);
-        }
+        // Deliberately bypasses report_batch's enable check (same module):
+        // the gate already ran at report() time.
+        self.inner.publish(spans);
         n
     }
 }
@@ -176,6 +189,7 @@ impl Tracer for NoopTracer {
 mod tests {
     use super::*;
     use crate::span::{SpanBuilder, StackLevel, TraceId};
+    use crate::TracingServer;
 
     fn mk_span(name: &str) -> Span {
         SpanBuilder::new(name, StackLevel::Model, TraceId(0))
@@ -183,33 +197,49 @@ mod tests {
             .finish(1)
     }
 
+    fn drained_names(server: &TracingServer) -> Vec<String> {
+        server
+            .drain()
+            .into_spans()
+            .into_iter()
+            .map(|s| s.name)
+            .collect()
+    }
+
+    /// A tracer over a bare batch list, for checks on batch boundaries.
+    fn bare_tracer() -> (Arc<Published>, ServerTracer) {
+        let published = Arc::new(Mutex::new(Vec::new()));
+        let tracer = ServerTracer::new("t", Arc::downgrade(&published));
+        (published, tracer)
+    }
+
     #[test]
     fn channel_tracer_forwards_spans() {
-        let (tx, rx) = crossbeam_channel::unbounded();
-        let tracer = ChannelTracer::new("test", tx);
+        let server = TracingServer::new();
+        let tracer = server.tracer("test");
         tracer.report(mk_span("a"));
         tracer.report(mk_span("b"));
-        let got: Vec<_> = rx.try_iter().flatten().map(|s| s.name).collect();
-        assert_eq!(got, vec!["a", "b"]);
+        assert_eq!(drained_names(&server), vec!["a", "b"]);
     }
 
     #[test]
     fn disabled_tracer_drops_spans() {
-        let (tx, rx) = crossbeam_channel::unbounded();
-        let tracer = ChannelTracer::new("test", tx);
+        let server = TracingServer::new();
+        let tracer = server.tracer("test");
         tracer.set_enabled(false);
         assert!(!tracer.is_enabled());
         tracer.report(mk_span("dropped"));
-        assert!(rx.try_iter().next().is_none());
+        tracer.report_batch(vec![mk_span("dropped")]);
+        assert!(server.drain().is_empty());
         tracer.set_enabled(true);
         tracer.report(mk_span("kept"));
-        assert_eq!(rx.try_iter().flatten().count(), 1);
+        assert_eq!(drained_names(&server), vec!["kept"]);
     }
 
     #[test]
     fn clones_share_enable_flag() {
-        let (tx, _rx) = crossbeam_channel::unbounded();
-        let a = ChannelTracer::new("t", tx);
+        let server = TracingServer::new();
+        let a = server.tracer("t");
         let b = a.clone();
         b.set_enabled(false);
         assert!(!a.is_enabled());
@@ -217,71 +247,103 @@ mod tests {
 
     #[test]
     fn report_after_receiver_drop_is_silent() {
-        let (tx, rx) = crossbeam_channel::unbounded();
-        let tracer = ChannelTracer::new("t", tx);
-        drop(rx);
-        tracer.report(mk_span("late")); // must not panic
+        let server = TracingServer::new();
+        let tracer = server.tracer("t");
+        let buffer = server.buffer("t");
+        buffer.report(mk_span("buffered"));
+        drop(server);
+        // None of these may panic: the spans are dropped.
+        tracer.report(mk_span("late"));
+        tracer.report_batch(vec![mk_span("late")]);
+        assert_eq!(buffer.flush(), 1);
     }
 
     #[test]
     fn batch_arrives_as_one_message() {
-        let (tx, rx) = crossbeam_channel::unbounded();
-        let tracer = ChannelTracer::new("t", tx);
+        let (published, tracer) = bare_tracer();
+        tracer.report(mk_span("x"));
         tracer.report_batch(vec![mk_span("a"), mk_span("b")]);
-        tracer.report_batch(Vec::new()); // empty batches are elided
-        let batches: Vec<Vec<Span>> = rx.try_iter().collect();
-        assert_eq!(batches.len(), 1);
-        assert_eq!(batches[0].len(), 2);
+        tracer.report_batch(Vec::new()); // empty batches are skipped
+        let sizes: Vec<usize> = published.lock().iter().map(Vec::len).collect();
+        assert_eq!(sizes, vec![1, 2]);
+
+        // Batches racing from several threads each arrive whole and
+        // contiguous.
+        let server = TracingServer::new();
+        std::thread::scope(|scope| {
+            for t in 0..4 {
+                let tracer = server.tracer("batched");
+                scope.spawn(move || {
+                    for _ in 0..50 {
+                        tracer.report_batch((0..8).map(|_| mk_span(&t.to_string())).collect());
+                    }
+                });
+            }
+        });
+        let names = drained_names(&server);
+        assert_eq!(names.len(), 4 * 50 * 8);
+        for chunk in names.chunks(8) {
+            assert!(
+                chunk.iter().all(|n| *n == chunk[0]),
+                "split batch: {chunk:?}"
+            );
+        }
     }
 
     #[test]
     fn span_buffer_holds_until_flush() {
-        let (tx, rx) = crossbeam_channel::unbounded();
-        let buffer = SpanBuffer::new(ChannelTracer::new("t", tx));
+        let server = TracingServer::new();
+        let buffer = server.buffer("t");
         buffer.report(mk_span("a"));
+        server.tracer("other").report(mk_span("x"));
         buffer.report(mk_span("b"));
         assert_eq!(buffer.len(), 2);
-        assert!(rx.try_iter().next().is_none(), "nothing sent before flush");
+        assert_eq!(
+            drained_names(&server),
+            vec!["x"],
+            "nothing sent before flush"
+        );
+        server.tracer("other").report(mk_span("y"));
         assert_eq!(buffer.flush(), 2);
         assert!(buffer.is_empty());
-        let batches: Vec<Vec<Span>> = rx.try_iter().collect();
-        assert_eq!(batches.len(), 1, "flush is one atomic batch");
-        assert_eq!(batches[0][1].name, "b");
+        assert_eq!(
+            drained_names(&server),
+            vec!["y", "a", "b"],
+            "flush is one atomic batch"
+        );
     }
 
     #[test]
     fn span_buffer_flushes_on_drop() {
-        let (tx, rx) = crossbeam_channel::unbounded();
+        let server = TracingServer::new();
         {
-            let buffer = SpanBuffer::new(ChannelTracer::new("t", tx));
+            let buffer = server.buffer("t");
             buffer.report(mk_span("late"));
         }
-        assert_eq!(rx.try_iter().flatten().count(), 1);
+        assert_eq!(drained_names(&server), vec!["late"]);
     }
 
     #[test]
     fn span_buffer_respects_enable_flag() {
-        let (tx, rx) = crossbeam_channel::unbounded();
-        let inner = ChannelTracer::new("t", tx);
-        inner.set_enabled(false);
-        let buffer = SpanBuffer::new(inner);
+        let server = TracingServer::new();
+        server.tracer("t").set_enabled(false);
+        let buffer = server.buffer("t");
         assert!(!buffer.is_enabled());
         buffer.report(mk_span("dropped"));
         assert_eq!(buffer.flush(), 0);
-        assert!(rx.try_iter().next().is_none());
+        assert!(server.drain().is_empty());
     }
 
     #[test]
     fn span_buffer_flush_delivers_despite_late_disable() {
         // Enable gating happens at report time; disabling the tracer after
         // spans were buffered must not swallow them on flush.
-        let (tx, rx) = crossbeam_channel::unbounded();
-        let inner = ChannelTracer::new("t", tx);
-        let buffer = SpanBuffer::new(inner.clone());
+        let server = TracingServer::new();
+        let buffer = server.buffer("t");
         buffer.report(mk_span("recorded_while_enabled"));
-        inner.set_enabled(false);
+        server.tracer("t").set_enabled(false);
         assert_eq!(buffer.flush(), 1);
-        assert_eq!(rx.try_iter().flatten().count(), 1);
+        assert_eq!(drained_names(&server), vec!["recorded_while_enabled"]);
     }
 
     #[test]

@@ -38,7 +38,7 @@ USAGE:
               [--level 1|2|3] [-o <PATH> | --sink <PATH>] [--batch <N>]
               [--system <NAME>] [--framework tensorflow|mxnet] [--runs <N>]
               [--threads <T>]
-  xsp export  --from <trace.jsonl|trace.xspb> [--from-format spans|xspb]
+  xsp export  --from <trace.jsonl|trace.xspb>
               [--format spans|xspb|chrome|folded] [-o <PATH>]
   xsp analyze --ax <1|2|3|4> --model <NAME> [--batch <N>] [--system <NAME>]
               [--framework tensorflow|mxnet] [--runs <N>] [--threads <T>]
@@ -61,10 +61,10 @@ EXPORT:   streams the trace to -o (stdout by default) without ever holding
           profiling depth: 1 = M, 2 = M/L, 3 = M/L/G + metrics (the
           default). Output is byte-identical for every --threads setting.
           --from skips profiling entirely: it re-correlates a saved capture
-          (span-JSON-lines or .xspb, auto-detected from the magic bytes;
-          --from-format overrides) offline (§III-A) and converts it to any
-          format — `xsp export --from trace.xspb --format chrome` emits the
-          same bytes a live chrome export of that profile would.
+          (span-JSON-lines or .xspb, auto-detected from the magic bytes)
+          offline (§III-A) and converts it to any format —
+          `xsp export --from trace.xspb --format chrome` emits the same
+          bytes a live chrome export of that profile would.
           --sink streams runs to PATH *while profiling runs* instead of
           exporting afterwards; the extension picks the format (.jsonl
           spans, .xspb binary, .json chrome, .folded flamegraph) and the
@@ -353,11 +353,7 @@ fn cache_cmd(verb: Option<&str>, flags: &HashMap<String, String>) -> ExitCode {
             "warm" => {
                 let (xsp, system) = build_xsp(flags)?;
                 let model = lookup_model(flags)?;
-                let batch: usize = flags
-                    .get("batch")
-                    .map(|s| s.parse().map_err(|_| format!("bad --batch '{s}'")))
-                    .transpose()?
-                    .unwrap_or(1);
+                let batch = positive(flags, "batch", 1)?;
                 let level = match flags.get("level") {
                     Some(raw) => ProfilingLevel::parse(raw).map_err(|e| e.to_string())?,
                     None => ProfilingLevel::ModelLayerGpu,
@@ -408,11 +404,7 @@ fn profile(flags: &HashMap<String, String>) -> ExitCode {
     let result = (|| -> Result<(), String> {
         let (xsp, system) = build_xsp(flags)?;
         let model = lookup_model(flags)?;
-        let batch: usize = flags
-            .get("batch")
-            .map(|s| s.parse().map_err(|_| format!("bad --batch '{s}'")))
-            .transpose()?
-            .unwrap_or(1);
+        let batch = positive(flags, "batch", 1)?;
         println!(
             "profiling {} @ batch {batch} on {} ({}, {} runs/level)...",
             model.name,
@@ -509,11 +501,7 @@ fn export(flags: &HashMap<String, String>) -> ExitCode {
         }
         let (xsp, system) = build_xsp(flags)?;
         let model = lookup_model(flags)?;
-        let batch: usize = flags
-            .get("batch")
-            .map(|s| s.parse().map_err(|_| format!("bad --batch '{s}'")))
-            .transpose()?
-            .unwrap_or(1);
+        let batch = positive(flags, "batch", 1)?;
         eprintln!(
             "exporting {} @ batch {batch} on {} ({}, level {}, format {format})...",
             model.name,
@@ -591,11 +579,7 @@ fn export_live_sink(
     }
     let (cfg, system) = build_config(flags)?;
     let model = lookup_model(flags)?;
-    let batch: usize = flags
-        .get("batch")
-        .map(|s| s.parse().map_err(|_| format!("bad --batch '{s}'")))
-        .transpose()?
-        .unwrap_or(1);
+    let batch = positive(flags, "batch", 1)?;
     let sink =
         ExportSink::create(std::path::Path::new(path)).map_err(|e| format!("sink {path}: {e}"))?;
     let xsp = Xsp::new(cfg.export_sink(sink.clone()));
@@ -627,7 +611,7 @@ fn export_live_sink(
 /// profiler") — the spans are correlated once and the correlated trace is
 /// streamed out; no model is re-profiled. The capture may be
 /// span-JSON-lines or `.xspb` span binary; the input format is sniffed
-/// from the magic bytes, with `--from-format` as the explicit override.
+/// from the magic bytes.
 fn export_offline(
     flags: &HashMap<String, String>,
     from: &str,
@@ -657,21 +641,7 @@ fn export_offline(
     if from == "true" {
         return Err("missing value for --from (path to a saved capture)".to_owned());
     }
-    let forced_binary = match flags.get("from-format") {
-        None => None,
-        Some(raw) => match ExportFormat::parse(raw).map_err(|e| e.to_string())? {
-            ExportFormat::Spans => Some(false),
-            ExportFormat::Binary => Some(true),
-            other => {
-                return Err(format!(
-                    "--from-format names the capture's own encoding, which is \
-                     always a span interchange format (spans|jsonl or \
-                     xspb|binary), not {other}"
-                ))
-            }
-        },
-    };
-    let trace = read_capture(from, forced_binary)?;
+    let trace = read_capture(from)?;
     eprintln!(
         "converting {from} ({} spans, {} runs) to {format}...",
         trace.len(),
@@ -705,9 +675,9 @@ fn export_offline(
 }
 
 /// Opens a saved capture and parses it as span-JSON-lines or `.xspb` span
-/// binary. `forced_binary` carries the `--from-format` override; without it
-/// the first four bytes decide (the `XSPB` magic cannot begin a JSON line).
-fn read_capture(from: &str, forced_binary: Option<bool>) -> Result<xsp_trace::Trace, String> {
+/// binary: the first four bytes decide (the `XSPB` magic cannot begin a
+/// JSON line).
+fn read_capture(from: &str) -> Result<xsp_trace::Trace, String> {
     use std::io::Read;
     let mut file = std::fs::File::open(from).map_err(|e| format!("cannot open {from}: {e}"))?;
     let mut prefix = [0u8; 4];
@@ -720,8 +690,7 @@ fn read_capture(from: &str, forced_binary: Option<bool>) -> Result<xsp_trace::Tr
             Err(e) => return Err(format!("cannot read {from}: {e}")),
         }
     }
-    let binary =
-        forced_binary.unwrap_or_else(|| xsp_trace::export::is_xspb_prefix(&prefix[..have]));
+    let binary = xsp_trace::export::is_xspb_prefix(&prefix[..have]);
     // Re-attach the sniffed prefix so both parsers see the whole stream.
     let input = std::io::BufReader::new(std::io::Cursor::new(prefix[..have].to_vec()).chain(file));
     if binary {
@@ -1045,11 +1014,7 @@ fn analyze(flags: &HashMap<String, String>) -> ExitCode {
         }
         let xsp = Xsp::new(cfg);
         let model = lookup_model(flags)?;
-        let batch: usize = flags
-            .get("batch")
-            .map(|s| s.parse().map_err(|_| format!("bad --batch '{s}'")))
-            .transpose()?
-            .unwrap_or(1);
+        let batch = positive(flags, "batch", 1)?;
         eprintln!(
             "analyzing {} ({}) @ batch {batch} on {}...",
             model.name,

@@ -4,10 +4,13 @@
 
 use std::process::{Command, Output};
 
+/// The scratch directory `{tmp}` stands for in an argument line.
+const TMP: &str = env!("CARGO_TARGET_TMPDIR");
+
 /// Runs the CLI on a space-separated argument line.
 fn xsp(args: &str) -> Output {
     Command::new(env!("CARGO_BIN_EXE_xsp"))
-        .args(args.split(' '))
+        .args(args.split(' ').map(|a| a.replace("{tmp}", TMP)))
         .output()
         .unwrap()
 }
@@ -21,6 +24,20 @@ fn zero_counts_are_refused_with_an_error() {
             "analyze --ax 4 --model gpt2 --cache-bucket 0",
             "--cache-bucket",
         ),
+        ("profile --model 5 --batch 0", "--batch"),
+        (
+            "export --model 5 --batch 0 -o {tmp}/batch0.jsonl",
+            "--batch",
+        ),
+        (
+            "export --model 5 --batch 0 --sink {tmp}/batch0.jsonl",
+            "--batch",
+        ),
+        ("analyze --ax 3 --model 5 --batch 0", "--batch"),
+        (
+            "cache warm --model 5 --batch 0 --cache-dir {tmp}/batch0",
+            "--batch",
+        ),
     ] {
         let out = xsp(args);
         let stderr = String::from_utf8_lossy(&out.stderr);
@@ -28,6 +45,10 @@ fn zero_counts_are_refused_with_an_error() {
         let expected = format!("error: bad {flag} '0' (must be at least 1)\n");
         assert_eq!(stderr, expected, "{args}");
     }
+    // Refused before anything is written.
+    let tmp = std::path::Path::new(TMP);
+    assert!(!tmp.join("batch0.jsonl").exists());
+    assert!(!tmp.join("batch0").exists());
 }
 
 #[test]
