@@ -47,7 +47,7 @@ impl<'a> SpanHandle<'a> {
     /// Attaches a tag to the open span.
     pub fn tag(&mut self, key: &str, value: impl Into<xsp_trace::TagValue>) {
         if let Some(b) = self.builder.take() {
-            self.builder = Some(b.tag(key.to_owned(), value));
+            self.builder = Some(b.tag(tag_keys::resolve(key), value));
         }
     }
 

@@ -193,10 +193,22 @@ impl<W: Write> SinkWriter<W> {
     }
 
     fn write_span(&mut self, span: &Span) -> io::Result<()> {
+        self.write_restamped(span, span.trace_id, span.start_ns, span.end_ns)
+    }
+
+    /// Appends `span` under run `trace_id` over `[start_ns, end_ns]`; the
+    /// span itself is only read.
+    fn write_restamped(
+        &mut self,
+        span: &Span,
+        trace_id: TraceId,
+        start_ns: u64,
+        end_ns: u64,
+    ) -> io::Result<()> {
         match self {
-            SinkWriter::Jsonl(w) => w.write_span(span),
-            SinkWriter::Binary(w) => w.write_span(span),
-            SinkWriter::Chrome(w) => w.write_span(span),
+            SinkWriter::Jsonl(w) => w.write_restamped(span, trace_id, start_ns, end_ns),
+            SinkWriter::Binary(w) => w.write_restamped(span, trace_id, start_ns, end_ns),
+            SinkWriter::Chrome(w) => w.write_restamped(span, trace_id, start_ns, end_ns),
             SinkWriter::Folded { .. } => Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
                 "folded sinks finalize per correlated run and cannot accept raw span \
@@ -219,9 +231,10 @@ impl<W: Write> SinkWriter<W> {
     }
 
     /// Appends `run` with every span moved to run `trace_id` and shifted in
-    /// time so that the run's earliest span starts at `start_ns`. Folded
-    /// lines carry neither a trace id nor a timestamp, so a folded writer
-    /// writes the run unchanged.
+    /// time so that the run's earliest span starts at `start_ns`. Each span
+    /// is encoded in place with the new values, not copied. Folded lines
+    /// carry neither a trace id nor a timestamp, so a folded writer writes
+    /// the run unchanged.
     fn write_shifted(
         &mut self,
         run: &CorrelatedTrace,
@@ -233,11 +246,8 @@ impl<W: Write> SinkWriter<W> {
         }
         let base_ns = run.iter_spans().map(|s| s.start_ns).min().unwrap_or(0);
         run.iter_spans().try_for_each(|span| {
-            let mut span = span.clone();
-            span.trace_id = trace_id;
-            span.start_ns = span.start_ns - base_ns + start_ns;
-            span.end_ns = span.end_ns - base_ns + start_ns;
-            self.write_span(&span)
+            let shift = |ns: u64| ns - base_ns + start_ns;
+            self.write_restamped(span, trace_id, shift(span.start_ns), shift(span.end_ns))
         })
     }
 

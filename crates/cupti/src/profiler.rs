@@ -109,7 +109,7 @@ impl Cupti {
                         .tag(tag_keys::CORRELATION_ID, r.correlation_id);
                     if let Some(kname) = &r.kernel_name {
                         b = b
-                            .tag("kernel", kname.clone())
+                            .tag(tag_keys::KERNEL, kname.clone())
                             .tag(tag_keys::ASYNC_LAUNCH, true);
                     } else if r.api_name == "cudaMemcpy" {
                         b = b.tag(tag_keys::ASYNC_LAUNCH, true);
@@ -154,7 +154,7 @@ impl Cupti {
                         .tag(tag_keys::TRACER, "cupti_activity")
                         .tag(tag_keys::CORRELATION_ID, m.correlation_id)
                         .tag(tag_keys::ASYNC_EXECUTION, true)
-                        .tag("bytes", m.bytes);
+                        .tag(tag_keys::BYTES, m.bytes);
                     tracer.report(b.finish(m.end_ns));
                     published += 1;
                 }

@@ -319,7 +319,7 @@ impl RunView for SpanRun<'_> {
         self.at(pos)
             .tags
             .iter()
-            .map(|(k, v)| (k.as_str(), TagRef::from(v)))
+            .map(|(k, v)| (&**k, TagRef::from(v)))
     }
 
     /// Moves the span out of the table, leaving an empty span that owns no
@@ -409,10 +409,11 @@ fn spans_of_run(run: &mut impl RunView, verdicts: &[Verdict], out: &mut Vec<Span
 /// The tag half of the async merge: appends each launch tag whose key the
 /// execution does not carry yet, in launch order, so the execution's own
 /// values win and a key the launch repeats contributes its first value.
+/// Keys go through [`tag_keys::resolve`], so a well-known one is borrowed.
 fn fold_launch_tags<'t>(exec: &mut Span, launch_tags: impl Iterator<Item = (&'t str, TagRef<'t>)>) {
     for (key, value) in launch_tags {
         if exec.tag(key).is_none() {
-            exec.tags.push((key.to_owned(), value.to_value()));
+            exec.tags.push((tag_keys::resolve(key), value.to_value()));
         }
     }
 }
@@ -770,12 +771,13 @@ pub fn reconstruct_parents(trace: &Trace) -> CorrelatedTrace {
 }
 
 /// Convenience: attaches a numeric tag to a span (used by adapters when
-/// merging metric values post-hoc).
+/// merging metric values post-hoc). The key goes through
+/// [`tag_keys::resolve`].
 pub fn set_tag(span: &mut Span, key: &str, value: TagValue) {
     if let Some(slot) = span.tags.iter_mut().find(|(k, _)| k == key) {
         slot.1 = value;
     } else {
-        span.tags.push((key.to_owned(), value));
+        span.tags.push((tag_keys::resolve(key), value));
     }
 }
 
@@ -835,6 +837,31 @@ mod tests {
         assert_eq!(m.parent, Some(SpanId(42)), "parent from the launch");
         assert!(m.is_async_launch(), "the launch's flag folded in");
         assert_eq!(m.tag(tag_keys::FLOP_COUNT_SP).unwrap().as_u64(), Some(1000));
+    }
+
+    #[test]
+    fn folded_launch_tags_borrow_well_known_keys() {
+        let mut l = launch("cudaLaunchKernel", 7, 100, 110, None);
+        l.tags
+            .push((tag_keys::KERNEL.to_owned().into(), "convKernel".into()));
+        l.tags.push(("custom".into(), TagValue::U64(1)));
+        let x = exec("convKernel", 7, 150, 400);
+        let trace = Trace::from_spans(vec![l, x]);
+        let folded = [
+            ("correlation_id", true),
+            ("async_execution", true),
+            ("flop_count_sp", true),
+            ("async_launch", true),
+            ("kernel", true),
+            ("custom", false),
+        ];
+        let owned = reconstruct_parents(&trace);
+        assert_eq!(owned.spans()[0].key_borrows(), folded);
+        let store = SpanStore::from_spans(trace.spans());
+        let stored = CorrelationEngine::new()
+            .correlate_store(&store)
+            .materialize(&store);
+        assert_eq!(stored.spans()[0].key_borrows(), folded);
     }
 
     #[test]

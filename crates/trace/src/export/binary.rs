@@ -38,7 +38,7 @@
 
 use crate::intern::Symbol;
 use crate::server::Trace;
-use crate::span::{Span, SpanId, StackLevel, TagValue, TraceId};
+use crate::span::{tag_keys, Span, SpanId, StackLevel, TagKey, TagValue, TraceId};
 use crate::store::{SpanStore, SpanView, TagRef};
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -198,16 +198,29 @@ impl<W: Write> SpanBinaryWriter<W> {
 
     /// Appends one span record (plus any name records it needs).
     pub fn write_span(&mut self, span: &Span) -> io::Result<()> {
+        self.write_restamped(span, span.trace_id, span.start_ns, span.end_ns)
+    }
+
+    /// Appends `span` as if it belonged to run `trace_id` and ran from
+    /// `start_ns` to `end_ns`: a serving step streams its memoized run
+    /// this way without copying a span.
+    pub fn write_restamped(
+        &mut self,
+        span: &Span,
+        trace_id: TraceId,
+        start_ns: u64,
+        end_ns: u64,
+    ) -> io::Result<()> {
         self.encode_span(
             span.id,
-            span.trace_id,
+            trace_id,
             &span.name,
             span.level,
             span.parent,
-            span.start_ns,
-            span.end_ns,
+            start_ns,
+            end_ns,
             span.tags.len(),
-            span.tags.iter().map(|(k, v)| (k.as_str(), TagRef::from(v))),
+            span.tags.iter().map(|(k, v)| (&**k, TagRef::from(v))),
             span.logs.len(),
             span.logs.iter().map(|l| (l.at_ns, l.message.as_str())),
         )
@@ -357,7 +370,9 @@ enum Record {
 }
 
 /// Streaming `.xspb` reader: yields one [`Span`] per span record,
-/// maintaining the stream's symbol table as name records arrive.
+/// maintaining the stream's symbol table as name records arrive. Each name
+/// goes through [`tag_keys::resolve`] once, as it is defined, so a tag
+/// with a well-known key costs no allocation per span.
 ///
 /// Iteration yields `Result<Span, BinaryReadError>`; a clean EOF at a
 /// record boundary ends the stream, EOF anywhere else is
@@ -365,7 +380,7 @@ enum Record {
 #[derive(Debug)]
 pub struct SpanBinaryReader<R: Read> {
     src: R,
-    names: Vec<String>,
+    names: Vec<TagKey>,
     buf: Vec<u8>,
     header_done: bool,
 }
@@ -514,7 +529,7 @@ impl<R: Read> SpanBinaryReader<R> {
             ));
         }
         let name = std::str::from_utf8(&self.buf[4..]).map_err(|_| BinaryReadError::Utf8)?;
-        self.names.push(name.to_owned());
+        self.names.push(tag_keys::resolve(name));
         Ok(())
     }
 }
@@ -697,11 +712,10 @@ fn read_log_count(c: &mut Cursor<'_>) -> Result<u32, BinaryReadError> {
     Ok(log_count)
 }
 
-fn decode_span(payload: &[u8], names: &[String]) -> Result<Span, BinaryReadError> {
-    let resolve = |sym: u32| -> Result<&str, BinaryReadError> {
+fn decode_span(payload: &[u8], names: &[TagKey]) -> Result<Span, BinaryReadError> {
+    let resolve = |sym: u32| -> Result<&TagKey, BinaryReadError> {
         names
             .get(sym as usize)
-            .map(String::as_str)
             .ok_or(BinaryReadError::BadSymbol(sym))
     };
     let (head, mut c) = decode_head(payload)?;
@@ -709,13 +723,13 @@ fn decode_span(payload: &[u8], names: &[String]) -> Result<Span, BinaryReadError
     for _ in 0..head.tag_count {
         let (key, raw) = decode_tag(&mut c)?;
         let value = match raw {
-            RawTag::Str(sym) => TagValue::Str(resolve(sym)?.to_owned()),
+            RawTag::Str(sym) => TagValue::Str(resolve(sym)?.to_string().into()),
             RawTag::I64(v) => TagValue::I64(v),
             RawTag::U64(v) => TagValue::U64(v),
             RawTag::F64(v) => TagValue::F64(v),
             RawTag::Bool(v) => TagValue::Bool(v),
         };
-        tags.push((resolve(key)?.to_owned(), value));
+        tags.push((resolve(key)?.clone(), value));
     }
     let log_count = read_log_count(&mut c)?;
     let mut logs = Vec::with_capacity(log_count as usize);
@@ -732,7 +746,7 @@ fn decode_span(payload: &[u8], names: &[String]) -> Result<Span, BinaryReadError
     Ok(Span {
         id: head.id,
         trace_id: head.trace_id,
-        name: resolve(head.name)?.to_owned(),
+        name: resolve(head.name)?.to_string(),
         level: head.level,
         start_ns: head.start_ns,
         end_ns: head.end_ns,
@@ -853,6 +867,33 @@ mod tests {
         for (i, s) in spans.iter().enumerate() {
             assert_eq!(&store.materialize(i as u32), s);
         }
+    }
+
+    #[test]
+    fn decoding_borrows_well_known_keys() {
+        let spans = sample();
+        let bytes = spans_to_binary(&spans);
+        let back: Vec<Span> = SpanBinaryReader::new(&bytes[..])
+            .collect::<Result<_, _>>()
+            .unwrap();
+        assert_eq!(
+            back[0].key_borrows(),
+            [("batch_size", true), ("note", false)]
+        );
+        assert_eq!(
+            back[2].key_borrows(),
+            [
+                ("correlation_id", true),
+                ("async_execution", true),
+                ("occ", false),
+                ("neg", false),
+                ("flag", false)
+            ]
+        );
+        assert!(matches!(
+            &back[0].tags[1].1,
+            TagValue::Str(std::borrow::Cow::Owned(_))
+        ));
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! call stack. The goldens and the reference proptests in
 //! `tests/proptests.rs` pin both directions against `serde_json`.
 
-use crate::span::{LogEvent, Span, SpanId, StackLevel, TagValue, TraceId};
+use crate::span::{tag_keys, LogEvent, Span, SpanId, StackLevel, TagKey, TagValue, TraceId};
 use serde_json::Error;
 use std::borrow::Cow;
 use std::io::Write as _;
@@ -27,20 +27,27 @@ use std::io::Write as _;
 /// `StackLevel`'s serde variant names, indexed by [`StackLevel::rank`].
 const LEVEL_VARIANTS: [&str; 5] = ["Application", "Model", "Layer", "Library", "Kernel"];
 
-/// Appends `span` as one span-JSON object.
-pub(crate) fn push_span(out: &mut Vec<u8>, span: &Span) {
+/// Appends `span` as one span-JSON object, under run `trace_id` and over
+/// `[start_ns, end_ns]` (the span's own values, or a serving step's).
+pub(crate) fn push_span(
+    out: &mut Vec<u8>,
+    span: &Span,
+    trace_id: TraceId,
+    start_ns: u64,
+    end_ns: u64,
+) {
     out.extend_from_slice(b"{\"id\":");
     push_u64(out, span.id.0);
     out.extend_from_slice(b",\"trace_id\":");
-    push_u64(out, span.trace_id.0);
+    push_u64(out, trace_id.0);
     out.extend_from_slice(b",\"name\":");
     push_str(out, &span.name);
     out.extend_from_slice(b",\"level\":\"");
     out.extend_from_slice(LEVEL_VARIANTS[span.level.rank() as usize].as_bytes());
     out.extend_from_slice(b"\",\"start_ns\":");
-    push_u64(out, span.start_ns);
+    push_u64(out, start_ns);
     out.extend_from_slice(b",\"end_ns\":");
-    push_u64(out, span.end_ns);
+    push_u64(out, end_ns);
     out.extend_from_slice(b",\"parent\":");
     match span.parent {
         Some(p) => push_u64(out, p.0),
@@ -89,17 +96,24 @@ enum Arg<'a> {
 /// Appends `span` as one Chrome "X" (complete) event: microsecond
 /// timestamps, the trace as the process row and the stack level as the
 /// thread row; `args` holds `span_id`, `parent` when known, then the tags.
-pub(crate) fn push_chrome_event(out: &mut Vec<u8>, span: &Span) {
+/// The run and interval are passed as for [`push_span`].
+pub(crate) fn push_chrome_event(
+    out: &mut Vec<u8>,
+    span: &Span,
+    trace_id: TraceId,
+    start_ns: u64,
+    end_ns: u64,
+) {
     out.extend_from_slice(b"{\"name\":");
     push_str(out, &span.name);
     out.extend_from_slice(b",\"cat\":\"");
     write!(out, "{}", span.level).expect("Vec writes cannot fail");
     out.extend_from_slice(b"\",\"ph\":\"X\",\"ts\":");
-    push_f64(out, span.start_ns as f64 / 1e3);
+    push_f64(out, start_ns as f64 / 1e3);
     out.extend_from_slice(b",\"dur\":");
-    push_f64(out, span.duration_ns() as f64 / 1e3);
+    push_f64(out, (end_ns - start_ns) as f64 / 1e3);
     out.extend_from_slice(b",\"pid\":");
-    push_u64(out, span.trace_id.0);
+    push_u64(out, trace_id.0);
     out.extend_from_slice(b",\"tid\":");
     push_u64(out, u64::from(span.level.rank()));
     out.extend_from_slice(b",\"args\":{");
@@ -110,7 +124,7 @@ pub(crate) fn push_chrome_event(out: &mut Vec<u8>, span: &Span) {
     let args = head
         .into_iter()
         .filter_map(|(key, id)| id.map(|id| (key, Arg::Id(id))))
-        .chain(span.tags.iter().map(|(key, v)| (key.as_str(), Arg::Tag(v))));
+        .chain(span.tags.iter().map(|(key, v)| (&**key, Arg::Tag(v))));
     let mut first = true;
     for (i, (key, own)) in args.clone().enumerate() {
         // Map::insert semantics: the first occurrence fixes the position,
@@ -470,12 +484,14 @@ impl<'a> Parser<'a> {
             .ok_or_else(|| Error::Data(format!("unknown StackLevel variant {name:?}")))
     }
 
-    fn tags(&mut self) -> Result<Vec<(String, TagValue)>, Error> {
+    /// The tag list; each key is read borrowed from the input and goes
+    /// through [`tag_keys::resolve`], so a well-known key allocates nothing.
+    fn tags(&mut self) -> Result<Vec<(TagKey, TagValue)>, Error> {
         let mut tags = Vec::new();
         self.array(|p| {
             p.eat(b'[')?;
             p.ws();
-            let key = p.owned_string()?;
+            let key = tag_keys::resolve(p.string()?);
             p.ws();
             p.eat(b',')?;
             p.ws();
@@ -497,7 +513,7 @@ impl<'a> Parser<'a> {
                 return Err(mismatch("a single TagValue variant key"));
             }
             let value = p.field("TagValue", |p| match &*key {
-                "Str" => p.owned_string().map(TagValue::Str),
+                "Str" => p.owned_string().map(TagValue::from),
                 "I64" => match p.number()? {
                     Number::Pos(v) => i64::try_from(v)
                         .map(TagValue::I64)
@@ -790,7 +806,7 @@ mod tests {
             "end_ns":1,"tags":[["t",{"U64":"no","U64":3}]],"logs":[],"id":7}"#;
         let span = parse_span(line).unwrap();
         assert_eq!(span.id, SpanId(7));
-        assert_eq!(span.tags, vec![("t".to_owned(), TagValue::U64(3))]);
+        assert_eq!(span.tags, vec![("t".into(), TagValue::U64(3))]);
     }
 
     #[test]

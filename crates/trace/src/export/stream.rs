@@ -33,7 +33,7 @@
 use super::json;
 use crate::correlate::CorrelatedTrace;
 use crate::server::Trace;
-use crate::span::Span;
+use crate::span::{Span, TraceId};
 use std::fmt;
 use std::io::{self, BufRead, Write};
 
@@ -108,7 +108,13 @@ impl<W: Write> SpanJsonWriter<W> {
         if self.written > 0 {
             self.buf.push(b',');
         }
-        json::push_span(&mut self.buf, span);
+        json::push_span(
+            &mut self.buf,
+            span,
+            span.trace_id,
+            span.start_ns,
+            span.end_ns,
+        );
         self.out.write_all(&self.buf)?;
         self.written += 1;
         Ok(())
@@ -157,8 +163,21 @@ impl<W: Write> SpanJsonLinesWriter<W> {
 
     /// Appends one span as a single line.
     pub fn write_span(&mut self, span: &Span) -> io::Result<()> {
+        self.write_restamped(span, span.trace_id, span.start_ns, span.end_ns)
+    }
+
+    /// Appends `span` as one line, as if it belonged to run `trace_id` and
+    /// ran from `start_ns` to `end_ns`: a serving step streams its memoized
+    /// run this way without copying a span.
+    pub fn write_restamped(
+        &mut self,
+        span: &Span,
+        trace_id: TraceId,
+        start_ns: u64,
+        end_ns: u64,
+    ) -> io::Result<()> {
         self.buf.clear();
-        json::push_span(&mut self.buf, span);
+        json::push_span(&mut self.buf, span, trace_id, start_ns, end_ns);
         self.buf.push(b'\n');
         self.out.write_all(&self.buf)?;
         self.written += 1;
@@ -277,11 +296,24 @@ impl<W: Write> ChromeTraceWriter<W> {
 
     /// Appends one span as an "X" (complete) event.
     pub fn write_span(&mut self, span: &Span) -> io::Result<()> {
+        self.write_restamped(span, span.trace_id, span.start_ns, span.end_ns)
+    }
+
+    /// Appends `span` as one event, as if it belonged to run `trace_id` and
+    /// ran from `start_ns` to `end_ns` (see
+    /// [`SpanJsonLinesWriter::write_restamped`]).
+    pub fn write_restamped(
+        &mut self,
+        span: &Span,
+        trace_id: TraceId,
+        start_ns: u64,
+        end_ns: u64,
+    ) -> io::Result<()> {
         self.buf.clear();
         if self.written > 0 {
             self.buf.push(b',');
         }
-        json::push_chrome_event(&mut self.buf, span);
+        json::push_chrome_event(&mut self.buf, span, trace_id, start_ns, end_ns);
         self.out.write_all(&self.buf)?;
         self.written += 1;
         Ok(())
@@ -451,6 +483,33 @@ mod tests {
         assert_eq!(back.spans()[0].name, "predict");
         assert_eq!(back.spans()[1].parent, trace.spans()[1].parent);
         assert_eq!(back.spans()[0].tag("batch_size").unwrap().as_u64(), Some(4));
+    }
+
+    #[test]
+    fn json_lines_borrow_well_known_keys_even_when_escaped() {
+        let line = concat!(
+            r#"{"id":1,"trace_id":1,"name":"k","level":"Kernel","start_ns":0,"end_ns":1,"#,
+            r#""parent":null,"tags":[["grid",{"Str":"[1,1,1]"}],["note",{"U64":1}],"#,
+            r#"["stre\u0061m",{"U64":2}],["n\u006fte",{"U64":3}]],"logs":[]}"#,
+            "\n"
+        );
+        let span = SpanJsonLinesReader::new(line.as_bytes())
+            .next()
+            .unwrap()
+            .unwrap();
+        assert_eq!(
+            span.key_borrows(),
+            [
+                ("grid", true),
+                ("note", false),
+                ("stream", true),
+                ("note", false)
+            ]
+        );
+        assert!(
+            matches!(&span.tags[0].1, crate::TagValue::Str(std::borrow::Cow::Owned(v)) if v == "[1,1,1]"),
+            "decoded values stay owned"
+        );
     }
 
     #[test]

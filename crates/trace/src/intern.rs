@@ -15,8 +15,13 @@
 //! records) inherits byte-for-byte reproducibility. The interner
 //! determinism test extends the Serial-vs-`Fixed(4)` contract to this
 //! table.
+//!
+//! Each string goes through [`tag_keys::resolve`] once, when it is first
+//! interned: a well-known tag key is stored borrowed, so its entry costs
+//! no allocation, and the key the table hands out for it clones for free.
 
 use crate::fxhash::FxHashMap;
+use crate::span::{tag_keys, TagKey};
 
 /// A handle to an interned string in a [`NameTable`].
 ///
@@ -48,8 +53,8 @@ impl Symbol {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct NameTable {
-    names: Vec<String>,
-    index: FxHashMap<String, u32>,
+    names: Vec<TagKey>,
+    index: FxHashMap<TagKey, u32>,
 }
 
 impl NameTable {
@@ -64,18 +69,19 @@ impl NameTable {
         if let Some(&id) = self.index.get(name) {
             return Symbol(id);
         }
-        self.push_new(name.to_owned())
+        self.push_new(tag_keys::resolve(name))
     }
 
-    /// Interns an owned `name`, reusing the allocation on a miss.
+    /// Interns an owned `name`, reusing the allocation on a miss (a
+    /// well-known tag key is stored borrowed instead).
     pub fn intern_owned(&mut self, name: String) -> Symbol {
         if let Some(&id) = self.index.get(name.as_str()) {
             return Symbol(id);
         }
-        self.push_new(name)
+        self.push_new(tag_keys::resolve(name))
     }
 
-    fn push_new(&mut self, name: String) -> Symbol {
+    fn push_new(&mut self, name: TagKey) -> Symbol {
         let id = u32::try_from(self.names.len()).expect("name table exceeds u32 symbols");
         self.index.insert(name.clone(), id);
         self.names.push(name);
@@ -94,9 +100,16 @@ impl NameTable {
         &self.names[sym.index()]
     }
 
+    /// Resolves a symbol to a tag key: borrowed for a well-known key, so a
+    /// clone allocates only for other strings. Panics like
+    /// [`NameTable::resolve`].
+    pub(crate) fn key(&self, sym: Symbol) -> &TagKey {
+        &self.names[sym.index()]
+    }
+
     /// Resolves a symbol, returning `None` when it is out of range.
     pub fn try_resolve(&self, sym: Symbol) -> Option<&str> {
-        self.names.get(sym.index()).map(String::as_str)
+        self.names.get(sym.index()).map(|n| &**n)
     }
 
     /// Number of distinct strings interned.
@@ -111,7 +124,7 @@ impl NameTable {
 
     /// Iterates the interned strings in symbol order.
     pub fn iter(&self) -> impl Iterator<Item = &str> {
-        self.names.iter().map(String::as_str)
+        self.names.iter().map(|n| &**n)
     }
 }
 

@@ -50,7 +50,9 @@ pub use hierarchy::SpanTree;
 pub use intern::{NameTable, Symbol};
 pub use interval::IntervalTree;
 pub use server::{Trace, TracingServer};
-pub use span::{with_span_id_scope, Span, SpanBuilder, SpanId, StackLevel, TagValue, TraceId};
+pub use span::{
+    with_span_id_scope, Span, SpanBuilder, SpanId, StackLevel, TagKey, TagValue, TraceId,
+};
 pub use stats::{trimmed_mean, Summary};
 pub use store::{SpanStore, SpanView, TagRef};
 pub use tracer::{NoopTracer, ServerTracer, SpanBuffer, Tracer};

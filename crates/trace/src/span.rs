@@ -9,6 +9,7 @@
 //! [`crate::correlate`]).
 
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::cell::Cell;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -158,11 +159,17 @@ impl fmt::Display for StackLevel {
     }
 }
 
+/// A tag key: a well-known key borrows its [`tag_keys`] constant, any
+/// other key owns its string. Most spans carry only well-known keys, so
+/// building, decoding or copying their tags allocates no key at all.
+pub type TagKey = Cow<'static, str>;
+
 /// A user-defined span annotation value.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum TagValue {
-    /// String tag.
-    Str(String),
+    /// String tag: borrowed when a producer passes a `&'static str`
+    /// constant, owned when built at run time or decoded.
+    Str(Cow<'static, str>),
     /// Signed integer tag.
     I64(i64),
     /// Unsigned integer tag (kernel counters, byte counts).
@@ -203,14 +210,14 @@ impl TagValue {
     }
 }
 
-impl From<&str> for TagValue {
-    fn from(v: &str) -> Self {
-        TagValue::Str(v.to_owned())
+impl From<&'static str> for TagValue {
+    fn from(v: &'static str) -> Self {
+        TagValue::Str(Cow::Borrowed(v))
     }
 }
 impl From<String> for TagValue {
     fn from(v: String) -> Self {
-        TagValue::Str(v)
+        TagValue::Str(Cow::Owned(v))
     }
 }
 impl From<i64> for TagValue {
@@ -243,8 +250,12 @@ pub struct LogEvent {
     pub message: String,
 }
 
-/// Well-known tag keys used across the stack.
+/// Well-known tag keys used across the stack, and the resolver that
+/// borrows them.
 pub mod tag_keys {
+    use super::TagKey;
+    use std::borrow::Cow;
+
     /// Correlation identifier linking an async launch span to its execution
     /// span (CUPTI `correlation_id`).
     pub const CORRELATION_ID: &str = "correlation_id";
@@ -278,6 +289,51 @@ pub mod tag_keys {
     pub const TRACER: &str = "tracer";
     /// Batch size of the evaluation that produced the span.
     pub const BATCH_SIZE: &str = "batch_size";
+    /// Name of the kernel a CUDA launch call starts.
+    pub const KERNEL: &str = "kernel";
+    /// Bytes a memory copy moves.
+    pub const BYTES: &str = "bytes";
+
+    /// Every well-known key: the keys [`resolve`] borrows.
+    pub(crate) const ALL: [&str; 18] = [
+        CORRELATION_ID,
+        ASYNC_LAUNCH,
+        ASYNC_EXECUTION,
+        LAYER_INDEX,
+        LAYER_TYPE,
+        LAYER_SHAPE,
+        ALLOC_BYTES,
+        FLOP_COUNT_SP,
+        DRAM_READ_BYTES,
+        DRAM_WRITE_BYTES,
+        ACHIEVED_OCCUPANCY,
+        GRID,
+        BLOCK,
+        STREAM,
+        TRACER,
+        BATCH_SIZE,
+        KERNEL,
+        BYTES,
+    ];
+
+    /// The key for a tag read at run time (a decoded span, a store
+    /// symbol, a caller's `&str`): a well-known key borrows its constant,
+    /// any other key is owned. Keys from files and daemon clients are
+    /// unbounded, so nothing is interned or leaked for them.
+    ///
+    /// ```
+    /// use std::borrow::Cow;
+    /// use xsp_trace::span::tag_keys;
+    /// assert!(matches!(tag_keys::resolve("grid"), Cow::Borrowed(tag_keys::GRID)));
+    /// assert!(matches!(tag_keys::resolve("note"), Cow::Owned(_)));
+    /// ```
+    pub fn resolve<'k>(key: impl Into<Cow<'k, str>>) -> TagKey {
+        let key = key.into();
+        match ALL.iter().find(|k| **k == key) {
+            Some(k) => Cow::Borrowed(k),
+            None => Cow::Owned(key.into_owned()),
+        }
+    }
 }
 
 /// A timed operation captured by some profiler in the stack.
@@ -299,7 +355,7 @@ pub struct Span {
     /// Parent reference when known at creation time.
     pub parent: Option<SpanId>,
     /// User-defined key/value annotations.
-    pub tags: Vec<(String, TagValue)>,
+    pub tags: Vec<(TagKey, TagValue)>,
     /// Timestamped log entries.
     pub logs: Vec<LogEvent>,
 }
@@ -344,6 +400,17 @@ impl Span {
     /// (`start ≤ other.start` and `other.end ≤ end`).
     pub fn contains(&self, other: &Span) -> bool {
         self.start_ns <= other.start_ns && other.end_ns <= self.end_ns
+    }
+}
+
+#[cfg(test)]
+impl Span {
+    /// Each tag key, with whether it is borrowed.
+    pub(crate) fn key_borrows(&self) -> Vec<(&str, bool)> {
+        self.tags
+            .iter()
+            .map(|(k, _)| (&**k, matches!(k, Cow::Borrowed(_))))
+            .collect()
     }
 }
 
@@ -398,8 +465,9 @@ impl SpanBuilder {
         self
     }
 
-    /// Attaches a tag.
-    pub fn tag(mut self, key: impl Into<String>, value: impl Into<TagValue>) -> Self {
+    /// Attaches a tag. A `&'static str` key (a [`tag_keys`] constant or a
+    /// literal) is borrowed; a `String` key is owned.
+    pub fn tag(mut self, key: impl Into<TagKey>, value: impl Into<TagValue>) -> Self {
         self.span.tags.push((key.into(), value.into()));
         self
     }
@@ -542,6 +610,47 @@ mod tests {
         assert_eq!(TagValue::from(3u64).as_f64(), Some(3.0));
         assert_eq!(TagValue::from(true).as_f64(), None);
         assert_eq!(TagValue::from("s").as_str(), Some("s"));
+    }
+
+    #[test]
+    fn every_well_known_key_resolves_borrowed() {
+        for key in tag_keys::ALL {
+            for resolved in [tag_keys::resolve(key), tag_keys::resolve(key.to_owned())] {
+                assert!(matches!(resolved, Cow::Borrowed(k) if k == key), "{key}");
+            }
+        }
+        let mut distinct = tag_keys::ALL.to_vec();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(
+            distinct.len(),
+            tag_keys::ALL.len(),
+            "no key is listed twice"
+        );
+    }
+
+    #[test]
+    fn an_unknown_key_resolves_owned() {
+        for key in ["note", "", "Grid", "grid ", "kernel_name"] {
+            let resolved = tag_keys::resolve(key);
+            assert!(matches!(&resolved, Cow::Owned(k) if k == key), "{key}");
+        }
+    }
+
+    #[test]
+    fn the_builder_borrows_static_keys_and_values() {
+        let s = SpanBuilder::new("k", StackLevel::Kernel, TraceId(0))
+            .tag(tag_keys::TRACER, "cupti_activity")
+            .tag(String::from("note"), String::from("run time"))
+            .finish(0);
+        assert!(matches!(
+            s.tags[0],
+            (Cow::Borrowed(_), TagValue::Str(Cow::Borrowed(_)))
+        ));
+        assert!(matches!(
+            s.tags[1],
+            (Cow::Owned(_), TagValue::Str(Cow::Owned(_)))
+        ));
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //!
 //! A [`crate::span::Span`] is the right *interchange* shape (owned,
 //! self-contained, serde-friendly) but the wrong *resident* shape: every
-//! span carries an owned `String` name, a `Vec` of tags whose keys are
-//! owned `String`s, and a `Vec` of logs — three-plus allocations per span
-//! on the publish→drain→correlate path. A [`SpanStore`] keeps the same
+//! span carries an owned `String` name, a `Vec` of tags (whose keys are
+//! owned unless well-known) and a `Vec` of logs — two-plus allocations per
+//! span on the publish→drain→correlate path. A [`SpanStore`] keeps the same
 //! data columnar: fixed-width fields (ids, intervals, levels, parents)
 //! live in flat vectors, names/tag keys/string tag values are interned
 //! [`Symbol`]s in one [`NameTable`], and tags/logs live in shared arenas
@@ -57,7 +57,7 @@ impl<'a> TagRef<'a> {
     /// Converts to an owned [`TagValue`].
     pub fn to_value(self) -> TagValue {
         match self {
-            TagRef::Str(s) => TagValue::Str(s.to_owned()),
+            TagRef::Str(s) => TagValue::Str(s.to_owned().into()),
             TagRef::I64(v) => TagValue::I64(v),
             TagRef::U64(v) => TagValue::U64(v),
             TagRef::F64(v) => TagValue::F64(v),
@@ -360,7 +360,9 @@ impl SpanStore {
 
     /// Rebuilds the interchange [`Span`] at `idx` — tag and log order
     /// preserved, so serializing it is byte-identical to serializing the
-    /// span that was pushed.
+    /// span that was pushed. A well-known tag key is borrowed from the name
+    /// table, which resolved it once when it was interned; string values
+    /// are owned.
     pub fn materialize(&self, idx: u32) -> Span {
         let i = idx as usize;
         let (toff, tlen) = self.tag_ranges[i];
@@ -368,7 +370,7 @@ impl SpanStore {
             .map(|t| {
                 let t = t as usize;
                 (
-                    self.names.resolve(self.tag_keys_col[t]).to_owned(),
+                    self.names.key(self.tag_keys_col[t]).clone(),
                     self.tag_value(self.tag_cells[t]),
                 )
             })
@@ -473,7 +475,7 @@ impl SpanStore {
 
     fn tag_value(&self, cell: TagCell) -> TagValue {
         match cell {
-            TagCell::Str(s) => TagValue::Str(self.names.resolve(s).to_owned()),
+            TagCell::Str(s) => TagValue::Str(self.names.resolve(s).to_owned().into()),
             TagCell::I64(v) => TagValue::I64(v),
             TagCell::U64(v) => TagValue::U64(v),
             TagCell::F64(v) => TagValue::F64(v),
@@ -630,6 +632,28 @@ mod tests {
                 "span {i} must round-trip byte-for-byte"
             );
         }
+    }
+
+    #[test]
+    fn materialize_borrows_well_known_keys() {
+        // Owned keys going in: the store resolves each symbol once, so
+        // what comes out depends on the key, not on how it was pushed.
+        let mut spans = sample();
+        for span in &mut spans {
+            for (k, _) in &mut span.tags {
+                *k = k.to_string().into();
+            }
+        }
+        let store = SpanStore::from_spans(&spans);
+        assert_eq!(store.materialize(0).key_borrows(), [("batch_size", true)]);
+        assert_eq!(
+            store.materialize(1).key_borrows(),
+            [("occ", false), ("shape", false)]
+        );
+        assert_eq!(
+            store.materialize(2).key_borrows(),
+            [("correlation_id", true), ("async_execution", true)]
+        );
     }
 
     #[test]

@@ -259,13 +259,13 @@ fn reference_chrome_trace(spans: &[Span]) -> String {
             }
             for (k, v) in &span.tags {
                 let value = match v {
-                    TagValue::Str(s) => Value::String(s.clone()),
+                    TagValue::Str(s) => Value::String(s.to_string()),
                     TagValue::I64(i) => json!(i),
                     TagValue::U64(u) => json!(u),
                     TagValue::F64(f) => json!(f),
                     TagValue::Bool(b) => Value::Bool(*b),
                 };
-                args.insert(k.clone(), value);
+                args.insert(k.to_string(), value);
             }
             let mut event = Map::new();
             event.insert("name".into(), Value::String(span.name.clone()));

@@ -1070,25 +1070,19 @@ fn analyze_serving(flags: &HashMap<String, String>) -> Result<(), String> {
         )
     })?;
     let max_batch = positive(flags, "max-batch", 8)?;
-    let requests: usize = flags
-        .get("requests")
-        .map(|s| s.parse().map_err(|_| format!("bad --requests '{s}'")))
-        .transpose()?
-        .unwrap_or(24);
+    let requests = positive(flags, "requests", 24)?;
     let cache_bucket = positive(flags, "cache-bucket", 64)?;
     let seed: u64 = flags
         .get("seed")
         .map(|s| s.parse().map_err(|_| format!("bad --seed '{s}'")))
         .transpose()?
         .unwrap_or(42);
-    let rate: f64 = flags
-        .get("rate")
-        .map(|s| s.parse().map_err(|_| format!("bad --rate '{s}'")))
-        .transpose()?
-        .unwrap_or(40.0);
-    if rate <= 0.0 || rate.is_nan() {
-        return Err(format!("bad --rate '{rate}' (must be positive)"));
-    }
+    let rate = match flags.get("rate").map(|s| (s, s.parse::<f64>())) {
+        None => 40.0,
+        Some((_, Ok(r))) if r > 0.0 && r.is_finite() => r,
+        Some((s, Ok(_))) => return Err(format!("bad --rate '{s}' (must be positive and finite)")),
+        Some((s, Err(_))) => return Err(format!("bad --rate '{s}'")),
+    };
     let prompt = parse_range(
         flags.get("prompt").map(|s| s.as_str()).unwrap_or("16-64"),
         "prompt",

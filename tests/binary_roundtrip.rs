@@ -9,7 +9,7 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 use proptest::sample::select;
 use xsp_trace::export::{read_span_binary, spans_to_binary, SpanJsonLinesWriter};
-use xsp_trace::span::tag_keys;
+use xsp_trace::span::{tag_keys, TagKey};
 use xsp_trace::{Span, SpanId, SpanStore, StackLevel, TagValue, TraceId};
 
 /// Names chosen to break naive encoders: JSON metacharacters, escapes,
@@ -36,7 +36,7 @@ fn name_strategy() -> impl Strategy<Value = String> {
 
 fn tag_value_strategy() -> impl Strategy<Value = TagValue> {
     prop_oneof![
-        select(HOSTILE_NAMES.to_vec()).prop_map(|s| TagValue::Str(s.to_owned())),
+        select(HOSTILE_NAMES.to_vec()).prop_map(|s| TagValue::Str(s.to_owned().into())),
         (i64::MIN..i64::MAX).prop_map(TagValue::I64),
         (0u64..u64::MAX).prop_map(TagValue::U64),
         (-1.0e12f64..1.0e12).prop_map(TagValue::F64),
@@ -55,14 +55,14 @@ struct SpanSeed {
     start: u64,
     dur: u64,
     parent_back: usize,
-    tags: Vec<(String, TagValue)>,
+    tags: Vec<(TagKey, TagValue)>,
     logs: Vec<(u64, String)>,
     async_pair: bool,
 }
 
 fn seed_strategy() -> impl Strategy<Value = SpanSeed> {
     let tags = vec(
-        (name_strategy(), tag_value_strategy()).prop_map(|(k, v)| (k, v)),
+        (name_strategy(), tag_value_strategy()).prop_map(|(k, v)| (k.into(), v)),
         0..5,
     );
     let logs = vec((0u64..1_000_000, name_strategy()), 0..3);
@@ -129,15 +129,15 @@ fn build_forest(seeds: Vec<SpanSeed>) -> Vec<Span> {
             launch.level = StackLevel::Kernel;
             launch
                 .tags
-                .push((tag_keys::CORRELATION_ID.to_owned(), TagValue::U64(cid)));
+                .push((tag_keys::CORRELATION_ID.into(), TagValue::U64(cid)));
             launch
                 .tags
-                .push((tag_keys::ASYNC_LAUNCH.to_owned(), TagValue::Bool(true)));
+                .push((tag_keys::ASYNC_LAUNCH.into(), TagValue::Bool(true)));
             span.level = StackLevel::Kernel;
             span.tags
-                .push((tag_keys::CORRELATION_ID.to_owned(), TagValue::U64(cid)));
+                .push((tag_keys::CORRELATION_ID.into(), TagValue::U64(cid)));
             span.tags
-                .push((tag_keys::ASYNC_EXECUTION.to_owned(), TagValue::Bool(true)));
+                .push((tag_keys::ASYNC_EXECUTION.into(), TagValue::Bool(true)));
             cid += 1;
             spans.push(launch);
         }
@@ -246,11 +246,8 @@ fn xspb_is_denser_than_jsonl() {
             end_ns: i * 1000 + 800,
             parent: None,
             tags: vec![
-                (tag_keys::FLOP_COUNT_SP.to_owned(), TagValue::U64(1 << 20)),
-                (
-                    tag_keys::ACHIEVED_OCCUPANCY.to_owned(),
-                    TagValue::F64(0.625),
-                ),
+                (tag_keys::FLOP_COUNT_SP.into(), TagValue::U64(1 << 20)),
+                (tag_keys::ACHIEVED_OCCUPANCY.into(), TagValue::F64(0.625)),
             ],
             logs: Vec::new(),
         })

@@ -1,5 +1,6 @@
-//! Count flags that must be at least 1 are refused with an `error:` line
-//! and exit status 1, never an assertion panic, and `--model` accepts the
+//! Count flags that must be at least 1, and a rate that is not a positive
+//! finite number, are refused with an `error:` line and exit status 1,
+//! never an assertion panic or an empty report, and `--model` accepts the
 //! zoo ids `xsp list-models` prints.
 
 use std::process::{Command, Output};
@@ -24,6 +25,7 @@ fn zero_counts_are_refused_with_an_error() {
             "analyze --ax 4 --model gpt2 --cache-bucket 0",
             "--cache-bucket",
         ),
+        ("analyze --ax 4 --model gpt2 --requests 0", "--requests"),
         ("profile --model 5 --batch 0", "--batch"),
         (
             "export --model 5 --batch 0 -o {tmp}/batch0.jsonl",
@@ -45,6 +47,13 @@ fn zero_counts_are_refused_with_an_error() {
         let expected = format!("error: bad {flag} '0' (must be at least 1)\n");
         assert_eq!(stderr, expected, "{args}");
     }
+    let out = xsp("analyze --ax 4 --model gpt2 --rate inf");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert_eq!(
+        stderr,
+        "error: bad --rate 'inf' (must be positive and finite)\n"
+    );
     // Refused before anything is written.
     let tmp = std::path::Path::new(TMP);
     assert!(!tmp.join("batch0.jsonl").exists());
