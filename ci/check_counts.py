@@ -6,6 +6,9 @@ Run from the repository root:
     python3 ci/check_counts.py            # compare every workload
     python3 ci/check_counts.py --record   # rewrite the baseline
 
+With --record, every count that moves is printed as
+`workload metric: old → new`, and a rise is flagged.
+
 Each workload the baseline lists runs once, with the baseline's command
 (traced, seed 1). Every metric of unit `count` or `B` on the result line is a
 work count: allocations and bytes per call, spans, correlation passes,
@@ -69,6 +72,20 @@ def counts(result, excluded):
     }
 
 
+def moved(workload, old, new):
+    """The lines --record prints: one per count it rewrites, rises flagged."""
+    lines = []
+    for name in sorted(set(old) | set(new)):
+        before, after = old.get(name), new.get(name)
+        if before == after:
+            continue
+        rise = before is not None and after is not None and after > before
+        lines.append(
+            "%s %s: %s → %s%s" % (workload, name, before, after, "  (RISE)" if rise else "")
+        )
+    return lines
+
+
 def compare(workload, expected, got):
     lines = []
     for name in sorted(set(expected) | set(got)):
@@ -93,6 +110,8 @@ def main():
         problems += health(workload, result)
         got = counts(result, entry["excluded"])
         if record:
+            for line in moved(workload, entry["counts"], got):
+                print(line)
             entry["counts"] = got
         else:
             diffs += compare(workload, entry["counts"], got)

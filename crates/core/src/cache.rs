@@ -33,6 +33,16 @@
 //! count. The in-memory tier shares the exact object, and the disk tier
 //! stores the runs' correlated spans verbatim, so a reload rebuilds each
 //! run's correlated trace from them without correlating again.
+//!
+//! A reload validates eagerly and decodes lazily. [`read_xspc`] checks
+//! every run record with the `.xspb` reader's own checks but builds no
+//! span, so a corrupt file still fails at load (and degrades to a
+//! recompute); each run's spans are decoded, and its phase, layer and
+//! kernel tables extracted, when a reader first touches them. A serving
+//! step reads the M runs' phases and streams the first run at its level;
+//! only the representative decode shape's kernel table reads the M/L/G
+//! runs and the first metric run. The runs nothing reads cost their
+//! validation walk and nothing more.
 
 use crate::profile::{LeveledProfile, ProfileMode, ProfilingLevel, XspConfig};
 use parking_lot::Mutex;
@@ -43,9 +53,8 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use xsp_framework::LayerGraph;
-use xsp_trace::correlate::{AmbiguityReport, CorrelatedTrace};
-use xsp_trace::export::{BinaryReadError, SpanBinaryReader, SpanBinaryWriter};
-use xsp_trace::Span;
+use xsp_trace::correlate::CorrelatedTrace;
+use xsp_trace::export::{BinaryReadError, SpanBinaryWriter, ValidatedSpanBinary};
 
 // ---------------------------------------------------------------------------
 // FNV-1a 128-bit streaming hasher
@@ -166,15 +175,6 @@ impl GraphFingerprint {
         h.write_field("library_level", &[cfg.library_level as u8]);
         h.write_field("host_level", &[cfg.host_level as u8]);
         Self(h.finish())
-    }
-
-    /// Parses the 32-hex-digit spelling [`GraphFingerprint`] displays as
-    /// (the `.xspc` file stem).
-    pub fn parse_hex(s: &str) -> Option<Self> {
-        if s.len() != 32 {
-            return None;
-        }
-        u128::from_str_radix(s, 16).ok().map(Self)
     }
 }
 
@@ -552,14 +552,21 @@ pub fn xspc_to_bytes(fingerprint: GraphFingerprint, profile: &LeveledProfile) ->
 /// Reads up to `want` bytes; errors as [`XspcReadError::Truncated`] when
 /// the stream ends early (a clean distinction from transport failures,
 /// which surface as [`XspcReadError::Io`]).
+///
+/// The buffer grows by at most the bytes already read, so a forged length
+/// reserves no more than twice what the stream holds, and it never grows
+/// past `want`: a reloaded run keeps its record without spare capacity.
 fn read_exactly(src: &mut impl Read, want: usize) -> Result<Vec<u8>, XspcReadError> {
-    let mut buf = Vec::with_capacity(want.min(64 * 1024));
-    src.take(want as u64).read_to_end(&mut buf)?;
-    if buf.len() < want {
-        return Err(XspcReadError::Truncated {
-            have: buf.len(),
-            want,
-        });
+    let mut buf = Vec::new();
+    while buf.len() < want {
+        let grow = (want - buf.len()).min(buf.len().max(64 * 1024));
+        buf.reserve_exact(grow);
+        if src.by_ref().take(grow as u64).read_to_end(&mut buf)? < grow {
+            return Err(XspcReadError::Truncated {
+                have: buf.len(),
+                want,
+            });
+        }
     }
     Ok(buf)
 }
@@ -600,9 +607,12 @@ fn read_record(src: &mut impl Read) -> Result<Option<(u8, Vec<u8>)>, XspcReadErr
 ///
 /// The profile is rebuilt run by run. A stored run holds the spans its
 /// correlation produced — async pairs merged, every resolved parent
-/// written into the span — so its [`CorrelatedTrace`] is built straight
-/// from the decoded spans, with no correlation pass, and only the
-/// per-layer and per-kernel views are extracted again
+/// written into the span — so it needs no correlation pass. Each run
+/// record is validated here ([`ValidatedSpanBinary`]: every check the
+/// `.xspb` reader makes, without building a span), so corruption anywhere
+/// in the file is an [`XspcReadError`] now. No record is decoded: each
+/// run's [`CorrelatedTrace`] decodes its spans on first access, and its
+/// phase, layer and kernel tables are extracted on first use
 /// ([`profile_from_correlated`](crate::pipeline::profile_from_correlated)).
 /// The `used_serialized_rerun` flag is restored from the meta record. A
 /// reloaded run's ambiguity report is empty: the live run's diagnostics
@@ -659,8 +669,7 @@ pub fn read_xspc(src: &mut impl Read) -> Result<(GraphFingerprint, LeveledProfil
             .get("bucket")
             .and_then(|v| v.as_str())
             .filter(|b| BUCKETS.contains(b))
-            .ok_or_else(|| XspcReadError::Malformed(format!("run {i}: bad bucket")))?
-            .to_owned();
+            .ok_or_else(|| XspcReadError::Malformed(format!("run {i}: bad bucket")))?;
         let level_label = entry
             .get("level")
             .and_then(|v| v.as_str())
@@ -683,11 +692,10 @@ pub fn read_xspc(src: &mut impl Read) -> Result<(GraphFingerprint, LeveledProfil
                 "run {i}: expected a run record (0x02), found {kind:#04x}"
             )));
         }
-        let spans: Vec<Span> = SpanBinaryReader::new(&payload[..]).collect::<Result<_, _>>()?;
-        let correlated = CorrelatedTrace::new(spans, AmbiguityReport::default());
+        let correlated = CorrelatedTrace::from_validated(ValidatedSpanBinary::new(payload)?);
         let mut run = crate::pipeline::profile_from_correlated(correlated, level);
         run.used_serialized_rerun = rerun;
-        match bucket.as_str() {
+        match bucket {
             "m" => profile.m_runs.push(run),
             "ml" => profile.ml_runs.push(run),
             "mlg" => profile.mlg_runs.push(run),
@@ -771,8 +779,9 @@ pub struct DirScan {
 }
 
 /// Inventories a cache directory for `xsp cache stats`: every `.xspc` file
-/// is opened and validated; corrupt files are reported, not fatal. A
-/// missing directory scans as empty.
+/// is opened and validated, and its spans are counted by the validation
+/// walk, not decoded; corrupt files are reported, not fatal. A missing
+/// directory scans as empty.
 pub fn scan_dir(dir: &Path) -> DirScan {
     let mut scan = DirScan::default();
     let Ok(read) = std::fs::read_dir(dir) else {
@@ -795,7 +804,7 @@ pub fn scan_dir(dir: &Path) -> DirScan {
                 file: name,
                 fingerprint,
                 runs: profile.runs().count(),
-                spans: profile.iter_spans().count(),
+                spans: profile.runs().map(|run| run.trace.len()).sum(),
                 bytes,
             }),
             Err(e) => scan.corrupt.push((name, e.to_string())),
@@ -863,6 +872,7 @@ mod tests {
         let a = GraphFingerprint::of(&cfg(), &g, ProfilingLevel::Model, ProfileMode::Leveled);
         let b = GraphFingerprint::of(&cfg(), &g, ProfilingLevel::Model, ProfileMode::Leveled);
         assert_eq!(a, b);
+        assert_eq!(a.to_string().len(), 32, "the file stem is 32 hex digits");
         let serial = cfg().parallelism(Parallelism::Serial);
         let fixed = cfg().parallelism(Parallelism::Fixed(7));
         assert_eq!(
@@ -926,16 +936,6 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_hex_round_trips() {
-        let g = tiny(1);
-        let fp = GraphFingerprint::of(&cfg(), &g, ProfilingLevel::Model, ProfileMode::Leveled);
-        let hex = fp.to_string();
-        assert_eq!(hex.len(), 32);
-        assert_eq!(GraphFingerprint::parse_hex(&hex), Some(fp));
-        assert_eq!(GraphFingerprint::parse_hex("nope"), None);
-    }
-
-    #[test]
     fn sharded_cache_counts_hits_misses_evictions() {
         let cache: ShardedCache<Arc<u64>> = ShardedCache::with_capacity(16);
         assert!(cache.get(1).is_none());
@@ -979,6 +979,22 @@ mod tests {
             assert_eq!(a.trace_id, b.trace_id);
         }
         assert_eq!(rebuilt.model_latency_ms(), profile.model_latency_ms());
+    }
+
+    #[test]
+    fn read_exactly_keeps_no_spare_capacity() {
+        let bytes: Vec<u8> = (0..300_000u32).map(|i| i as u8).collect();
+        for want in [0, 21, 64 * 1024, 64 * 1024 + 1, 300_000] {
+            let got = read_exactly(&mut &bytes[..], want).expect("enough bytes");
+            assert_eq!(got, bytes[..want]);
+            assert_eq!(got.capacity(), want);
+        }
+        match read_exactly(&mut &bytes[..], 300_001) {
+            Err(XspcReadError::Truncated { have, want }) => {
+                assert_eq!((have, want), (300_000, 300_001));
+            }
+            other => panic!("expected a truncation, got {other:?}"),
+        }
     }
 
     #[test]

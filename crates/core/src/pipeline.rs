@@ -12,14 +12,12 @@
 
 use crate::profile::{ProfilingLevel, XspConfig};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use xsp_cupti::{Cupti, CuptiConfig};
 use xsp_framework::{LayerGraph, RunOptions, Session};
-use xsp_gpu::{CudaContext, CudaContextConfig, Dim3};
+use xsp_gpu::{CudaContext, CudaContextConfig};
 use xsp_trace::span::tag_keys;
-use xsp_trace::{
-    CorrelatedTrace, CorrelationEngine, SpanBuilder, SpanId, StackLevel, TraceId, TracingServer,
-};
+use xsp_trace::{CorrelatedTrace, CorrelationEngine, SpanId, StackLevel, TraceId, TracingServer};
 
 /// Host-side cost of decoding/normalizing one input image, ns.
 const PREPROCESS_PER_IMAGE_NS: u64 = 180_000;
@@ -82,29 +80,73 @@ pub struct KernelProfile {
     pub occupancy: Option<f64>,
 }
 
-/// Everything one evaluation run produced.
+/// Everything one evaluation run produced: its correlated trace, and the
+/// phase, layer and kernel tables derived from it.
+///
+/// The tables are extracted from the trace on first call of
+/// [`RunProfile::phases`], [`RunProfile::layers`] or
+/// [`RunProfile::kernels`], once each. A live run
+/// ([`run_once_with_metrics`]) extracts them before it returns, on the
+/// evaluation engine's worker. A run rebuilt from a trace
+/// ([`profile_from_correlated`], [`profile_from_trace`], the `.xspc`
+/// reload) leaves them to its first reader, so a run nobody reads a table
+/// of never pays for one, and a reloaded run's spans are not even decoded
+/// until something reads them.
 #[derive(Debug, Clone)]
 pub struct RunProfile {
     /// The profiling level the run used.
     pub level: ProfilingLevel,
     /// Trace id of the run.
     pub trace_id: TraceId,
-    /// Model-level phases.
-    pub phases: ModelPhases,
-    /// Per-layer observations (empty below M/L).
-    pub layers: Vec<LayerProfile>,
-    /// Per-kernel observations (empty below M/L/G).
-    pub kernels: Vec<KernelProfile>,
     /// The correlated trace (for hierarchy rendering/export).
     pub trace: CorrelatedTrace,
     /// Whether parent reconstruction needed (and used) a serialized re-run.
     pub used_serialized_rerun: bool,
+    // The tables, each extracted from `trace` on first use.
+    phases: OnceLock<ModelPhases>,
+    layers: OnceLock<Vec<LayerProfile>>,
+    kernels: OnceLock<Vec<KernelProfile>>,
 }
 
 impl RunProfile {
+    /// A run over `trace` whose tables are extracted on first use.
+    fn new(level: ProfilingLevel, trace: CorrelatedTrace, used_serialized_rerun: bool) -> Self {
+        Self {
+            level,
+            trace_id: trace.first_trace_id().unwrap_or(TraceId(0)),
+            trace,
+            used_serialized_rerun,
+            phases: OnceLock::new(),
+            layers: OnceLock::new(),
+            kernels: OnceLock::new(),
+        }
+    }
+
+    /// Model-level phases.
+    pub fn phases(&self) -> ModelPhases {
+        *self.phases.get_or_init(|| extract_phases(&self.trace))
+    }
+
+    /// Replaces the run's phases (tests fabricate measurements this way).
+    #[cfg(test)]
+    pub(crate) fn set_phases(&mut self, phases: ModelPhases) {
+        self.phases = OnceLock::from(phases);
+    }
+
+    /// Per-layer observations, by layer index (empty below M/L).
+    pub fn layers(&self) -> &[LayerProfile] {
+        self.layers.get_or_init(|| extract_layers(&self.trace))
+    }
+
+    /// Per-kernel observations, in launch order (empty below M/L/G).
+    pub fn kernels(&self) -> &[KernelProfile] {
+        self.kernels
+            .get_or_init(|| extract_kernels(&self.trace, self.layers()))
+    }
+
     /// Total GPU kernel time, ms.
     pub fn kernel_latency_ms(&self) -> f64 {
-        self.kernels.iter().map(|k| k.latency_ms).sum()
+        self.kernels().iter().map(|k| k.latency_ms).sum()
     }
 }
 
@@ -232,19 +274,14 @@ pub fn run_once_with_metrics(
         apply_assignment(&mut correlated, &assignment);
     }
 
-    let phases = extract_phases(&correlated);
-    let layers = extract_layers(&correlated);
-    let kernels = extract_kernels(&correlated, &layers);
-
-    RunProfile {
-        level,
+    // Extract every table here, on the engine's worker.
+    let run = RunProfile {
         trace_id,
-        phases,
-        layers,
-        kernels,
-        trace: correlated,
-        used_serialized_rerun: used_rerun,
-    }
+        ..RunProfile::new(level, correlated, used_rerun)
+    };
+    run.phases();
+    run.kernels();
+    run
 }
 
 /// Runs serialized (`CUDA_LAUNCH_BLOCKING=1`) and returns the layer index
@@ -457,48 +494,12 @@ pub fn profile_from_trace(trace: xsp_trace::Trace, level: ProfilingLevel) -> Run
     profile_from_correlated(correlated, level)
 }
 
-/// Extracts a [`RunProfile`] from an already-correlated trace — the entry
-/// point for callers that ran correlation themselves, e.g. the daemon's
-/// per-session correlation cache, which materializes a `CorrelatedTrace`
-/// from its cached per-run correlations without re-correlating unchanged
-/// runs.
+/// Wraps an already-correlated trace as a [`RunProfile`] — the entry point
+/// for callers that ran correlation themselves, and for the `.xspc`
+/// reload, whose traces decode on first access. The run's id is its first
+/// span's, and its tables are extracted on first use.
 pub fn profile_from_correlated(correlated: CorrelatedTrace, level: ProfilingLevel) -> RunProfile {
-    let trace_id = correlated
-        .spans()
-        .first()
-        .map(|s| s.trace_id)
-        .unwrap_or(xsp_trace::TraceId(0));
-    let phases = extract_phases(&correlated);
-    let layers = extract_layers(&correlated);
-    let kernels = extract_kernels(&correlated, &layers);
-    RunProfile {
-        level,
-        trace_id,
-        phases,
-        layers,
-        kernels,
-        trace: correlated,
-        used_serialized_rerun: false,
-    }
-}
-
-/// Synthetic helper used by benches/tests to build a kernel-span-only trace
-/// (bypasses the framework); kept here so the bench crate needn't reach into
-/// internals.
-pub fn synthetic_kernel_span(
-    trace_id: TraceId,
-    name: &str,
-    start_ns: u64,
-    end_ns: u64,
-    grid: Dim3,
-) -> xsp_trace::Span {
-    SpanBuilder::new(name, StackLevel::Kernel, trace_id)
-        .start(start_ns)
-        .tag(tag_keys::GRID, grid.to_string())
-        .tag(tag_keys::BLOCK, "[256,1,1]")
-        .tag(tag_keys::ASYNC_EXECUTION, true)
-        .tag(tag_keys::CORRELATION_ID, start_ns)
-        .finish(end_ns)
+    RunProfile::new(level, correlated, false)
 }
 
 #[cfg(test)]
@@ -519,19 +520,19 @@ mod tests {
     #[test]
     fn model_level_run_has_phases_only() {
         let p = run_once(&cfg(), &small_graph(2), ProfilingLevel::Model, 0);
-        assert!(p.phases.predict_ms > 0.0);
-        assert!(p.phases.preprocess_ms > 0.0);
-        assert!(p.layers.is_empty());
-        assert!(p.kernels.is_empty());
+        assert!(p.phases().predict_ms > 0.0);
+        assert!(p.phases().preprocess_ms > 0.0);
+        assert!(p.layers().is_empty());
+        assert!(p.kernels().is_empty());
     }
 
     #[test]
     fn layer_level_run_collects_layers() {
         let p = run_once(&cfg(), &small_graph(2), ProfilingLevel::ModelLayer, 0);
-        assert!(!p.layers.is_empty());
-        assert!(p.kernels.is_empty());
+        assert!(!p.layers().is_empty());
+        assert!(p.kernels().is_empty());
         // executed graph: every layer indexed consecutively
-        for (i, l) in p.layers.iter().enumerate() {
+        for (i, l) in p.layers().iter().enumerate() {
             assert_eq!(l.index, i);
         }
     }
@@ -539,23 +540,27 @@ mod tests {
     #[test]
     fn gpu_level_run_correlates_kernels_to_layers() {
         let p = run_once(&cfg(), &small_graph(2), ProfilingLevel::ModelLayerGpu, 0);
-        assert!(!p.kernels.is_empty());
+        assert!(!p.kernels().is_empty());
         assert!(
             p.trace.ambiguities.is_clean() || p.used_serialized_rerun,
             "{:?}",
             p.trace.ambiguities
         );
         // every kernel belongs to some layer
-        let orphan_kernels = p.kernels.iter().filter(|k| k.layer_index.is_none()).count();
+        let orphan_kernels = p
+            .kernels()
+            .iter()
+            .filter(|k| k.layer_index.is_none())
+            .count();
         assert_eq!(orphan_kernels, 0, "all kernels must map to layers");
         // conv layers launched conv kernels
         let conv_layer = p
-            .layers
+            .layers()
             .iter()
             .find(|l| l.type_name == "Conv2D")
             .expect("conv layer");
         let conv_kernels: Vec<_> = p
-            .kernels
+            .kernels()
             .iter()
             .filter(|k| k.layer_index == Some(conv_layer.index))
             .collect();
@@ -568,7 +573,7 @@ mod tests {
         c.metrics = xsp_cupti::MetricKind::ALL.to_vec();
         let p = run_once_with_metrics(&c, &small_graph(1), ProfilingLevel::ModelLayerGpu, 0, true);
         let k = p
-            .kernels
+            .kernels()
             .iter()
             .find(|k| k.name.contains("scudnn") || k.name.contains("convolve"))
             .expect("a conv kernel");
@@ -580,7 +585,7 @@ mod tests {
     #[test]
     fn kernel_latency_sums_below_predict_latency() {
         let p = run_once(&cfg(), &small_graph(2), ProfilingLevel::ModelLayerGpu, 0);
-        assert!(p.kernel_latency_ms() < p.phases.predict_ms);
+        assert!(p.kernel_latency_ms() < p.phases().predict_ms);
         assert!(p.kernel_latency_ms() > 0.0);
     }
 
@@ -588,9 +593,9 @@ mod tests {
     fn layer_latencies_sum_close_to_kernel_windows() {
         let p = run_once(&cfg(), &small_graph(2), ProfilingLevel::ModelLayerGpu, 0);
         // each layer's kernels fit within the layer latency
-        for l in &p.layers {
+        for l in p.layers() {
             let layer_kernel_ms: f64 = p
-                .kernels
+                .kernels()
                 .iter()
                 .filter(|k| k.layer_index == Some(l.index))
                 .map(|k| k.latency_ms)
@@ -609,8 +614,8 @@ mod tests {
     fn runs_are_deterministic_per_index() {
         let a = run_once(&cfg(), &small_graph(1), ProfilingLevel::Model, 7);
         let b = run_once(&cfg(), &small_graph(1), ProfilingLevel::Model, 7);
-        assert_eq!(a.phases.predict_ms, b.phases.predict_ms);
+        assert_eq!(a.phases().predict_ms, b.phases().predict_ms);
         let c = run_once(&cfg(), &small_graph(1), ProfilingLevel::Model, 8);
-        assert_ne!(a.phases.predict_ms, c.phases.predict_ms);
+        assert_ne!(a.phases().predict_ms, c.phases().predict_ms);
     }
 }

@@ -258,7 +258,7 @@ pub struct LeveledProfile {
 impl LeveledProfile {
     /// Model prediction latency, ms — the *accurate* value, from M runs.
     pub fn model_latency_ms(&self) -> f64 {
-        let samples: Vec<f64> = self.m_runs.iter().map(|r| r.phases.predict_ms).collect();
+        let samples: Vec<f64> = self.m_runs.iter().map(|r| r.phases().predict_ms).collect();
         trimmed_mean(&samples, self.trim).unwrap_or(0.0)
     }
 
@@ -289,7 +289,7 @@ impl LeveledProfile {
         };
         if let Some(metric_run) = self.metric_runs.first() {
             for k in &mut kernels {
-                if let Some(m) = metric_run.kernels.get(k.order) {
+                if let Some(m) = metric_run.kernels().get(k.order) {
                     if m.name == k.name {
                         k.flops = m.flops;
                         k.dram_read = m.dram_read;
@@ -312,7 +312,7 @@ impl LeveledProfile {
         let samples: Vec<f64> = self
             .metric_runs
             .iter()
-            .map(|r| r.phases.predict_ms)
+            .map(|r| r.phases().predict_ms)
             .collect();
         trimmed_mean(&samples, self.trim).unwrap_or(0.0)
     }
@@ -335,7 +335,7 @@ impl LeveledProfile {
             ProfilingLevel::ModelLayer => &self.ml_runs,
             ProfilingLevel::ModelLayerGpu => &self.mlg_runs,
         };
-        let samples: Vec<f64> = runs.iter().map(|r| r.phases.predict_ms).collect();
+        let samples: Vec<f64> = runs.iter().map(|r| r.phases().predict_ms).collect();
         trimmed_mean(&samples, self.trim).unwrap_or(0.0)
     }
 
@@ -413,12 +413,12 @@ fn merge_layers(runs: &[RunProfile], trim: f64) -> Vec<LayerProfile> {
         return Vec::new();
     };
     first
-        .layers
+        .layers()
         .iter()
         .map(|proto| {
             let samples: Vec<f64> = runs
                 .iter()
-                .filter_map(|r| r.layers.get(proto.index))
+                .filter_map(|r| r.layers().get(proto.index))
                 .map(|l| l.latency_ms)
                 .collect();
             let mut merged = proto.clone();
@@ -433,12 +433,12 @@ fn merge_kernels(runs: &[RunProfile], trim: f64) -> Vec<KernelProfile> {
         return Vec::new();
     };
     first
-        .kernels
+        .kernels()
         .iter()
         .map(|proto| {
             let samples: Vec<f64> = runs
                 .iter()
-                .filter_map(|r| r.kernels.get(proto.order))
+                .filter_map(|r| r.kernels().get(proto.order))
                 .filter(|k| k.name == proto.name)
                 .map(|k| k.latency_ms)
                 .collect();
@@ -839,6 +839,7 @@ impl Xsp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::ModelPhases;
     use xsp_gpu::systems;
     use xsp_models::zoo;
 
@@ -891,7 +892,11 @@ mod tests {
             // overwrite the measured latency by fabricating batch/latency
             p.batch = batch;
             for r in &mut p.m_runs {
-                r.phases.predict_ms = batch as f64 / tp_ms * 1000.0;
+                let predict_ms = batch as f64 / tp_ms * 1000.0;
+                r.set_phases(ModelPhases {
+                    predict_ms,
+                    ..r.phases()
+                });
             }
             BatchProfile { batch, profile: p }
         };

@@ -36,11 +36,13 @@
 //! parent) never pay for construction. [`reconstruct_parents`] is the
 //! borrowing wrapper the offline paths and tests use.
 
+use crate::export::ValidatedSpanBinary;
 use crate::fxhash::FxHashMap;
 use crate::interval::{Interval, IntervalTree};
 use crate::server::Trace;
-use crate::span::{tag_keys, Span, SpanId, StackLevel, TagValue, TraceId};
+use crate::span::{tag_keys, Span, SpanId, StackLevel, TraceId};
 use crate::store::{SpanStore, TagRef, HAS_CID, IS_EXEC, IS_LAUNCH};
+use std::sync::OnceLock;
 
 /// Ambiguities discovered during parent reconstruction.
 #[derive(Debug, Clone, Default)]
@@ -76,19 +78,38 @@ impl AmbiguityReport {
 /// A fully correlated trace: plain [`Span`]s whose `parent` is resolved
 /// (where one exists), with async pairs merged.
 ///
-/// The span table is built once by the [`CorrelationEngine`] together with
-/// a `(trace id, span id) → index` map, the adjacency by index that the
-/// spans' `parent` fields induce, and the root set. A parent reference
-/// resolves only within its span's own run, and a repeated id resolves to
-/// its first occurrence, so the adjacency is a forest: a walk from the
-/// roots stays in one run and visits each span at most once, even when
-/// runs repeat span ids (serving steps replay one memoized run) or a
-/// capture repeats an id. The span table is private; the only mutation the
+/// The span table comes with a `(trace id, span id) → index` map, the
+/// adjacency by index that the spans' `parent` fields induce, and the root
+/// set. A parent reference resolves only within its span's own run, and a
+/// repeated id resolves to its first occurrence, so the adjacency is a
+/// forest: a walk from the roots stays in one run and visits each span at
+/// most once, even when runs repeat span ids (serving steps replay one
+/// memoized run) or a capture repeats an id.
+///
+/// The [`CorrelationEngine`] builds the table at once
+/// ([`CorrelatedTrace::new`]). A trace over a validated `.xspb` stream of
+/// spans a correlation already produced
+/// ([`CorrelatedTrace::from_validated`], the profile cache's reload)
+/// decodes and indexes it on first access instead, once, behind a
+/// [`OnceLock`]; until then [`CorrelatedTrace::len`] answers from the
+/// validation walk. The span table is private; the only mutation the
 /// pipeline needs — re-parenting a span after a serialized re-run — goes
 /// through [`CorrelatedTrace::set_parent`], which keeps every index
 /// coherent.
 #[derive(Debug, Clone, Default)]
 pub struct CorrelatedTrace {
+    /// The span table and its indexes, built at construction or on first
+    /// access.
+    table: OnceLock<SpanTable>,
+    /// The stream a table built on first access decodes.
+    encoded: Option<ValidatedSpanBinary>,
+    /// Reconstruction diagnostics.
+    pub ambiguities: AmbiguityReport,
+}
+
+/// The spans of a [`CorrelatedTrace`] with their indexes.
+#[derive(Debug, Clone, Default)]
+struct SpanTable {
     /// Correlated spans in publication order.
     spans: Vec<Span>,
     /// `(trace id, span id) → index` (first occurrence wins).
@@ -97,86 +118,36 @@ pub struct CorrelatedTrace {
     children: Vec<Vec<usize>>,
     /// Indices of spans with no parent *present in their run*, ascending.
     roots: Vec<usize>,
-    /// Reconstruction diagnostics.
-    pub ambiguities: AmbiguityReport,
 }
 
-impl CorrelatedTrace {
-    /// Indexes correlated spans (used by the engine, by the profile cache,
-    /// which reloads spans a correlation already produced, and by tests
-    /// that assemble traces by hand).
-    pub fn new(spans: Vec<Span>, ambiguities: AmbiguityReport) -> Self {
+impl SpanTable {
+    fn new(spans: Vec<Span>) -> Self {
         let mut index_of = FxHashMap::default();
         index_of.reserve(spans.len());
         for (i, s) in spans.iter().enumerate() {
             index_of.entry((s.trace_id, s.id)).or_insert(i);
         }
-        let mut trace = Self {
+        let mut table = Self {
             children: vec![Vec::new(); spans.len()],
             spans,
             index_of,
             roots: Vec::new(),
-            ambiguities,
         };
-        for i in 0..trace.spans.len() {
-            match trace.parent_index(i) {
-                Some(p) => trace.children[p].push(i),
-                None => trace.roots.push(i),
+        for i in 0..table.spans.len() {
+            match table.parent_index(i) {
+                Some(p) => table.children[p].push(i),
+                None => table.roots.push(i),
             }
         }
-        trace
+        table
     }
 
-    /// All correlated spans, in publication order.
-    pub fn spans(&self) -> &[Span] {
-        &self.spans
-    }
-
-    /// Iterates the correlated spans in publication order (the view
-    /// exporters stream).
-    pub fn iter_spans(&self) -> impl Iterator<Item = &Span> {
-        self.spans.iter()
-    }
-
-    /// Spans at the given level.
-    pub fn at_level(&self, level: StackLevel) -> impl Iterator<Item = &Span> {
-        self.spans.iter().filter(move |s| s.level == level)
-    }
-
-    /// Direct children of the span at `idx`, in appearance order.
-    pub fn children_of(&self, idx: usize) -> impl Iterator<Item = &Span> {
-        self.children[idx].iter().map(|&i| &self.spans[i])
-    }
-
-    /// Indices of the direct children of the span at `idx`, in appearance
-    /// order.
-    pub fn child_indices(&self, idx: usize) -> &[usize] {
-        &self.children[idx]
-    }
-
-    /// Indices of spans whose parent is unset or absent from their run
-    /// (ascending) — the forest roots exporters traverse from.
-    pub fn root_indices(&self) -> &[usize] {
-        &self.roots
-    }
-
-    /// The index of span `id` of run `trace_id` (its first occurrence, if
-    /// the run repeats the id).
-    pub fn position(&self, trace_id: TraceId, id: SpanId) -> Option<usize> {
-        self.index_of.get(&(trace_id, id)).copied()
-    }
-
-    /// The index of the parent of the span at `idx`, when that parent is
-    /// present in the span's run.
-    pub fn parent_index(&self, idx: usize) -> Option<usize> {
+    fn parent_index(&self, idx: usize) -> Option<usize> {
         let s = &self.spans[idx];
-        self.position(s.trace_id, s.parent?)
+        self.index_of.get(&(s.trace_id, s.parent?)).copied()
     }
 
-    /// Re-parents the span at `idx`, keeping the span table, adjacency and
-    /// root set coherent — the pipeline uses this to graft the serialized
-    /// re-run's unambiguous kernel→layer assignment onto an async trace.
-    pub fn set_parent(&mut self, idx: usize, parent: SpanId) {
+    fn set_parent(&mut self, idx: usize, parent: SpanId) {
         let old = self.parent_index(idx);
         self.spans[idx].parent = Some(parent);
         let new = self.parent_index(idx);
@@ -196,15 +167,117 @@ impl CorrelatedTrace {
             None => &mut self.roots,
         }
     }
+}
 
-    /// Total number of spans.
+impl CorrelatedTrace {
+    /// Indexes correlated spans (used by the engine and by tests that
+    /// assemble traces by hand).
+    pub fn new(spans: Vec<Span>, ambiguities: AmbiguityReport) -> Self {
+        Self {
+            table: OnceLock::from(SpanTable::new(spans)),
+            encoded: None,
+            ambiguities,
+        }
+    }
+
+    /// A trace over a validated stream of spans a correlation already
+    /// produced — async pairs merged, every resolved parent written into
+    /// its span — decoded and indexed on first access. Its ambiguity report
+    /// is empty: a stream carries no diagnostics.
+    pub fn from_validated(encoded: ValidatedSpanBinary) -> Self {
+        Self {
+            table: OnceLock::new(),
+            encoded: Some(encoded),
+            ambiguities: AmbiguityReport::default(),
+        }
+    }
+
+    fn table(&self) -> &SpanTable {
+        self.table.get_or_init(|| {
+            SpanTable::new(
+                self.encoded
+                    .as_ref()
+                    .map_or_else(Vec::new, ValidatedSpanBinary::decode),
+            )
+        })
+    }
+
+    /// All correlated spans, in publication order.
+    pub fn spans(&self) -> &[Span] {
+        &self.table().spans
+    }
+
+    /// Iterates the correlated spans in publication order (the view
+    /// exporters stream).
+    pub fn iter_spans(&self) -> impl Iterator<Item = &Span> {
+        self.spans().iter()
+    }
+
+    /// Spans at the given level.
+    pub fn at_level(&self, level: StackLevel) -> impl Iterator<Item = &Span> {
+        self.iter_spans().filter(move |s| s.level == level)
+    }
+
+    /// Direct children of the span at `idx`, in appearance order.
+    pub fn children_of(&self, idx: usize) -> impl Iterator<Item = &Span> {
+        let table = self.table();
+        table.children[idx].iter().map(|&i| &table.spans[i])
+    }
+
+    /// Indices of the direct children of the span at `idx`, in appearance
+    /// order.
+    pub fn child_indices(&self, idx: usize) -> &[usize] {
+        &self.table().children[idx]
+    }
+
+    /// Indices of spans whose parent is unset or absent from their run
+    /// (ascending) — the forest roots exporters traverse from.
+    pub fn root_indices(&self) -> &[usize] {
+        &self.table().roots
+    }
+
+    /// The index of span `id` of run `trace_id` (its first occurrence, if
+    /// the run repeats the id).
+    pub fn position(&self, trace_id: TraceId, id: SpanId) -> Option<usize> {
+        self.table().index_of.get(&(trace_id, id)).copied()
+    }
+
+    /// The index of the parent of the span at `idx`, when that parent is
+    /// present in the span's run.
+    pub fn parent_index(&self, idx: usize) -> Option<usize> {
+        self.table().parent_index(idx)
+    }
+
+    /// Re-parents the span at `idx`, keeping the span table, adjacency and
+    /// root set coherent — the pipeline uses this to graft the serialized
+    /// re-run's unambiguous kernel→layer assignment onto an async trace.
+    pub fn set_parent(&mut self, idx: usize, parent: SpanId) {
+        self.table();
+        let table = self.table.get_mut().expect("the table was just built");
+        table.set_parent(idx, parent);
+    }
+
+    /// The run id of the first span; a trace not yet decoded answers from
+    /// its validation walk.
+    pub fn first_trace_id(&self) -> Option<TraceId> {
+        match (self.table.get(), &self.encoded) {
+            (None, Some(encoded)) => encoded.first_trace_id(),
+            _ => self.spans().first().map(|s| s.trace_id),
+        }
+    }
+
+    /// Total number of spans; a trace not yet decoded answers from its
+    /// validation walk.
     pub fn len(&self) -> usize {
-        self.spans.len()
+        match (self.table.get(), &self.encoded) {
+            (None, Some(encoded)) => encoded.len(),
+            _ => self.spans().len(),
+        }
     }
 
     /// Whether the trace is empty.
     pub fn is_empty(&self) -> bool {
-        self.spans.is_empty()
+        self.len() == 0
     }
 }
 
@@ -770,39 +843,10 @@ pub fn reconstruct_parents(trace: &Trace) -> CorrelatedTrace {
     CorrelationEngine::new().correlate(trace.clone())
 }
 
-/// Convenience: attaches a numeric tag to a span (used by adapters when
-/// merging metric values post-hoc). The key goes through
-/// [`tag_keys::resolve`].
-pub fn set_tag(span: &mut Span, key: &str, value: TagValue) {
-    if let Some(slot) = span.tags.iter_mut().find(|(k, _)| k == key) {
-        slot.1 = value;
-    } else {
-        span.tags.push((tag_keys::resolve(key), value));
-    }
-}
-
-/// Extracts a named metric tag as `f64` from a span, if present.
-pub fn metric_f64(span: &Span, key: &str) -> Option<f64> {
-    span.tag(key).and_then(|v| v.as_f64())
-}
-
-/// Extracts the standard GPU metric tags (`flop_count_sp`,
-/// `dram_read_bytes`, `dram_write_bytes`, `achieved_occupancy`).
-pub fn gpu_metrics(span: &Span) -> (Option<u64>, Option<u64>, Option<u64>, Option<f64>) {
-    (
-        span.tag(tag_keys::FLOP_COUNT_SP).and_then(|v| v.as_u64()),
-        span.tag(tag_keys::DRAM_READ_BYTES).and_then(|v| v.as_u64()),
-        span.tag(tag_keys::DRAM_WRITE_BYTES)
-            .and_then(|v| v.as_u64()),
-        span.tag(tag_keys::ACHIEVED_OCCUPANCY)
-            .and_then(|v| v.as_f64()),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::span::{SpanBuilder, TraceId};
+    use crate::span::{SpanBuilder, TagValue, TraceId};
 
     fn span(name: &str, level: StackLevel, s: u64, e: u64) -> Span {
         SpanBuilder::new(name, level, TraceId(1)).start(s).finish(e)
@@ -1093,27 +1137,6 @@ mod tests {
         c.set_parent(kidx, a_id);
         assert_eq!(c.root_indices(), &[0]);
         assert_eq!(c.child_indices(1), &[kidx]);
-    }
-
-    #[test]
-    fn set_tag_overwrites() {
-        let mut s = span("x", StackLevel::Kernel, 0, 1);
-        set_tag(&mut s, "k", TagValue::U64(1));
-        set_tag(&mut s, "k", TagValue::U64(2));
-        assert_eq!(s.tag("k").unwrap().as_u64(), Some(2));
-        assert_eq!(s.tags.iter().filter(|(k, _)| k == "k").count(), 1);
-    }
-
-    #[test]
-    fn gpu_metrics_extraction() {
-        let s = SpanBuilder::new("k", StackLevel::Kernel, TraceId(1))
-            .start(0)
-            .tag(tag_keys::FLOP_COUNT_SP, 10u64)
-            .tag(tag_keys::DRAM_READ_BYTES, 20u64)
-            .tag(tag_keys::DRAM_WRITE_BYTES, 30u64)
-            .tag(tag_keys::ACHIEVED_OCCUPANCY, 0.25f64)
-            .finish(1);
-        assert_eq!(gpu_metrics(&s), (Some(10), Some(20), Some(30), Some(0.25)));
     }
 
     #[test]

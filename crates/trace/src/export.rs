@@ -18,7 +18,7 @@ pub mod stream;
 
 pub use binary::{
     is_xspb_prefix, read_span_binary, spans_to_binary, BinaryReadError, SpanBinaryReader,
-    SpanBinaryWriter, MAX_RECORD_LEN, XSPB_MAGIC, XSPB_VERSION,
+    SpanBinaryWriter, ValidatedSpanBinary, MAX_RECORD_LEN, XSPB_MAGIC, XSPB_VERSION,
 };
 pub use stream::{
     read_span_json_lines, ChromeTraceWriter, FoldedStacksWriter, ReadError, SpanJsonLinesReader,

@@ -35,6 +35,10 @@
 //! process. Because string tag values are interned too, re-reading a
 //! capture into a [`SpanStore`] via [`SpanBinaryReader::read_into_store`]
 //! performs one allocation per *distinct* string, not per span.
+//!
+//! [`ValidatedSpanBinary`] walks an in-memory stream through the same
+//! checks without building anything, so a stream can be refused now and
+//! decoded later — the profile cache's reload.
 
 use crate::intern::Symbol;
 use crate::server::Trace;
@@ -444,19 +448,7 @@ impl<R: Read> SpanBinaryReader<R> {
         }
         let mut header = [0u8; 5];
         let have = read_up_to(&mut self.src, &mut header)?;
-        if have < header.len() {
-            return Err(BinaryReadError::Truncated {
-                have,
-                want: header.len(),
-            });
-        }
-        let magic: [u8; 4] = header[..4].try_into().expect("4-byte slice");
-        if magic != XSPB_MAGIC {
-            return Err(BinaryReadError::BadMagic(magic));
-        }
-        if header[4] != XSPB_VERSION {
-            return Err(BinaryReadError::UnsupportedVersion(header[4]));
-        }
+        check_stream_header(&header, have)?;
         self.header_done = true;
         Ok(())
     }
@@ -466,24 +458,7 @@ impl<R: Read> SpanBinaryReader<R> {
     fn read_record_header(&mut self) -> Result<Option<(u8, u32)>, BinaryReadError> {
         let mut header = [0u8; 5];
         let have = read_up_to(&mut self.src, &mut header)?;
-        if have == 0 {
-            return Ok(None);
-        }
-        if have < header.len() {
-            return Err(BinaryReadError::Truncated {
-                have,
-                want: header.len(),
-            });
-        }
-        let kind = header[0];
-        let len = u32::from_be_bytes(header[1..5].try_into().expect("4-byte slice"));
-        if len > MAX_RECORD_LEN {
-            return Err(BinaryReadError::Oversized { len });
-        }
-        if kind != REC_NAME && kind != REC_SPAN {
-            return Err(BinaryReadError::UnknownRecordKind(kind));
-        }
-        Ok(Some((kind, len)))
+        parse_record_header(&header, have)
     }
 
     fn read_payload(&mut self, len: u32) -> Result<(), BinaryReadError> {
@@ -517,18 +492,7 @@ impl<R: Read> SpanBinaryReader<R> {
     }
 
     fn define_name(&mut self) -> Result<(), BinaryReadError> {
-        if self.buf.len() < 4 {
-            return Err(BinaryReadError::Malformed(
-                "name record shorter than its symbol id",
-            ));
-        }
-        let sym = u32::from_be_bytes(self.buf[..4].try_into().expect("4-byte slice"));
-        if sym as usize != self.names.len() {
-            return Err(BinaryReadError::Malformed(
-                "non-sequential symbol definition",
-            ));
-        }
-        let name = std::str::from_utf8(&self.buf[4..]).map_err(|_| BinaryReadError::Utf8)?;
+        let name = name_definition(&self.buf, self.names.len())?;
         self.names.push(tag_keys::resolve(name));
         Ok(())
     }
@@ -558,6 +522,165 @@ pub fn spans_to_binary(spans: &[Span]) -> Vec<u8> {
         w.write_span(span).expect("writing to a Vec cannot fail");
     }
     w.finish().expect("writing to a Vec cannot fail")
+}
+
+/// A complete `.xspb` stream that passed every check [`SpanBinaryReader`]
+/// makes — walked once without building a span, a name or a buffer — so
+/// decoding it cannot fail. The profile cache holds each reloaded run this
+/// way: corruption is refused when the file is loaded, and the spans are
+/// decoded only when a reader first asks for them.
+#[derive(Debug, Clone)]
+pub struct ValidatedSpanBinary {
+    bytes: Vec<u8>,
+    spans: usize,
+    first_trace_id: Option<TraceId>,
+}
+
+impl ValidatedSpanBinary {
+    /// Validates `bytes` as a whole stream: the header, every record
+    /// header against [`MAX_RECORD_LEN`], sequential UTF-8 name
+    /// definitions, and every span record with the decoder's own field
+    /// checks — symbols defined before use, known tag kinds, counts the
+    /// payload can hold, UTF-8 logs, no span that ends before it starts and
+    /// no trailing bytes. Accepts exactly the streams the reader decodes
+    /// to the end.
+    pub fn new(bytes: Vec<u8>) -> Result<Self, BinaryReadError> {
+        let (header, have) = head(&bytes);
+        check_stream_header(&header, have)?;
+        let mut rest = &bytes[header.len()..];
+        let (mut names, mut spans, mut first_trace_id) = (0usize, 0usize, None);
+        while let Some((kind, payload)) = split_record(&mut rest)? {
+            if kind == REC_NAME {
+                name_definition(payload, names)?;
+                names += 1;
+            } else {
+                let trace_id = check_span(payload, names)?;
+                first_trace_id.get_or_insert(trace_id);
+                spans += 1;
+            }
+        }
+        Ok(Self {
+            bytes,
+            spans,
+            first_trace_id,
+        })
+    }
+
+    /// Number of span records in the stream.
+    pub fn len(&self) -> usize {
+        self.spans
+    }
+
+    /// Whether the stream holds no span.
+    pub fn is_empty(&self) -> bool {
+        self.spans == 0
+    }
+
+    /// The run id of the first span record, read during validation.
+    pub fn first_trace_id(&self) -> Option<TraceId> {
+        self.first_trace_id
+    }
+
+    /// Decodes every span, in stream order, with [`SpanBinaryReader`].
+    pub fn decode(&self) -> Vec<Span> {
+        let mut spans = Vec::with_capacity(self.spans);
+        for span in SpanBinaryReader::new(&self.bytes[..]) {
+            spans.push(span.expect("a validated stream decodes"));
+        }
+        spans
+    }
+}
+
+/// Splits the next record off `rest` for the validation walk: its kind and
+/// payload, or `Ok(None)` at a clean end of stream — the in-memory twin of
+/// the reader's record header and payload reads, with the same checks.
+fn split_record<'a>(rest: &mut &'a [u8]) -> Result<Option<(u8, &'a [u8])>, BinaryReadError> {
+    let (header, have) = head(rest);
+    let Some((kind, len)) = parse_record_header(&header, have)? else {
+        return Ok(None);
+    };
+    let body = &rest[header.len()..];
+    let len = len as usize;
+    if body.len() < len {
+        return Err(BinaryReadError::Truncated {
+            have: body.len(),
+            want: len,
+        });
+    }
+    let (payload, tail) = body.split_at(len);
+    *rest = tail;
+    Ok(Some((kind, payload)))
+}
+
+/// The first five bytes of `bytes` (zero-padded) and how many were there:
+/// a stream or record header as the reader's `read_up_to` fills it.
+fn head(bytes: &[u8]) -> ([u8; 5], usize) {
+    let mut header = [0u8; 5];
+    let have = bytes.len().min(header.len());
+    header[..have].copy_from_slice(&bytes[..have]);
+    (header, have)
+}
+
+/// Checks a stream header of which `have` bytes were present.
+fn check_stream_header(header: &[u8; 5], have: usize) -> Result<(), BinaryReadError> {
+    if have < header.len() {
+        return Err(BinaryReadError::Truncated {
+            have,
+            want: header.len(),
+        });
+    }
+    let magic: [u8; 4] = header[..4].try_into().expect("4-byte slice");
+    if magic != XSPB_MAGIC {
+        return Err(BinaryReadError::BadMagic(magic));
+    }
+    if header[4] != XSPB_VERSION {
+        return Err(BinaryReadError::UnsupportedVersion(header[4]));
+    }
+    Ok(())
+}
+
+/// Parses a record header of which `have` bytes were present: `Ok(None)`
+/// at a clean end of stream (no byte), the kind and the length bound
+/// checked otherwise.
+fn parse_record_header(
+    header: &[u8; 5],
+    have: usize,
+) -> Result<Option<(u8, u32)>, BinaryReadError> {
+    if have == 0 {
+        return Ok(None);
+    }
+    if have < header.len() {
+        return Err(BinaryReadError::Truncated {
+            have,
+            want: header.len(),
+        });
+    }
+    let kind = header[0];
+    let len = u32::from_be_bytes(header[1..5].try_into().expect("4-byte slice"));
+    if len > MAX_RECORD_LEN {
+        return Err(BinaryReadError::Oversized { len });
+    }
+    if kind != REC_NAME && kind != REC_SPAN {
+        return Err(BinaryReadError::UnknownRecordKind(kind));
+    }
+    Ok(Some((kind, len)))
+}
+
+/// The string a name record defines, which must be symbol `next`: symbols
+/// are defined in order.
+fn name_definition(payload: &[u8], next: usize) -> Result<&str, BinaryReadError> {
+    if payload.len() < 4 {
+        return Err(BinaryReadError::Malformed(
+            "name record shorter than its symbol id",
+        ));
+    }
+    let sym = u32::from_be_bytes(payload[..4].try_into().expect("4-byte slice"));
+    if sym as usize != next {
+        return Err(BinaryReadError::Malformed(
+            "non-sequential symbol definition",
+        ));
+    }
+    std::str::from_utf8(&payload[4..]).map_err(|_| BinaryReadError::Utf8)
 }
 
 /// Reads from `src` until `buf` is full or EOF; returns bytes read.
@@ -712,6 +835,41 @@ fn read_log_count(c: &mut Cursor<'_>) -> Result<u32, BinaryReadError> {
     Ok(log_count)
 }
 
+fn decode_log<'a>(c: &mut Cursor<'a>) -> Result<(u64, &'a str), BinaryReadError> {
+    let at_ns = c.u64("log missing timestamp")?;
+    let len = c.u32("log missing message length")? as usize;
+    let bytes = c.take(len, "log message exceeds payload")?;
+    let message = std::str::from_utf8(bytes).map_err(|_| BinaryReadError::Utf8)?;
+    Ok((at_ns, message))
+}
+
+/// Checks a span record against the `names` symbols defined before it
+/// with [`decode_span`]'s checks, in its order, building nothing. Returns
+/// the span's run id.
+fn check_span(payload: &[u8], names: usize) -> Result<TraceId, BinaryReadError> {
+    let defined = |sym: u32| {
+        if (sym as usize) < names {
+            Ok(())
+        } else {
+            Err(BinaryReadError::BadSymbol(sym))
+        }
+    };
+    let (head, mut c) = decode_head(payload)?;
+    for _ in 0..head.tag_count {
+        let (key, raw) = decode_tag(&mut c)?;
+        if let RawTag::Str(sym) = raw {
+            defined(sym)?;
+        }
+        defined(key)?;
+    }
+    for _ in 0..read_log_count(&mut c)? {
+        decode_log(&mut c)?;
+    }
+    c.done("span record has trailing bytes")?;
+    defined(head.name)?;
+    Ok(head.trace_id)
+}
+
 fn decode_span(payload: &[u8], names: &[TagKey]) -> Result<Span, BinaryReadError> {
     let resolve = |sym: u32| -> Result<&TagKey, BinaryReadError> {
         names
@@ -734,13 +892,11 @@ fn decode_span(payload: &[u8], names: &[TagKey]) -> Result<Span, BinaryReadError
     let log_count = read_log_count(&mut c)?;
     let mut logs = Vec::with_capacity(log_count as usize);
     for _ in 0..log_count {
-        let at_ns = c.u64("log missing timestamp")?;
-        let len = c.u32("log missing message length")? as usize;
-        let bytes = c.take(len, "log message exceeds payload")?;
-        let message = std::str::from_utf8(bytes)
-            .map_err(|_| BinaryReadError::Utf8)?
-            .to_owned();
-        logs.push(crate::span::LogEvent { at_ns, message });
+        let (at_ns, message) = decode_log(&mut c)?;
+        logs.push(crate::span::LogEvent {
+            at_ns,
+            message: message.to_owned(),
+        });
     }
     c.done("span record has trailing bytes")?;
     Ok(Span {
@@ -791,10 +947,7 @@ fn decode_span_into_store(
     }
     let log_count = read_log_count(&mut c)?;
     for _ in 0..log_count {
-        let at_ns = c.u64("log missing timestamp")?;
-        let len = c.u32("log missing message length")? as usize;
-        let bytes = c.take(len, "log message exceeds payload")?;
-        let message = std::str::from_utf8(bytes).map_err(|_| BinaryReadError::Utf8)?;
+        let (at_ns, message) = decode_log(&mut c)?;
         store.raw_log(at_ns, message);
     }
     c.done("span record has trailing bytes")

@@ -19,9 +19,12 @@
 //! Each string goes through [`tag_keys::resolve`] once, when it is first
 //! interned: a well-known tag key is stored borrowed, so its entry costs
 //! no allocation, and the key the table hands out for it clones for free.
+//! The table keeps each string once, in its symbol vector; the lookup
+//! index maps string hashes to symbols and compares against that vector.
 
-use crate::fxhash::FxHashMap;
+use crate::fxhash::{FxHashMap, FxHasher};
 use crate::span::{tag_keys, TagKey};
+use std::hash::{BuildHasher, BuildHasherDefault};
 
 /// A handle to an interned string in a [`NameTable`].
 ///
@@ -53,8 +56,13 @@ impl Symbol {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct NameTable {
+    /// The interned strings, by symbol: the only copy of each.
     names: Vec<TagKey>,
-    index: FxHashMap<TagKey, u32>,
+    /// String hash → the latest symbol interned with that hash.
+    by_hash: FxHashMap<u64, u32>,
+    /// Symbol → the previous symbol with the same string hash; empty
+    /// unless two interned strings collide.
+    collisions: FxHashMap<u32, u32>,
 }
 
 impl NameTable {
@@ -66,31 +74,48 @@ impl NameTable {
     /// Interns `name`, returning its symbol; a hit costs one hash lookup
     /// and no allocation.
     pub fn intern(&mut self, name: &str) -> Symbol {
-        if let Some(&id) = self.index.get(name) {
-            return Symbol(id);
+        let hash = hash_of(name);
+        if let Some(sym) = self.find(hash, name) {
+            return sym;
         }
-        self.push_new(tag_keys::resolve(name))
+        self.push_new(hash, tag_keys::resolve(name))
     }
 
     /// Interns an owned `name`, reusing the allocation on a miss (a
     /// well-known tag key is stored borrowed instead).
     pub fn intern_owned(&mut self, name: String) -> Symbol {
-        if let Some(&id) = self.index.get(name.as_str()) {
-            return Symbol(id);
+        let hash = hash_of(&name);
+        if let Some(sym) = self.find(hash, &name) {
+            return sym;
         }
-        self.push_new(tag_keys::resolve(name))
+        self.push_new(hash, tag_keys::resolve(name))
     }
 
-    fn push_new(&mut self, name: TagKey) -> Symbol {
+    /// The symbol of `name`, whose hash is `hash`, if interned: walks the
+    /// symbols sharing the hash, comparing the stored strings.
+    fn find(&self, hash: u64, name: &str) -> Option<Symbol> {
+        let mut at = self.by_hash.get(&hash).copied();
+        while let Some(id) = at {
+            if *self.names[id as usize] == *name {
+                return Some(Symbol(id));
+            }
+            at = self.collisions.get(&id).copied();
+        }
+        None
+    }
+
+    fn push_new(&mut self, hash: u64, name: TagKey) -> Symbol {
         let id = u32::try_from(self.names.len()).expect("name table exceeds u32 symbols");
-        self.index.insert(name.clone(), id);
+        if let Some(previous) = self.by_hash.insert(hash, id) {
+            self.collisions.insert(id, previous);
+        }
         self.names.push(name);
         Symbol(id)
     }
 
     /// Looks up a string without interning it.
     pub fn get(&self, name: &str) -> Option<Symbol> {
-        self.index.get(name).map(|&id| Symbol(id))
+        self.find(hash_of(name), name)
     }
 
     /// Resolves a symbol to its string. Panics on a symbol from another
@@ -126,6 +151,11 @@ impl NameTable {
     pub fn iter(&self) -> impl Iterator<Item = &str> {
         self.names.iter().map(|n| &**n)
     }
+}
+
+/// The lookup hash of an interned string.
+fn hash_of(name: &str) -> u64 {
+    BuildHasherDefault::<FxHasher>::default().hash_one(name)
 }
 
 #[cfg(test)]
@@ -166,6 +196,22 @@ mod tests {
         t.intern("only");
         assert_eq!(t.try_resolve(Symbol(0)), Some("only"));
         assert_eq!(t.try_resolve(Symbol(1)), None);
+    }
+
+    #[test]
+    fn strings_sharing_a_hash_keep_their_own_symbols() {
+        // Force every string into one hash chain: lookups must still tell
+        // them apart by comparing the stored strings.
+        let mut t = NameTable::new();
+        for (i, name) in ["a", "b", "c"].into_iter().enumerate() {
+            let sym = t.push_new(7, tag_keys::resolve(name));
+            assert_eq!(sym, Symbol(i as u32));
+        }
+        for (i, name) in ["a", "b", "c"].into_iter().enumerate() {
+            assert_eq!(t.find(7, name), Some(Symbol(i as u32)));
+        }
+        assert_eq!(t.find(7, "d"), None);
+        assert_eq!(t.find(8, "a"), None);
     }
 
     #[test]

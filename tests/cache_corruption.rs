@@ -13,18 +13,23 @@ use xsp_core::cache::{
 use xsp_core::profile::{ProfileRequest, ProfilingLevel, Xsp, XspConfig};
 use xsp_framework::FrameworkKind;
 use xsp_gpu::systems;
-use xsp_models::zoo;
+use xsp_models::builder::GraphBuilder;
+use xsp_trace::export::to_folded_stacks;
 
-/// A small but representative envelope: two runs (model pass + rerun
-/// bucket structure) under a known fingerprint.
+/// A small but representative envelope under a known fingerprint: one run
+/// in each bucket (M, M/L, M/L/G and a metric run) of a small CNN, so the
+/// run records carry layers, kernels and metric tags.
 fn sample() -> (GraphFingerprint, Vec<u8>) {
-    let graph = zoo::by_name("MobileNet_v1_0.25_128").unwrap().graph(1);
+    let mut b = GraphBuilder::new(1, 3, 32, 32);
+    b.conv(16, 3, 1, 1).bias_add().relu();
+    b.maxpool(2, 2);
+    b.fc(10).softmax();
     let profile = Xsp::new(
         XspConfig::new(systems::tesla_v100(), FrameworkKind::TensorFlow)
             .runs(1)
             .seed(11),
     )
-    .run(ProfileRequest::new(&graph).level(ProfilingLevel::ModelLayer));
+    .run(ProfileRequest::new(&b.finish()).level(ProfilingLevel::ModelLayerGpu));
     let fp = GraphFingerprint(0x00c0ffee_00c0ffee_00c0ffee_00c0ffee);
     let bytes = xspc_to_bytes(fp, &profile);
     (fp, bytes)
@@ -59,7 +64,11 @@ fn valid_sample_round_trips() {
     let (fp, bytes) = sample();
     let (read_fp, profile) = read(&bytes).expect("the uncorrupted sample must parse");
     assert_eq!(read_fp, fp);
-    assert_eq!(profile.runs().count(), 2, "model pass + layer pass");
+    assert_eq!(profile.runs().count(), 4, "M, M/L, M/L/G and metric runs");
+    assert!(profile.metric_runs[0]
+        .kernels()
+        .iter()
+        .any(|k| k.flops.is_some()));
 }
 
 #[test]
@@ -173,8 +182,9 @@ fn trailing_records_are_refused() {
 }
 
 /// Flip every byte of a valid envelope, one at a time: the reader must
-/// always return (a profile or a structured error), never panic, and a
-/// flip that still parses must still parse *cleanly* on re-read.
+/// always return (a profile or a structured error), never panic. A run is
+/// decoded on first use, so every run of a flipped file that loads must
+/// then decode, extract and export without panicking.
 #[test]
 fn single_byte_flips_never_panic() {
     let (_, bytes) = sample();
@@ -182,10 +192,15 @@ fn single_byte_flips_never_panic() {
         let mut corrupted = bytes.clone();
         corrupted[i] ^= 0x40;
         match read(&corrupted) {
-            Ok((fp, profile)) => {
-                // A tolerated flip (e.g. inside the fingerprint or a span
-                // name byte) must at least stay internally consistent.
-                let _ = (fp, profile.runs().count());
+            Ok((_, profile)) => {
+                // A tolerated flip (e.g. inside the fingerprint, a span id
+                // or a name byte): force everything a reader can touch.
+                for run in profile.runs() {
+                    let walked = run.trace.len();
+                    assert_eq!(run.trace.iter_spans().count(), walked);
+                    let _ = (run.layers().len(), run.kernels().len(), run.phases());
+                    let _ = to_folded_stacks(&run.trace);
+                }
             }
             Err(err) => {
                 let _ = err.to_string();

@@ -244,7 +244,7 @@ fn xspc_reload_matches_recorrelating_its_records() {
             let want = profile_from_trace(Trace::from_spans(records), stored.level);
             assert_eq!(got.trace.spans(), want.trace.spans());
             let views =
-                |r: &RunProfile| format!("{:?}", (&r.layers, &r.kernels, r.phases, r.trace_id));
+                |r: &RunProfile| format!("{:?}", (r.layers(), r.kernels(), r.phases(), r.trace_id));
             assert_eq!(views(got), views(&want));
             assert!(got.trace.ambiguities.is_clean());
         }

@@ -15,8 +15,8 @@ fn cfg() -> XspConfig {
 fn every_kernel_maps_to_exactly_one_layer() {
     let graph = zoo::by_name("Inception_v1").unwrap().graph(8);
     let p = run_once(&cfg(), &graph, ProfilingLevel::ModelLayerGpu, 0);
-    assert!(!p.kernels.is_empty());
-    for k in &p.kernels {
+    assert!(!p.kernels().is_empty());
+    for k in p.kernels() {
         assert!(
             k.layer_index.is_some(),
             "kernel {} (order {}) unmapped",
@@ -32,8 +32,8 @@ fn kernel_layer_assignment_matches_launch_structure() {
     // each layer launches; check the correlation recovered exactly that.
     let graph = zoo::by_name("MobileNet_v1_0.5_128").unwrap().graph(4);
     let p = run_once(&cfg(), &graph, ProfilingLevel::ModelLayerGpu, 0);
-    for k in &p.kernels {
-        let layer = &p.layers[k.layer_index.unwrap()];
+    for k in p.kernels() {
+        let layer = &p.layers()[k.layer_index.unwrap()];
         match layer.type_name.as_str() {
             "Conv2D" => assert!(
                 k.name.contains("scudnn")
@@ -87,17 +87,17 @@ fn mxnet_correlation_works_identically() {
     let mut c = cfg();
     c.framework = FrameworkKind::MXNet;
     let p = run_once(&c, &graph, ProfilingLevel::ModelLayerGpu, 0);
-    assert!(p.kernels.iter().all(|k| k.layer_index.is_some()));
+    assert!(p.kernels().iter().all(|k| k.layer_index.is_some()));
     // MXNet executes fused BatchNorm: bn kernels map to BatchNorm layers
     let bn_layers: Vec<usize> = p
-        .layers
+        .layers()
         .iter()
         .filter(|l| l.type_name == "BatchNorm")
         .map(|l| l.index)
         .collect();
     assert!(!bn_layers.is_empty());
     let bn_kernels = p
-        .kernels
+        .kernels()
         .iter()
         .filter(|k| bn_layers.contains(&k.layer_index.unwrap()))
         .count();
@@ -115,14 +115,18 @@ fn correlation_consistent_across_all_levels_of_zoo_sample() {
     ] {
         let graph = zoo::by_name(name).unwrap().graph(1);
         let p = run_once(&cfg(), &graph, ProfilingLevel::ModelLayerGpu, 0);
-        let unmapped = p.kernels.iter().filter(|k| k.layer_index.is_none()).count();
+        let unmapped = p
+            .kernels()
+            .iter()
+            .filter(|k| k.layer_index.is_none())
+            .count();
         assert_eq!(unmapped, 0, "{name}: {unmapped} unmapped kernels");
         // layer kernel windows sum to less than the model prediction time
-        let kernel_ms: f64 = p.kernels.iter().map(|k| k.latency_ms).sum();
+        let kernel_ms: f64 = p.kernels().iter().map(|k| k.latency_ms).sum();
         assert!(
-            kernel_ms < p.phases.predict_ms,
+            kernel_ms < p.phases().predict_ms,
             "{name}: kernels {kernel_ms} vs predict {}",
-            p.phases.predict_ms
+            p.phases().predict_ms
         );
     }
 }

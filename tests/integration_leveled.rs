@@ -103,9 +103,13 @@ fn gpu_overhead_scales_with_kernel_count() {
 fn kernel_latencies_identical_with_and_without_metrics() {
     // Replay must not distort reported kernel durations.
     let p = leveled(8);
-    let plain: Vec<f64> = p.mlg_runs[0].kernels.iter().map(|k| k.latency_ms).collect();
+    let plain: Vec<f64> = p.mlg_runs[0]
+        .kernels()
+        .iter()
+        .map(|k| k.latency_ms)
+        .collect();
     let metric: Vec<f64> = p.metric_runs[0]
-        .kernels
+        .kernels()
         .iter()
         .map(|k| k.latency_ms)
         .collect();
@@ -124,9 +128,9 @@ fn levels_expose_expected_data() {
     let graph = zoo::by_name("MobileNet_v1_0.25_128").unwrap().graph(2);
     use xsp_core::pipeline::run_once;
     let m = run_once(xsp.config(), &graph, ProfilingLevel::Model, 0);
-    assert!(m.layers.is_empty() && m.kernels.is_empty());
+    assert!(m.layers().is_empty() && m.kernels().is_empty());
     let ml = run_once(xsp.config(), &graph, ProfilingLevel::ModelLayer, 0);
-    assert!(!ml.layers.is_empty() && ml.kernels.is_empty());
+    assert!(!ml.layers().is_empty() && ml.kernels().is_empty());
     let mlg = run_once(xsp.config(), &graph, ProfilingLevel::ModelLayerGpu, 0);
-    assert!(!mlg.layers.is_empty() && !mlg.kernels.is_empty());
+    assert!(!mlg.layers().is_empty() && !mlg.kernels().is_empty());
 }

@@ -153,10 +153,10 @@ fn offline_analysis_roundtrip() {
     let reloaded = xsp_trace::export::from_span_json(&json).unwrap();
     let offline = profile_from_trace(reloaded, ProfilingLevel::ModelLayerGpu);
 
-    assert_eq!(offline.layers.len(), live.layers.len());
-    assert_eq!(offline.kernels.len(), live.kernels.len());
-    assert_eq!(offline.phases.predict_ms, live.phases.predict_ms);
-    for (a, b) in live.kernels.iter().zip(offline.kernels.iter()) {
+    assert_eq!(offline.layers().len(), live.layers().len());
+    assert_eq!(offline.kernels().len(), live.kernels().len());
+    assert_eq!(offline.phases().predict_ms, live.phases().predict_ms);
+    for (a, b) in live.kernels().iter().zip(offline.kernels().iter()) {
         assert_eq!(a.name, b.name);
         assert_eq!(a.layer_index, b.layer_index, "kernel {} layer", a.name);
         assert_eq!(a.latency_ms, b.latency_ms);

@@ -258,9 +258,9 @@ fn folded_stacks_expose_attention_kernels_with_self_time() {
 
     // Self-time accounting: every stack's weight is bounded by the root
     // span's duration, and the model root itself folds with self-time.
-    let model_total_us = run.phases.predict_ms * 1e3
-        + run.phases.preprocess_ms * 1e3
-        + run.phases.postprocess_ms * 1e3;
+    let model_total_us = run.phases().predict_ms * 1e3
+        + run.phases().preprocess_ms * 1e3
+        + run.phases().postprocess_ms * 1e3;
     let folded_total_us: u64 = lines.iter().map(|(_, w)| w).sum();
     assert!(
         (folded_total_us as f64) <= model_total_us * 1.05,
