@@ -66,7 +66,13 @@ impl<'a> SpanHandle<'a> {
 
 impl Drop for SpanHandle<'_> {
     fn drop(&mut self) {
-        // Dropping without finish() publishes too — RAII convenience.
+        // Dropping without finish() publishes too — RAII convenience. A
+        // span dropped by an unwinding panic publishes nothing: its clock
+        // may be what the panic is about, and a second panic here would
+        // abort the process.
+        if std::thread::panicking() {
+            return;
+        }
         if let Some(b) = self.builder.take() {
             self.tracer.report(b.finish(self.clock.now()));
         }
@@ -112,6 +118,27 @@ mod tests {
         assert_eq!(
             trace.spans()[0].tag("batch_size").unwrap().as_u64(),
             Some(8)
+        );
+    }
+
+    #[test]
+    fn unwinding_through_a_wrapped_span_does_not_abort() {
+        let server = TracingServer::new();
+        let tracer = server.tracer("model");
+        let clock = VirtualClock::new();
+        clock.advance(10);
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _span = start_span(&tracer, &clock, TraceId(1), "model_prediction");
+            // Wrap the clock below the span's start. Where overflow checks
+            // are on, this advance is itself the panic.
+            clock.advance(u64::MAX);
+            panic!("a worker panics while the span is open");
+        }));
+        assert!(result.is_err(), "the panic reaches catch_unwind");
+        assert!(clock.now() < 10, "the clock wrapped");
+        assert!(
+            server.drain().is_empty(),
+            "an unwinding span publishes nothing"
         );
     }
 

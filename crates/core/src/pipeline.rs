@@ -14,7 +14,7 @@ use crate::profile::{ProfilingLevel, XspConfig};
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 use xsp_cupti::{Cupti, CuptiConfig};
-use xsp_framework::{LayerGraph, RunOptions, Session};
+use xsp_framework::{ExecutionPlan, LayerGraph, RunOptions, Session};
 use xsp_gpu::{CudaContext, CudaContextConfig};
 use xsp_trace::span::tag_keys;
 use xsp_trace::{CorrelatedTrace, CorrelationEngine, SpanId, StackLevel, TraceId, TracingServer};
@@ -175,9 +175,34 @@ pub fn run_once(
 /// run balloon while reported per-kernel durations stay accurate, so the
 /// orchestrator keeps metric runs separate from the plain M/L/G runs used
 /// for latency measurement.
+///
+/// A single call lowers `graph` into its own [`ExecutionPlan`] and runs it;
+/// [`crate::profile::Xsp::run`] builds that plan once and shares it among
+/// every run of a profile.
 pub fn run_once_with_metrics(
     cfg: &XspConfig,
     graph: &LayerGraph,
+    level: ProfilingLevel,
+    run_idx: u64,
+    with_metrics: bool,
+) -> RunProfile {
+    run_planned(cfg, &plan_for(cfg, graph), level, run_idx, with_metrics)
+}
+
+/// The execution plan of `graph` for the configured framework and GPU.
+pub(crate) fn plan_for(cfg: &XspConfig, graph: &LayerGraph) -> Arc<ExecutionPlan> {
+    Arc::new(ExecutionPlan::new(
+        cfg.framework,
+        graph,
+        cfg.system.gpu.arch,
+    ))
+}
+
+/// One run of [`run_once_with_metrics`], replaying a plan built by
+/// [`plan_for`] from the same config.
+pub(crate) fn run_planned(
+    cfg: &XspConfig,
+    plan: &Arc<ExecutionPlan>,
     level: ProfilingLevel,
     run_idx: u64,
     with_metrics: bool,
@@ -214,9 +239,9 @@ pub fn run_once_with_metrics(
         None
     };
 
-    let session = Session::new(cfg.framework, graph, ctx.clone());
+    let session = Session::with_plan(Arc::clone(plan), ctx.clone());
     let clock = ctx.clock().clone();
-    let batch = graph.batch() as u64;
+    let batch = plan.graph().batch() as u64;
 
     // ---- model-level pipeline (Figure 1) -------------------------------
     let pre = crate::api::start_span(&model_tracer, &clock, trace_id, "input_preprocess");
@@ -270,7 +295,7 @@ pub fn run_once_with_metrics(
     // kernel→layer assignment by launch order, which we graft back.
     if correlated.ambiguities.needs_serialized_rerun() {
         used_rerun = true;
-        let assignment = serialized_kernel_assignment(cfg, graph, level, run_idx);
+        let assignment = serialized_kernel_assignment(cfg, plan, level, run_idx);
         apply_assignment(&mut correlated, &assignment);
     }
 
@@ -288,7 +313,7 @@ pub fn run_once_with_metrics(
 /// for each kernel launch, in launch order.
 fn serialized_kernel_assignment(
     cfg: &XspConfig,
-    graph: &LayerGraph,
+    plan: &Arc<ExecutionPlan>,
     level: ProfilingLevel,
     run_idx: u64,
 ) -> Vec<Option<usize>> {
@@ -307,7 +332,7 @@ fn serialized_kernel_assignment(
         cfg.system.gpu.clone(),
     ));
     ctx.register_hook(cupti.clone());
-    let session = Session::new(cfg.framework, graph, ctx.clone());
+    let session = Session::with_plan(Arc::clone(plan), ctx.clone());
     // model span so reconstruction has a root
     let model_tracer = server.tracer("model_timer");
     let clock = ctx.clock().clone();

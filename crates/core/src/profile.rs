@@ -21,7 +21,7 @@
 
 use crate::cache::{self, GraphFingerprint};
 use crate::export::ExportSink;
-use crate::pipeline::{run_once, run_once_with_metrics, KernelProfile, LayerProfile, RunProfile};
+use crate::pipeline::{plan_for, run_planned, KernelProfile, LayerProfile, RunProfile};
 use crate::scheduler::{parmap, Parallelism};
 use std::fmt;
 use std::path::PathBuf;
@@ -631,20 +631,20 @@ impl Xsp {
     /// Executes a list of independent run specs through the parallel
     /// evaluation engine and returns the profiles in submission order.
     ///
+    /// The graph is lowered once, before the runs fan out: every run (and
+    /// any serialized re-run) replays the one read-only plan.
     /// Every run is wrapped in a span-id scope keyed by its seed offset, so
     /// id allocation — and therefore the serialized trace — is independent
     /// of which worker executes the run and in what order runs complete.
     fn run_specs(&self, graph: &LayerGraph, specs: Vec<RunSpec>) -> Vec<RunProfile> {
+        let plan = plan_for(&self.cfg, graph);
         let profiles = parmap(self.cfg.parallelism, specs, |_, spec| {
-            with_span_id_scope(spec.run_idx, || match spec.kind {
-                RunKind::Plain(level) => run_once(&self.cfg, graph, level, spec.run_idx),
-                RunKind::Metrics => run_once_with_metrics(
-                    &self.cfg,
-                    graph,
-                    ProfilingLevel::ModelLayerGpu,
-                    spec.run_idx,
-                    true,
-                ),
+            let (level, with_metrics) = match spec.kind {
+                RunKind::Plain(level) => (level, false),
+                RunKind::Metrics => (ProfilingLevel::ModelLayerGpu, true),
+            };
+            with_span_id_scope(spec.run_idx, || {
+                run_planned(&self.cfg, &plan, level, spec.run_idx, with_metrics)
             })
         });
         // Stream the finished runs to the export sink right here — after

@@ -5,6 +5,7 @@
 //! facade. Each record carries the `correlation_id` CUPTI uses to link a
 //! device activity to the runtime API call that created it.
 
+use std::sync::Arc;
 use xsp_gpu::{KernelActivity, MemcpyActivity};
 
 /// A runtime-API interval observed by the callback interface.
@@ -13,7 +14,7 @@ pub struct RuntimeApiRecord {
     /// CUDA runtime function name (`cudaLaunchKernel`, ...).
     pub api_name: &'static str,
     /// Kernel name for launch calls.
-    pub kernel_name: Option<String>,
+    pub kernel_name: Option<Arc<str>>,
     /// Correlation id shared with the resulting device activity.
     pub correlation_id: u64,
     /// API enter time, ns.

@@ -109,7 +109,7 @@ impl Cupti {
                         .tag(tag_keys::CORRELATION_ID, r.correlation_id);
                     if let Some(kname) = &r.kernel_name {
                         b = b
-                            .tag(tag_keys::KERNEL, kname.clone())
+                            .tag(tag_keys::KERNEL, kname.to_string())
                             .tag(tag_keys::ASYNC_LAUNCH, true);
                     } else if r.api_name == "cudaMemcpy" {
                         b = b.tag(tag_keys::ASYNC_LAUNCH, true);
@@ -118,7 +118,8 @@ impl Cupti {
                     published += 1;
                 }
                 ActivityRecord::Kernel(k) => {
-                    let mut b = SpanBuilder::new(k.name.clone(), StackLevel::Kernel, trace_id)
+                    let mut b = SpanBuilder::new(&*k.name, StackLevel::Kernel, trace_id)
+                        .tag_capacity(6 + self.cfg.metrics.len())
                         .start(k.start_ns)
                         .tag(tag_keys::TRACER, "cupti_activity")
                         .tag(tag_keys::CORRELATION_ID, k.correlation_id)
@@ -180,8 +181,8 @@ impl GpuHook for Cupti {
         let Some((entered_call, start)) = self.inflight_api.lock().remove(&correlation_id) else {
             return;
         };
-        let kernel_name = match &entered_call {
-            ApiCall::LaunchKernel { name } => Some(name.clone()),
+        let kernel_name = match entered_call {
+            ApiCall::LaunchKernel { name } => Some(name),
             _ => None,
         };
         self.records

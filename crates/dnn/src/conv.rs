@@ -439,7 +439,7 @@ mod tests {
         // Figure 1: ShuffleTensor, OffsetComp, VoltaCUDNN_128x64.
         let (algo, ks) = conv2d_kernels(&first_conv(256), GpuArchitecture::Volta);
         assert_eq!(algo, ConvAlgo::ImplicitPrecompGemm);
-        let names: Vec<&str> = ks.iter().map(|k| k.name.as_str()).collect();
+        let names: Vec<&str> = ks.iter().map(|k| &*k.name).collect();
         assert_eq!(names.len(), 3, "{names:?}");
         assert!(names[0].contains("ShuffleTensor"));
         assert!(names[1].contains("OffsetComp"));

@@ -13,10 +13,13 @@
 //!   TensorFlow) and pays the profiler's per-layer collection cost *outside*
 //!   the reported layer span. Layer latencies stay accurate; the model span
 //!   absorbs the overhead — the exact structure of the paper's Figure 2.
+//!
+//! A session replays an [`ExecutionPlan`]: the graph rewrite and the
+//! lowering are done once per plan, not once per prediction.
 
-use crate::graph::{LayerGraph, TensorShape};
-use crate::kernels::{layer_kernels, library_call};
+use crate::graph::LayerGraph;
 use crate::personality::FrameworkKind;
+use crate::plan::ExecutionPlan;
 use parking_lot::Mutex;
 use std::sync::Arc;
 use xsp_gpu::jitter::Jitter;
@@ -80,17 +83,16 @@ impl<'a> RunOptions<'a> {
     }
 }
 
-/// What the framework recorded about one executed layer.
+/// What the framework recorded about one executed layer. Its output shape
+/// is the executed graph's ([`Session::executed_graph`]).
 #[derive(Debug, Clone)]
 pub struct LayerRecord {
     /// Execution index.
     pub index: usize,
-    /// Layer name.
-    pub name: String,
+    /// Layer name, shared with the session's plan.
+    pub name: Arc<str>,
     /// Layer type name ("Conv2D", ...).
     pub type_name: &'static str,
-    /// Output shape.
-    pub shape: TensorShape,
     /// Start, ns.
     pub start_ns: u64,
     /// End, ns.
@@ -131,22 +133,34 @@ impl PredictStats {
 /// A loaded model bound to a device context — the `TF_Session` /
 /// `MXPredictor` analogue.
 pub struct Session {
-    framework: FrameworkKind,
-    graph: LayerGraph,
+    plan: Arc<ExecutionPlan>,
     ctx: Arc<CudaContext>,
     jitter: Mutex<Jitter>,
 }
 
 impl Session {
-    /// Loads `static_graph` into the framework: the personality's graph
-    /// rewrite runs here, once, like a real session's graph optimization.
+    /// Loads `static_graph` into the framework: builds an
+    /// [`ExecutionPlan`] for the context's GPU (the personality's graph
+    /// rewrite and the lowering, like a real session's graph optimization)
+    /// and binds it with [`Session::with_plan`]. Callers that run one
+    /// graph many times build the plan once and share it instead.
     pub fn new(framework: FrameworkKind, static_graph: &LayerGraph, ctx: Arc<CudaContext>) -> Self {
-        let graph = framework.prepare_graph(static_graph);
+        let plan = ExecutionPlan::new(framework, static_graph, ctx.system().gpu.arch);
+        Self::with_plan(Arc::new(plan), ctx)
+    }
+
+    /// Binds a shared plan to a device context. The plan must have been
+    /// lowered for the context's GPU architecture.
+    pub fn with_plan(plan: Arc<ExecutionPlan>, ctx: Arc<CudaContext>) -> Self {
+        debug_assert_eq!(
+            plan.arch(),
+            ctx.system().gpu.arch,
+            "plan lowered for another GPU architecture"
+        );
         let seed = ctx.config().seed ^ 0x5EED_CAFE;
         let amplitude = ctx.config().jitter_amplitude;
         Self {
-            framework,
-            graph,
+            plan,
             ctx,
             jitter: Mutex::new(Jitter::new(seed, amplitude)),
         }
@@ -154,12 +168,12 @@ impl Session {
 
     /// The framework executing this session.
     pub fn framework(&self) -> FrameworkKind {
-        self.framework
+        self.plan.framework()
     }
 
     /// The *executed* (post-rewrite) layer graph.
     pub fn executed_graph(&self) -> &LayerGraph {
-        &self.graph
+        self.plan.graph()
     }
 
     /// The device context.
@@ -179,13 +193,14 @@ impl Session {
         let stream = StreamId::DEFAULT;
         let kernels_before = ctx.kernels_launched();
         let start_ns = clock.now();
+        let framework = self.plan.framework();
+        let graph = self.plan.graph();
 
         // Engine / session fixed overhead (serial with everything else).
-        clock.advance(self.scaled(self.framework.fixed_overhead_ns()));
+        clock.advance(self.scaled(framework.fixed_overhead_ns()));
 
         // Feed: host-to-device copy of the input batch.
-        let input_bytes = self
-            .graph
+        let input_bytes = graph
             .layers
             .first()
             .map(|l| l.out_shape.bytes())
@@ -194,14 +209,12 @@ impl Session {
             ctx.memcpy(MemcpyKind::HostToDevice, input_bytes, stream);
         }
 
-        let batch = self.graph.batch();
-        let backend = self.framework.backend();
-        let arch = ctx.system().gpu.arch;
-        let mut layers = Vec::with_capacity(self.graph.len());
+        let batch = graph.batch();
+        let mut layers = Vec::with_capacity(graph.len());
 
-        for (index, layer) in self.graph.layers.iter().enumerate() {
+        for (index, (layer, planned)) in graph.layers.iter().zip(self.plan.layers()).enumerate() {
             let t0 = clock.now();
-            clock.advance(self.scaled(self.framework.dispatch_ns(&layer.op, batch)));
+            clock.advance(self.scaled(framework.dispatch_ns(&layer.op, batch)));
             if let Some(host) = opts.host_tracer {
                 host.report(
                     SpanBuilder::new(
@@ -216,13 +229,12 @@ impl Session {
                 );
             }
 
-            let alloc_bytes = layer.alloc_bytes();
+            let alloc_bytes = planned.alloc_bytes;
             if alloc_bytes > 0 {
-                ctx.malloc(alloc_bytes, &layer.name);
+                ctx.malloc(alloc_bytes, Arc::clone(&planned.name));
             }
 
-            let kernels = layer_kernels(layer, backend, arch);
-            let kernel_count = kernels.len();
+            let kernel_count = planned.kernels.len();
             // Library-level span (§III-E): the vendor API call that issues
             // this layer's kernels. Opens before the first launch; in the
             // serialized regime it closes after the kernels complete, so
@@ -230,11 +242,9 @@ impl Session {
             let lib = opts
                 .library_tracer
                 .filter(|_| opts.layer_profiling && kernel_count > 0)
-                .and_then(|tracer| {
-                    library_call(layer, backend).map(|api| (tracer, api, clock.now()))
-                });
-            for k in kernels {
-                ctx.launch_kernel(k, stream);
+                .and_then(|tracer| planned.library_call.map(|api| (tracer, api, clock.now())));
+            for k in &planned.kernels {
+                ctx.launch_kernel(k.clone(), stream);
             }
 
             let end_ns = if opts.layer_profiling {
@@ -254,19 +264,20 @@ impl Session {
                 let t1 = clock.now();
                 if let Some(tracer) = opts.layer_tracer {
                     tracer.report(
-                        SpanBuilder::new(layer.name.clone(), StackLevel::Layer, opts.trace_id)
+                        SpanBuilder::new(&*planned.name, StackLevel::Layer, opts.trace_id)
+                            .tag_capacity(5)
                             .start(t0)
-                            .tag(tag_keys::TRACER, self.framework.profiler_api())
+                            .tag(tag_keys::TRACER, framework.profiler_api())
                             .tag(tag_keys::LAYER_INDEX, index as u64)
                             .tag(tag_keys::LAYER_TYPE, layer.op.type_name())
-                            .tag(tag_keys::LAYER_SHAPE, layer.out_shape.to_string())
+                            .tag(tag_keys::LAYER_SHAPE, planned.shape.clone())
                             .tag(tag_keys::ALLOC_BYTES, alloc_bytes)
                             .finish(t1),
                     );
                 }
                 // Collection cost lands *outside* the layer span: the span
                 // stays accurate, the model span absorbs the overhead.
-                clock.advance(self.scaled(self.framework.layer_profiler_overhead_ns()));
+                clock.advance(self.scaled(framework.layer_profiler_overhead_ns()));
                 t1
             } else {
                 clock.now()
@@ -274,9 +285,8 @@ impl Session {
 
             layers.push(LayerRecord {
                 index,
-                name: layer.name.clone(),
+                name: Arc::clone(&planned.name),
                 type_name: layer.op.type_name(),
-                shape: layer.out_shape.clone(),
                 start_ns: t0,
                 end_ns,
                 alloc_bytes,
@@ -285,8 +295,7 @@ impl Session {
         }
 
         // Fetch: device-to-host copy of the output.
-        let output_bytes = self
-            .graph
+        let output_bytes = graph
             .layers
             .last()
             .map(|l| l.out_shape.bytes())
@@ -308,7 +317,7 @@ impl Session {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::{Layer, LayerGraph, LayerOp};
+    use crate::graph::{Layer, LayerGraph, LayerOp, TensorShape};
     use xsp_dnn::ConvParams;
     use xsp_gpu::{systems, CudaContextConfig};
     use xsp_trace::TracingServer;

@@ -43,15 +43,14 @@ impl TensorShape {
 
 impl std::fmt::Display for TensorShape {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "⟨{}⟩",
-            self.0
-                .iter()
-                .map(|d| d.to_string())
-                .collect::<Vec<_>>()
-                .join(", ")
-        )
+        f.write_str("⟨")?;
+        for (i, d) in self.0.iter().enumerate() {
+            if i > 0 {
+                f.write_str(", ")?;
+            }
+            write!(f, "{d}")?;
+        }
+        f.write_str("⟩")
     }
 }
 
@@ -449,6 +448,16 @@ mod tests {
         assert_eq!(s.bytes(), 256 * 512 * 49 * 4);
         assert_eq!(s.batch(), 256);
         assert_eq!(s.to_string(), "⟨256, 512, 7, 7⟩");
+    }
+
+    #[test]
+    fn shape_display_is_pinned() {
+        assert_eq!(TensorShape(vec![]).to_string(), "⟨⟩");
+        assert_eq!(TensorShape(vec![1000]).to_string(), "⟨1000⟩");
+        assert_eq!(
+            TensorShape::nchw(1, 64, 56, 56).to_string(),
+            "⟨1, 64, 56, 56⟩"
+        );
     }
 
     #[test]

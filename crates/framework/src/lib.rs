@@ -31,7 +31,9 @@ pub mod executor;
 pub mod graph;
 pub mod kernels;
 pub mod personality;
+pub mod plan;
 
 pub use executor::{LayerRecord, PredictStats, RunOptions, Session};
 pub use graph::{Layer, LayerGraph, LayerOp, TensorShape};
 pub use personality::FrameworkKind;
+pub use plan::ExecutionPlan;

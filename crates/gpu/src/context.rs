@@ -156,7 +156,7 @@ impl CudaContext {
         self.kernels_launched.fetch_add(1, Ordering::Relaxed);
         let hooks = self.hooks.read();
         let call = ApiCall::LaunchKernel {
-            name: desc.name.clone(),
+            name: Arc::clone(&desc.name),
         };
 
         let api_enter = self.clock.now();
@@ -195,7 +195,7 @@ impl CudaContext {
 
         let activity = KernelActivity {
             correlation_id: cid,
-            name: desc.name.clone(),
+            name: Arc::clone(&desc.name),
             grid: desc.grid,
             block: desc.block,
             stream,
@@ -293,7 +293,7 @@ impl CudaContext {
     }
 
     /// `cudaMalloc` attributed to `scope` (the executing layer).
-    pub fn malloc(&self, bytes: u64, scope: &str) -> AllocId {
+    pub fn malloc(&self, bytes: u64, scope: impl Into<Arc<str>>) -> AllocId {
         let cid = self.fresh_correlation_id();
         let hooks = self.hooks.read();
         let t0 = self.clock.now();

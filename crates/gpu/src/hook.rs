@@ -10,6 +10,7 @@
 
 use crate::kernel::{Dim3, KernelDesc};
 use crate::stream::StreamId;
+use std::sync::Arc;
 
 /// A CUDA-runtime-API call site observed by the callback interface.
 #[derive(Debug, Clone, PartialEq)]
@@ -17,7 +18,7 @@ pub enum ApiCall {
     /// `cudaLaunchKernel` with the kernel's name.
     LaunchKernel {
         /// Name of the launched kernel.
-        name: String,
+        name: Arc<str>,
     },
     /// `cudaMemcpy`-family call.
     Memcpy {
@@ -74,7 +75,7 @@ pub struct KernelActivity {
     /// Correlation id shared with the launching API call.
     pub correlation_id: u64,
     /// Kernel name.
-    pub name: String,
+    pub name: Arc<str>,
     /// Grid dimensions.
     pub grid: Dim3,
     /// Block dimensions.
@@ -165,10 +166,7 @@ mod tests {
     #[test]
     fn api_names() {
         assert_eq!(
-            ApiCall::LaunchKernel {
-                name: "k".to_owned()
-            }
-            .api_name(),
+            ApiCall::LaunchKernel { name: "k".into() }.api_name(),
             "cudaLaunchKernel"
         );
         assert_eq!(

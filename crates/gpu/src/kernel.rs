@@ -7,6 +7,7 @@
 //! construct descriptors; the simulator executes them.
 
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// CUDA-style 3-component launch dimensions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -43,11 +44,13 @@ impl std::fmt::Display for Dim3 {
 }
 
 /// Description of a GPU kernel to execute.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KernelDesc {
     /// Kernel (mangled/demangled) name, e.g.
-    /// `volta_scudnn_128x64_relu_interior_nn_v1`.
-    pub name: String,
+    /// `volta_scudnn_128x64_relu_interior_nn_v1`. Shared: the launch call,
+    /// the activity record and the profiler's buffers all hold the one
+    /// string the library lowering built.
+    pub name: Arc<str>,
     /// Grid dimensions.
     pub grid: Dim3,
     /// Block dimensions.
@@ -73,7 +76,7 @@ pub struct KernelDesc {
 impl KernelDesc {
     /// A descriptor with neutral efficiency defaults; libraries override the
     /// envelope fields.
-    pub fn new(name: impl Into<String>, grid: Dim3, block: Dim3) -> Self {
+    pub fn new(name: impl Into<Arc<str>>, grid: Dim3, block: Dim3) -> Self {
         Self {
             name: name.into(),
             grid,

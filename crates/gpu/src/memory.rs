@@ -8,6 +8,7 @@
 
 use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Opaque allocation handle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -16,11 +17,11 @@ pub struct AllocId(u64);
 #[derive(Debug, Default)]
 struct Inner {
     next_id: u64,
-    live: HashMap<AllocId, (u64, String)>,
+    live: HashMap<AllocId, u64>,
     current: u64,
     peak: u64,
     total_allocated: u64,
-    per_scope: HashMap<String, u64>,
+    per_scope: HashMap<Arc<str>, u64>,
 }
 
 /// Thread-safe `cudaMalloc`/`cudaFree` accounting.
@@ -35,16 +36,17 @@ impl MemTracker {
         Self::default()
     }
 
-    /// Records an allocation of `bytes` attributed to `scope`.
-    pub fn alloc(&self, bytes: u64, scope: &str) -> AllocId {
+    /// Records an allocation of `bytes` attributed to `scope`. A shared
+    /// scope name (the executing layer's) is kept without a copy.
+    pub fn alloc(&self, bytes: u64, scope: impl Into<Arc<str>>) -> AllocId {
         let mut g = self.inner.lock();
         g.next_id += 1;
         let id = AllocId(g.next_id);
-        g.live.insert(id, (bytes, scope.to_owned()));
+        g.live.insert(id, bytes);
         g.current += bytes;
         g.peak = g.peak.max(g.current);
         g.total_allocated += bytes;
-        *g.per_scope.entry(scope.to_owned()).or_default() += bytes;
+        *g.per_scope.entry(scope.into()).or_default() += bytes;
         id
     }
 
@@ -52,7 +54,7 @@ impl MemTracker {
     /// an unknown/double free.
     pub fn free(&self, id: AllocId) -> Option<u64> {
         let mut g = self.inner.lock();
-        let (bytes, _) = g.live.remove(&id)?;
+        let bytes = g.live.remove(&id)?;
         g.current -= bytes;
         Some(bytes)
     }
@@ -78,7 +80,7 @@ impl MemTracker {
     }
 
     /// Snapshot of all per-scope totals.
-    pub fn scope_totals(&self) -> HashMap<String, u64> {
+    pub fn scope_totals(&self) -> HashMap<Arc<str>, u64> {
         self.inner.lock().per_scope.clone()
     }
 
@@ -159,7 +161,7 @@ mod tests {
                 let t = t.clone();
                 std::thread::spawn(move || {
                     for _ in 0..250 {
-                        t.alloc(4, &format!("scope{i}"));
+                        t.alloc(4, format!("scope{i}"));
                     }
                 })
             })

@@ -37,13 +37,6 @@ impl VirtualClock {
         Self::default()
     }
 
-    /// Creates a clock starting at `start_ns`.
-    pub fn starting_at(start_ns: u64) -> Self {
-        Self {
-            ns: Arc::new(AtomicU64::new(start_ns)),
-        }
-    }
-
     /// Current virtual time in nanoseconds.
     #[inline]
     pub fn now(&self) -> u64 {
@@ -83,11 +76,6 @@ mod tests {
     #[test]
     fn starts_at_zero() {
         assert_eq!(VirtualClock::new().now(), 0);
-    }
-
-    #[test]
-    fn starting_at_sets_origin() {
-        assert_eq!(VirtualClock::starting_at(42).now(), 42);
     }
 
     #[test]

@@ -81,16 +81,6 @@ impl NameTable {
         self.push_new(hash, tag_keys::resolve(name))
     }
 
-    /// Interns an owned `name`, reusing the allocation on a miss (a
-    /// well-known tag key is stored borrowed instead).
-    pub fn intern_owned(&mut self, name: String) -> Symbol {
-        let hash = hash_of(&name);
-        if let Some(sym) = self.find(hash, &name) {
-            return sym;
-        }
-        self.push_new(hash, tag_keys::resolve(name))
-    }
-
     /// The symbol of `name`, whose hash is `hash`, if interned: walks the
     /// symbols sharing the hash, comparing the stored strings.
     fn find(&self, hash: u64, name: &str) -> Option<Symbol> {
@@ -170,15 +160,6 @@ mod tests {
         assert_eq!(t.intern("a"), Symbol(0));
         assert_eq!(t.intern("c"), Symbol(2));
         assert_eq!(t.iter().collect::<Vec<_>>(), vec!["a", "b", "c"]);
-    }
-
-    #[test]
-    fn owned_interning_matches_borrowed() {
-        let mut t = NameTable::new();
-        let a = t.intern("conv");
-        assert_eq!(t.intern_owned("conv".to_owned()), a);
-        assert_eq!(t.intern_owned("gemm".to_owned()), Symbol(1));
-        assert_eq!(t.len(), 2);
     }
 
     #[test]

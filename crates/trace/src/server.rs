@@ -155,13 +155,6 @@ impl TracingServer {
             .clone()
     }
 
-    /// Names of all registered tracers.
-    pub fn tracer_names(&self) -> Vec<&'static str> {
-        let mut names: Vec<_> = self.registered.lock().keys().copied().collect();
-        names.sort_unstable();
-        names
-    }
-
     /// Creates a [`SpanBuffer`] over the tracer named `name`: spans reported
     /// through it accumulate locally and reach this server as one atomic
     /// batch on flush. This is the per-worker publication endpoint of the
@@ -257,7 +250,6 @@ mod tests {
         a.set_enabled(false);
         let b = server.tracer("gpu");
         assert!(!b.is_enabled(), "same underlying tracer must be returned");
-        assert_eq!(server.tracer_names(), vec!["gpu"]);
     }
 
     #[test]

@@ -465,6 +465,14 @@ impl SpanBuilder {
         self
     }
 
+    /// Reserves room for exactly `tags` tags: a producer that knows how
+    /// many tags its span carries allocates the list once, at its final
+    /// size, instead of growing it by doubling.
+    pub fn tag_capacity(mut self, tags: usize) -> Self {
+        self.span.tags.reserve_exact(tags);
+        self
+    }
+
     /// Attaches a tag. A `&'static str` key (a [`tag_keys`] constant or a
     /// literal) is borrowed; a `String` key is owned.
     pub fn tag(mut self, key: impl Into<TagKey>, value: impl Into<TagValue>) -> Self {

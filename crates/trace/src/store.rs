@@ -585,11 +585,6 @@ impl<'a> SpanView<'a> {
     pub fn log_count(&self) -> usize {
         self.store.log_ranges[self.idx as usize].1 as usize
     }
-
-    /// Materializes an owned [`Span`].
-    pub fn to_span(&self) -> Span {
-        self.store.materialize(self.idx)
-    }
 }
 
 #[cfg(test)]

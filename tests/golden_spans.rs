@@ -18,9 +18,10 @@
 use xsp_core::profile::{ProfileMode, ProfileRequest, Xsp, XspConfig};
 use xsp_framework::FrameworkKind;
 use xsp_gpu::systems;
-use xsp_models::transformer;
+use xsp_models::{transformer, GraphBuilder};
 
 const GOLDEN_PATH: &str = "tests/golden/bert_base_b1_seq64_spans.json";
+const SMALL_CNN_GOLDEN_PATH: &str = "tests/golden/small_cnn_library_host_spans.json";
 
 fn current_span_json() -> String {
     let xsp = Xsp::new(
@@ -32,12 +33,38 @@ fn current_span_json() -> String {
         .to_span_json()
 }
 
-#[test]
-fn bert_base_span_json_matches_golden() {
-    let current = current_span_json();
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(GOLDEN_PATH);
+/// A small conv net profiled with the library and host tracers on, under
+/// both framework personalities: TensorFlow's batch-norm rewrite and
+/// MXNet's fused batch norm, the cuDNN/cuBLAS API spans and the host
+/// dispatch spans — the paths the BERT snapshot does not reach. One
+/// model-level run plus one metric run per framework, TensorFlow first,
+/// one line each.
+fn small_cnn_span_json() -> String {
+    let mut builder = GraphBuilder::new(1, 3, 32, 32);
+    builder.conv_bn_relu(16, 3, 1, 1).maxpool(2, 2);
+    builder.fc(10).softmax();
+    let graph = builder.finish();
+    [FrameworkKind::TensorFlow, FrameworkKind::MXNet]
+        .into_iter()
+        .map(|framework| {
+            let xsp = Xsp::new(
+                XspConfig::new(systems::tesla_v100(), framework)
+                    .runs(1)
+                    .library_level(true)
+                    .host_level(true),
+            );
+            let profile = xsp.run(ProfileRequest::new(&graph).mode(ProfileMode::ModelAndMetrics));
+            profile.to_span_json() + "\n"
+        })
+        .collect()
+}
+
+/// Compares `current` with the golden at `rel_path`, or rewrites the
+/// golden under `XSP_BLESS`.
+fn assert_matches_golden(current: &str, rel_path: &str) {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(rel_path);
     if std::env::var("XSP_BLESS").is_ok() {
-        std::fs::write(&path, &current).expect("write golden");
+        std::fs::write(&path, current).expect("write golden");
         eprintln!("blessed {} ({} bytes)", path.display(), current.len());
         return;
     }
@@ -51,6 +78,16 @@ fn bert_base_span_json_matches_golden() {
         golden.len(),
         current.len()
     );
+}
+
+#[test]
+fn bert_base_span_json_matches_golden() {
+    assert_matches_golden(&current_span_json(), GOLDEN_PATH);
+}
+
+#[test]
+fn small_cnn_library_host_span_json_matches_golden() {
+    assert_matches_golden(&small_cnn_span_json(), SMALL_CNN_GOLDEN_PATH);
 }
 
 #[test]

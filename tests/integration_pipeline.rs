@@ -1,11 +1,13 @@
 //! End-to-end pipeline integration: a full leveled profile of a real zoo
 //! model must produce a consistent across-stack view.
 
+use std::sync::Arc;
 use xsp_core::profile::{ProfileRequest, ProfilingLevel, Xsp, XspConfig};
-use xsp_framework::FrameworkKind;
-use xsp_gpu::systems;
-use xsp_models::zoo;
-use xsp_trace::{SpanTree, StackLevel};
+use xsp_cupti::{Cupti, CuptiConfig};
+use xsp_framework::{FrameworkKind, RunOptions, Session};
+use xsp_gpu::{systems, CudaContext, CudaContextConfig};
+use xsp_models::{zoo, GraphBuilder};
+use xsp_trace::{SpanTree, StackLevel, TraceId, TracingServer};
 
 fn profile() -> (xsp_core::LeveledProfile, xsp_gpu::System) {
     let system = systems::tesla_v100();
@@ -195,4 +197,46 @@ fn folded_stack_export_covers_model_time() {
         folded.lines().any(|l| l.matches(';').count() >= 2),
         "3-deep stacks"
     );
+}
+
+/// Producers that know their tag count build each span's tag list at its
+/// final size: a layer span holds 5 tags, a kernel execution span 6 plus
+/// one per metric. (A span of at most 4 tags, such as a memcpy, fits the
+/// list's first allocation anyway.) Checked on the raw spans of one M/L/G
+/// run with all four metrics, before correlation touches them.
+#[test]
+fn raw_spans_carry_tag_lists_at_their_final_size() {
+    let system = systems::tesla_v100();
+    let ctx = Arc::new(CudaContext::new(CudaContextConfig::new(system.clone())));
+    let cupti = Arc::new(Cupti::new(
+        CuptiConfig::with_all_metrics(),
+        system.gpu.clone(),
+    ));
+    ctx.register_hook(cupti.clone());
+    let mut builder = GraphBuilder::new(1, 3, 32, 32);
+    builder.conv_bn_relu(16, 3, 1, 1).maxpool(2, 2);
+    builder.fc(10).softmax();
+    let session = Session::new(FrameworkKind::TensorFlow, &builder.finish(), ctx);
+
+    let server = TracingServer::new();
+    let layer_tracer = server.tracer("framework_profiler");
+    let kernel_tracer = server.tracer("cupti");
+    session.predict(&RunOptions::with_layer_profiling(&layer_tracer, TraceId(1)));
+    cupti.flush_to_tracer(&kernel_tracer, TraceId(1));
+    let trace = server.drain();
+
+    let wide: Vec<_> = trace.spans().iter().filter(|s| s.tags.len() > 4).collect();
+    assert!(wide.iter().any(|s| s.level == StackLevel::Layer));
+    assert!(
+        wide.iter().any(|s| s.tags.len() == 10),
+        "kernel spans with 4 metrics"
+    );
+    for s in wide {
+        assert_eq!(
+            s.tags.capacity(),
+            s.tags.len(),
+            "span '{}' has spare tag slots",
+            s.name
+        );
+    }
 }
