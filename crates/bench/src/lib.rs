@@ -38,11 +38,6 @@ pub fn xsp_on(system: System, framework: FrameworkKind, runs: usize) -> Xsp {
     Xsp::new(XspConfig::new(system, framework).runs(runs))
 }
 
-/// The default V100/TensorFlow profiler used by most experiments.
-pub fn default_xsp() -> Xsp {
-    xsp_on(systems::tesla_v100(), FrameworkKind::TensorFlow, 2)
-}
-
 /// The paper's reference model for the walkthrough experiments.
 pub fn resnet50() -> ModelEntry {
     zoo::by_name("MLPerf_ResNet50_v1.5").expect("reference model present")

@@ -13,7 +13,7 @@
 use crate::profile::{ProfilingLevel, XspConfig};
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
-use xsp_cupti::{Cupti, CuptiConfig};
+use xsp_cupti::Cupti;
 use xsp_framework::{ExecutionPlan, LayerGraph, RunOptions, Session};
 use xsp_gpu::{CudaContext, CudaContextConfig};
 use xsp_trace::span::tag_keys;
@@ -229,10 +229,7 @@ pub(crate) fn run_planned(
         } else {
             Vec::new()
         };
-        let cupti = Arc::new(Cupti::new(
-            CuptiConfig::default().metrics(metrics),
-            cfg.system.gpu.clone(),
-        ));
+        let cupti = Arc::new(Cupti::new(metrics, cfg.system.gpu.clone()));
         ctx.register_hook(cupti.clone());
         Some(cupti)
     } else {
@@ -327,10 +324,7 @@ fn serialized_kernel_assignment(
             .jitter(cfg.jitter)
             .launch_blocking(true),
     ));
-    let cupti = Arc::new(Cupti::new(
-        CuptiConfig::default().metrics(Vec::new()),
-        cfg.system.gpu.clone(),
-    ));
+    let cupti = Arc::new(Cupti::new(Vec::new(), cfg.system.gpu.clone()));
     ctx.register_hook(cupti.clone());
     let session = Session::with_plan(Arc::clone(plan), ctx.clone());
     // model span so reconstruction has a root

@@ -31,4 +31,4 @@ pub mod profiler;
 
 pub use activity::{ActivityRecord, RuntimeApiRecord};
 pub use metrics::{replay_passes_for, MetricKind};
-pub use profiler::{Cupti, CuptiConfig};
+pub use profiler::Cupti;

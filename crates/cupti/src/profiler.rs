@@ -18,71 +18,33 @@ use xsp_gpu::{ApiCall, GpuHook, GpuSpec, KernelActivity, KernelDesc, MemcpyActiv
 use xsp_trace::span::tag_keys;
 use xsp_trace::{SpanBuilder, StackLevel, TraceId, Tracer};
 
-/// Configuration of the CUPTI adapter.
-#[derive(Debug, Clone)]
-pub struct CuptiConfig {
-    /// Capture runtime API intervals (launch spans).
-    pub capture_runtime_api: bool,
-    /// Capture device activities (execution spans).
-    pub capture_activities: bool,
-    /// Hardware metrics to collect per kernel (empty = none; non-empty
-    /// triggers kernel replay and serialization).
-    pub metrics: Vec<MetricKind>,
-    /// CPU overhead charged per traced kernel launch, ns. The paper measures
-    /// GPU-level profiling overhead of ≈0.15 ms per kernel on TensorFlow
-    /// (490.3 ms − 432.1 ms over 375 kernels); the default matches.
-    pub launch_overhead_ns: u64,
-}
-
-impl Default for CuptiConfig {
-    fn default() -> Self {
-        Self {
-            capture_runtime_api: true,
-            capture_activities: true,
-            metrics: Vec::new(),
-            launch_overhead_ns: 145_000,
-        }
-    }
-}
-
-impl CuptiConfig {
-    /// Standard kernel tracing plus the paper's four metrics.
-    pub fn with_all_metrics() -> Self {
-        Self {
-            metrics: MetricKind::ALL.to_vec(),
-            ..Self::default()
-        }
-    }
-
-    /// Builder: sets the metric list.
-    pub fn metrics(mut self, metrics: Vec<MetricKind>) -> Self {
-        self.metrics = metrics;
-        self
-    }
-}
+/// CPU overhead charged per traced kernel launch, ns. The paper measures
+/// GPU-level profiling overhead of ≈0.15 ms per kernel on TensorFlow
+/// (490.3 ms − 432.1 ms over 375 kernels).
+const LAUNCH_OVERHEAD_NS: u64 = 145_000;
 
 /// The CUPTI adapter: implements [`GpuHook`], buffers [`ActivityRecord`]s.
+/// It captures every runtime API call (launch spans) and every device
+/// activity (execution spans) of the context it is registered on.
 pub struct Cupti {
-    cfg: CuptiConfig,
+    /// Hardware metrics to collect per kernel (empty = none; non-empty
+    /// triggers kernel replay and serialization).
+    metrics: Vec<MetricKind>,
     gpu: GpuSpec,
     records: Mutex<Vec<ActivityRecord>>,
     inflight_api: Mutex<HashMap<u64, (ApiCall, u64)>>,
 }
 
 impl Cupti {
-    /// Creates an adapter for the given device.
-    pub fn new(cfg: CuptiConfig, gpu: GpuSpec) -> Self {
+    /// Creates an adapter for the given device that collects `metrics` on
+    /// every kernel.
+    pub fn new(metrics: Vec<MetricKind>, gpu: GpuSpec) -> Self {
         Self {
-            cfg,
+            metrics,
             gpu,
             records: Mutex::new(Vec::new()),
             inflight_api: Mutex::new(HashMap::new()),
         }
-    }
-
-    /// The configuration in effect.
-    pub fn config(&self) -> &CuptiConfig {
-        &self.cfg
     }
 
     /// Number of buffered records.
@@ -119,7 +81,7 @@ impl Cupti {
                 }
                 ActivityRecord::Kernel(k) => {
                     let mut b = SpanBuilder::new(&*k.name, StackLevel::Kernel, trace_id)
-                        .tag_capacity(6 + self.cfg.metrics.len())
+                        .tag_capacity(6 + self.metrics.len())
                         .start(k.start_ns)
                         .tag(tag_keys::TRACER, "cupti_activity")
                         .tag(tag_keys::CORRELATION_ID, k.correlation_id)
@@ -127,7 +89,7 @@ impl Cupti {
                         .tag(tag_keys::GRID, k.grid.to_string())
                         .tag(tag_keys::BLOCK, k.block.to_string())
                         .tag(tag_keys::STREAM, k.stream.0 as u64);
-                    for m in &self.cfg.metrics {
+                    for m in &self.metrics {
                         b = match m {
                             MetricKind::FlopCountSp => b.tag(tag_keys::FLOP_COUNT_SP, k.desc.flops),
                             MetricKind::DramReadBytes => {
@@ -167,17 +129,12 @@ impl Cupti {
 
 impl GpuHook for Cupti {
     fn api_enter(&self, call: &ApiCall, correlation_id: u64, at_ns: u64) {
-        if self.cfg.capture_runtime_api {
-            self.inflight_api
-                .lock()
-                .insert(correlation_id, (call.clone(), at_ns));
-        }
+        self.inflight_api
+            .lock()
+            .insert(correlation_id, (call.clone(), at_ns));
     }
 
     fn api_exit(&self, call: &ApiCall, correlation_id: u64, at_ns: u64) {
-        if !self.cfg.capture_runtime_api {
-            return;
-        }
         let Some((entered_call, start)) = self.inflight_api.lock().remove(&correlation_id) else {
             return;
         };
@@ -197,35 +154,27 @@ impl GpuHook for Cupti {
     }
 
     fn kernel_executed(&self, activity: &KernelActivity) {
-        if self.cfg.capture_activities {
-            self.records
-                .lock()
-                .push(ActivityRecord::Kernel(activity.clone()));
-        }
+        self.records
+            .lock()
+            .push(ActivityRecord::Kernel(activity.clone()));
     }
 
     fn memcpy_executed(&self, activity: &MemcpyActivity) {
-        if self.cfg.capture_activities {
-            self.records
-                .lock()
-                .push(ActivityRecord::Memcpy(activity.clone()));
-        }
+        self.records
+            .lock()
+            .push(ActivityRecord::Memcpy(activity.clone()));
     }
 
     fn launch_overhead_ns(&self) -> u64 {
-        if self.cfg.capture_activities || self.cfg.capture_runtime_api {
-            self.cfg.launch_overhead_ns
-        } else {
-            0
-        }
+        LAUNCH_OVERHEAD_NS
     }
 
     fn replay_passes(&self, _kernel: &KernelDesc) -> u32 {
-        replay_passes_for(&self.cfg.metrics, &self.gpu)
+        replay_passes_for(&self.metrics, &self.gpu)
     }
 
     fn requires_serialization(&self) -> bool {
-        !self.cfg.metrics.is_empty()
+        !self.metrics.is_empty()
     }
 }
 
@@ -236,9 +185,9 @@ mod tests {
     use xsp_gpu::{systems, CudaContext, CudaContextConfig, Dim3, StreamId};
     use xsp_trace::{reconstruct_parents, TracingServer};
 
-    fn ctx_with_cupti(cfg: CuptiConfig) -> (CudaContext, Arc<Cupti>) {
+    fn ctx_with_cupti(metrics: Vec<MetricKind>) -> (CudaContext, Arc<Cupti>) {
         let system = systems::tesla_v100();
-        let cupti = Arc::new(Cupti::new(cfg, system.gpu.clone()));
+        let cupti = Arc::new(Cupti::new(metrics, system.gpu.clone()));
         let ctx = CudaContext::new(CudaContextConfig::new(system).jitter(0.0));
         ctx.register_hook(cupti.clone());
         (ctx, cupti)
@@ -253,7 +202,7 @@ mod tests {
 
     #[test]
     fn launch_produces_two_spans() {
-        let (ctx, cupti) = ctx_with_cupti(CuptiConfig::default());
+        let (ctx, cupti) = ctx_with_cupti(Vec::new());
         ctx.launch_kernel(gemm(), StreamId::DEFAULT);
         ctx.synchronize();
         let server = TracingServer::new();
@@ -280,7 +229,7 @@ mod tests {
 
     #[test]
     fn metrics_become_execution_span_tags() {
-        let (ctx, cupti) = ctx_with_cupti(CuptiConfig::with_all_metrics());
+        let (ctx, cupti) = ctx_with_cupti(MetricKind::ALL.to_vec());
         ctx.launch_kernel(gemm(), StreamId::DEFAULT);
         let server = TracingServer::new();
         let tracer = server.tracer("cupti");
@@ -308,7 +257,7 @@ mod tests {
 
     #[test]
     fn no_metrics_no_metric_tags() {
-        let (ctx, cupti) = ctx_with_cupti(CuptiConfig::default());
+        let (ctx, cupti) = ctx_with_cupti(Vec::new());
         ctx.launch_kernel(gemm(), StreamId::DEFAULT);
         let server = TracingServer::new();
         let tracer = server.tracer("cupti");
@@ -324,7 +273,7 @@ mod tests {
 
     #[test]
     fn correlation_pipeline_merges_pairs() {
-        let (ctx, cupti) = ctx_with_cupti(CuptiConfig::default());
+        let (ctx, cupti) = ctx_with_cupti(Vec::new());
         ctx.launch_kernel(gemm(), StreamId::DEFAULT);
         ctx.launch_kernel(gemm(), StreamId::DEFAULT);
         ctx.synchronize();
@@ -346,12 +295,12 @@ mod tests {
 
     #[test]
     fn metric_mode_serializes_and_replays() {
-        let (ctx, _cupti) = ctx_with_cupti(CuptiConfig::with_all_metrics());
+        let (ctx, _cupti) = ctx_with_cupti(MetricKind::ALL.to_vec());
         let t0 = ctx.clock().now();
         ctx.launch_kernel(gemm(), StreamId::DEFAULT);
         let with_metrics = ctx.clock().now() - t0;
 
-        let (ctx2, _cupti2) = ctx_with_cupti(CuptiConfig::default());
+        let (ctx2, _cupti2) = ctx_with_cupti(Vec::new());
         let t0 = ctx2.clock().now();
         ctx2.launch_kernel(gemm(), StreamId::DEFAULT);
         ctx2.synchronize();
@@ -363,23 +312,8 @@ mod tests {
     }
 
     #[test]
-    fn disabled_capture_buffers_nothing() {
-        let cfg = CuptiConfig {
-            capture_runtime_api: false,
-            capture_activities: false,
-            metrics: vec![],
-            launch_overhead_ns: 145_000,
-        };
-        let (ctx, cupti) = ctx_with_cupti(cfg);
-        ctx.launch_kernel(gemm(), StreamId::DEFAULT);
-        assert_eq!(cupti.buffered(), 0);
-        let hook: &dyn GpuHook = &*cupti;
-        assert_eq!(hook.launch_overhead_ns(), 0, "no capture, no overhead");
-    }
-
-    #[test]
     fn memcpy_records_flow_through() {
-        let (ctx, cupti) = ctx_with_cupti(CuptiConfig::default());
+        let (ctx, cupti) = ctx_with_cupti(Vec::new());
         ctx.memcpy(
             xsp_gpu::MemcpyKind::HostToDevice,
             1_000_000,
@@ -395,7 +329,7 @@ mod tests {
 
     #[test]
     fn flush_drains_buffer() {
-        let (ctx, cupti) = ctx_with_cupti(CuptiConfig::default());
+        let (ctx, cupti) = ctx_with_cupti(Vec::new());
         ctx.launch_kernel(gemm(), StreamId::DEFAULT);
         assert!(cupti.buffered() > 0);
         let server = TracingServer::new();
@@ -408,7 +342,7 @@ mod tests {
     /// Offline processing: drain raw records instead of spans.
     #[test]
     fn drain_records_offline_path() {
-        let (ctx, cupti) = ctx_with_cupti(CuptiConfig::default());
+        let (ctx, cupti) = ctx_with_cupti(Vec::new());
         ctx.launch_kernel(gemm(), StreamId::DEFAULT);
         let records = cupti.drain_records();
         assert_eq!(records.len(), 2); // runtime + kernel

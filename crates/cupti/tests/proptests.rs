@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use std::sync::Arc;
-use xsp_cupti::{replay_passes_for, Cupti, CuptiConfig, MetricKind};
+use xsp_cupti::{replay_passes_for, Cupti, MetricKind};
 use xsp_gpu::{systems, CudaContext, CudaContextConfig, Dim3, KernelDesc, StreamId};
 use xsp_trace::{TraceId, TracingServer};
 
@@ -20,7 +20,7 @@ proptest! {
     #[test]
     fn every_launch_yields_runtime_and_kernel_records(n in 1usize..40) {
         let system = systems::tesla_v100();
-        let cupti = Arc::new(Cupti::new(CuptiConfig::default(), system.gpu.clone()));
+        let cupti = Arc::new(Cupti::new(Vec::new(), system.gpu.clone()));
         let ctx = CudaContext::new(CudaContextConfig::new(system).jitter(0.0));
         ctx.register_hook(cupti.clone());
         for i in 0..n {
@@ -39,7 +39,7 @@ proptest! {
     #[test]
     fn span_conversion_pairs_by_correlation_id(n in 1usize..25) {
         let system = systems::tesla_v100();
-        let cupti = Arc::new(Cupti::new(CuptiConfig::default(), system.gpu.clone()));
+        let cupti = Arc::new(Cupti::new(Vec::new(), system.gpu.clone()));
         let ctx = CudaContext::new(CudaContextConfig::new(system).jitter(0.0));
         ctx.register_hook(cupti.clone());
         for i in 0..n {

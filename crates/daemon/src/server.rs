@@ -122,15 +122,7 @@ impl DaemonHandle {
         &self.socket_path
     }
 
-    /// Signals shutdown without waiting (async-signal-safe callers should
-    /// instead flip their own flag and call [`DaemonHandle::shutdown`] from
-    /// the main thread, as the `xspd` binary does).
-    pub fn request_shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-    }
-
-    /// Whether a shutdown has been requested (by this handle or by a
-    /// client `Shutdown` frame).
+    /// Whether a client `Shutdown` frame has requested a shutdown.
     pub fn shutdown_requested(&self) -> bool {
         self.shutdown.load(Ordering::SeqCst)
     }

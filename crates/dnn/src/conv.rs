@@ -101,17 +101,6 @@ pub enum ConvAlgo {
     WinogradCgemm,
 }
 
-impl ConvAlgo {
-    /// cuDNN enum-style name.
-    pub fn cudnn_name(self) -> &'static str {
-        match self {
-            ConvAlgo::ImplicitGemm => "IMPLICIT_GEMM",
-            ConvAlgo::ImplicitPrecompGemm => "IMPLICIT_PRECOMP_GEMM",
-            ConvAlgo::WinogradCgemm => "WINOGRAD_NONFUSED",
-        }
-    }
-}
-
 /// The batch size at which cuDNN's heuristic switches from `IMPLICIT_GEMM`
 /// to `IMPLICIT_PRECOMP_GEMM` (§III-D3).
 pub const PRECOMP_GEMM_BATCH_THRESHOLD: usize = 16;

@@ -29,15 +29,15 @@ use xsp_trace::{SpanBuilder, StackLevel, TraceId, Tracer};
 
 /// Per-prediction options (the `TF_SessionRun`/`MXPredForward` knobs).
 pub struct RunOptions<'a> {
-    /// Enable the framework's layer profiler
-    /// (`RunOptions.TraceLevel=FULL_TRACE` / `MXSetProfilerState(1)`).
-    pub layer_profiling: bool,
-    /// Tracer the layer profiler publishes spans through.
+    /// The framework's layer profiler
+    /// (`RunOptions.TraceLevel=FULL_TRACE` / `MXSetProfilerState(1)`): when
+    /// set, the prediction runs serialized and publishes one span per
+    /// layer through this tracer.
     pub layer_tracer: Option<&'a dyn Tracer>,
     /// Optional library-level tracer (§III-E extension): emits
     /// `cudnn*`/`cublas*` API-call spans between the layer and kernel
-    /// levels. Requires `layer_profiling` (the serialized regime) so the
-    /// API span can cover its kernels' execution window.
+    /// levels. Requires a layer tracer (the serialized regime) so the API
+    /// span can cover its kernels' execution window.
     pub library_tracer: Option<&'a dyn Tracer>,
     /// Optional host/CPU tracer (§III-E extension): emits a hardware-level
     /// span per op covering the host-side dispatch work, so CPU and GPU
@@ -51,7 +51,6 @@ impl<'a> RunOptions<'a> {
     /// Options with layer profiling disabled.
     pub fn silent(trace_id: TraceId) -> Self {
         Self {
-            layer_profiling: false,
             layer_tracer: None,
             library_tracer: None,
             host_tracer: None,
@@ -62,11 +61,8 @@ impl<'a> RunOptions<'a> {
     /// Options with layer profiling enabled, publishing through `tracer`.
     pub fn with_layer_profiling(tracer: &'a dyn Tracer, trace_id: TraceId) -> Self {
         Self {
-            layer_profiling: true,
             layer_tracer: Some(tracer),
-            library_tracer: None,
-            host_tracer: None,
-            trace_id,
+            ..Self::silent(trace_id)
         }
     }
 
@@ -83,42 +79,13 @@ impl<'a> RunOptions<'a> {
     }
 }
 
-/// What the framework recorded about one executed layer. Its output shape
-/// is the executed graph's ([`Session::executed_graph`]).
-#[derive(Debug, Clone)]
-pub struct LayerRecord {
-    /// Execution index.
-    pub index: usize,
-    /// Layer name, shared with the session's plan.
-    pub name: Arc<str>,
-    /// Layer type name ("Conv2D", ...).
-    pub type_name: &'static str,
-    /// Start, ns.
-    pub start_ns: u64,
-    /// End, ns.
-    pub end_ns: u64,
-    /// Bytes allocated on behalf of the layer.
-    pub alloc_bytes: u64,
-    /// Kernels the layer launched.
-    pub kernel_count: usize,
-}
-
-impl LayerRecord {
-    /// Latency in milliseconds.
-    pub fn latency_ms(&self) -> f64 {
-        (self.end_ns - self.start_ns) as f64 / 1e6
-    }
-}
-
-/// Result of one prediction.
+/// Result of one prediction. What each layer did is on its span.
 #[derive(Debug, Clone)]
 pub struct PredictStats {
     /// Prediction start (host), ns.
     pub start_ns: u64,
     /// Prediction end (host, after device sync), ns.
     pub end_ns: u64,
-    /// Per-layer records in execution order.
-    pub layers: Vec<LayerRecord>,
     /// Total kernels launched.
     pub kernels_launched: u64,
 }
@@ -210,7 +177,6 @@ impl Session {
         }
 
         let batch = graph.batch();
-        let mut layers = Vec::with_capacity(graph.len());
 
         for (index, (layer, planned)) in graph.layers.iter().zip(self.plan.layers()).enumerate() {
             let t0 = clock.now();
@@ -231,29 +197,29 @@ impl Session {
 
             let alloc_bytes = planned.alloc_bytes;
             if alloc_bytes > 0 {
-                ctx.malloc(alloc_bytes, Arc::clone(&planned.name));
+                ctx.malloc(alloc_bytes);
             }
 
-            let kernel_count = planned.kernels.len();
+            let has_kernels = !planned.kernels.is_empty();
             // Library-level span (§III-E): the vendor API call that issues
             // this layer's kernels. Opens before the first launch; in the
             // serialized regime it closes after the kernels complete, so
             // kernel spans nest inside it on the timeline.
             let lib = opts
                 .library_tracer
-                .filter(|_| opts.layer_profiling && kernel_count > 0)
+                .filter(|_| opts.layer_tracer.is_some() && has_kernels)
                 .and_then(|tracer| planned.library_call.map(|api| (tracer, api, clock.now())));
             for k in &planned.kernels {
                 ctx.launch_kernel(k.clone(), stream);
             }
 
-            let end_ns = if opts.layer_profiling {
+            if let Some(tracer) = opts.layer_tracer {
                 // The profiler timestamps op completion: serialize.
-                if kernel_count > 0 {
+                if has_kernels {
                     ctx.stream_synchronize(stream);
                 }
-                if let Some((tracer, api, lib_t0)) = lib {
-                    tracer.report(
+                if let Some((lib_tracer, api, lib_t0)) = lib {
+                    lib_tracer.report(
                         SpanBuilder::new(api, StackLevel::Library, opts.trace_id)
                             .start(lib_t0)
                             .tag(tag_keys::TRACER, "library_interposer")
@@ -261,37 +227,21 @@ impl Session {
                             .finish(clock.now()),
                     );
                 }
-                let t1 = clock.now();
-                if let Some(tracer) = opts.layer_tracer {
-                    tracer.report(
-                        SpanBuilder::new(&*planned.name, StackLevel::Layer, opts.trace_id)
-                            .tag_capacity(5)
-                            .start(t0)
-                            .tag(tag_keys::TRACER, framework.profiler_api())
-                            .tag(tag_keys::LAYER_INDEX, index as u64)
-                            .tag(tag_keys::LAYER_TYPE, layer.op.type_name())
-                            .tag(tag_keys::LAYER_SHAPE, planned.shape.clone())
-                            .tag(tag_keys::ALLOC_BYTES, alloc_bytes)
-                            .finish(t1),
-                    );
-                }
+                tracer.report(
+                    SpanBuilder::new(layer.name.as_str(), StackLevel::Layer, opts.trace_id)
+                        .tag_capacity(5)
+                        .start(t0)
+                        .tag(tag_keys::TRACER, framework.profiler_api())
+                        .tag(tag_keys::LAYER_INDEX, index as u64)
+                        .tag(tag_keys::LAYER_TYPE, layer.op.type_name())
+                        .tag(tag_keys::LAYER_SHAPE, planned.shape.clone())
+                        .tag(tag_keys::ALLOC_BYTES, alloc_bytes)
+                        .finish(clock.now()),
+                );
                 // Collection cost lands *outside* the layer span: the span
                 // stays accurate, the model span absorbs the overhead.
                 clock.advance(self.scaled(framework.layer_profiler_overhead_ns()));
-                t1
-            } else {
-                clock.now()
-            };
-
-            layers.push(LayerRecord {
-                index,
-                name: Arc::clone(&planned.name),
-                type_name: layer.op.type_name(),
-                start_ns: t0,
-                end_ns,
-                alloc_bytes,
-                kernel_count,
-            });
+            }
         }
 
         // Fetch: device-to-host copy of the output.
@@ -308,7 +258,6 @@ impl Session {
         PredictStats {
             start_ns,
             end_ns: clock.now(),
-            layers,
             kernels_launched: ctx.kernels_launched() - kernels_before,
         }
     }
@@ -370,9 +319,8 @@ mod tests {
         let s = session(FrameworkKind::TensorFlow, 4);
         // data, conv, mul, add, relu, fc
         assert_eq!(s.executed_graph().len(), 6);
+        assert_eq!(s.executed_graph().layers[2].op.type_name(), "Mul");
         let stats = s.predict(&RunOptions::silent(TraceId(1)));
-        assert_eq!(stats.layers.len(), 6);
-        assert_eq!(stats.layers[2].type_name, "Mul");
         assert!(stats.latency_ms() > 0.0);
     }
 
@@ -380,8 +328,9 @@ mod tests {
     fn mxnet_executes_fused_graph() {
         let s = session(FrameworkKind::MXNet, 4);
         assert_eq!(s.executed_graph().len(), 5);
+        assert_eq!(s.executed_graph().layers[2].op.type_name(), "BatchNorm");
         let stats = s.predict(&RunOptions::silent(TraceId(1)));
-        assert_eq!(stats.layers[2].type_name, "BatchNorm");
+        assert!(stats.latency_ms() > 0.0);
     }
 
     #[test]
@@ -438,17 +387,8 @@ mod tests {
         // conv=1 (no shuffle at in_c=3? in_c<=4 & precomp only at batch>=16:
         // batch 4 -> implicit gemm, 1 kernel), mul, add, relu, fc
         assert_eq!(stats.kernels_launched, 5);
-        assert_eq!(stats.layers[1].kernel_count, 1);
-        assert_eq!(stats.layers[0].kernel_count, 0, "Data is CPU-only");
-    }
-
-    #[test]
-    fn allocations_attributed_to_layers() {
-        let s = session(FrameworkKind::TensorFlow, 4);
-        s.predict(&RunOptions::silent(TraceId(1)));
-        let mem = s.context().memory();
-        assert!(mem.scope_total("conv1/Conv2D") > 0);
-        assert_eq!(mem.scope_total("data"), 0);
+        assert_eq!(s.plan.layers()[1].kernels.len(), 1);
+        assert!(s.plan.layers()[0].kernels.is_empty(), "Data is CPU-only");
     }
 
     #[test]
@@ -483,14 +423,5 @@ mod tests {
         };
         assert_eq!(run(3), run(3));
         assert_ne!(run(3), run(4));
-    }
-
-    #[test]
-    fn layer_records_are_chronological() {
-        let s = session(FrameworkKind::TensorFlow, 4);
-        let stats = s.predict(&RunOptions::silent(TraceId(1)));
-        for w in stats.layers.windows(2) {
-            assert!(w[1].start_ns >= w[0].start_ns);
-        }
     }
 }

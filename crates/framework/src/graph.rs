@@ -270,23 +270,6 @@ impl LayerOp {
         )
     }
 
-    /// Whether the op belongs to the KV-cache decode repertoire (seq=1
-    /// serving steps): cache maintenance, decode attention (materialized or
-    /// fused), and decode-time GEMV linears.
-    pub fn is_decode(&self) -> bool {
-        matches!(
-            self,
-            LayerOp::KvCacheAppend(_)
-                | LayerOp::DecodeQkvProjection(_)
-                | LayerOp::DecodeAttentionScores(_)
-                | LayerOp::DecodeAttentionSoftmax(_)
-                | LayerOp::DecodeAttentionContext(_)
-                | LayerOp::DecodeAttentionOutput(_)
-                | LayerOp::FlashDecodeAttention(_)
-                | LayerOp::DecodeLinear { .. }
-        )
-    }
-
     /// Whether the op executes entirely on the host (no GPU kernels).
     pub fn is_cpu_only(&self) -> bool {
         matches!(

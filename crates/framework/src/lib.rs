@@ -33,7 +33,7 @@ pub mod kernels;
 pub mod personality;
 pub mod plan;
 
-pub use executor::{LayerRecord, PredictStats, RunOptions, Session};
+pub use executor::{PredictStats, RunOptions, Session};
 pub use graph::{Layer, LayerGraph, LayerOp, TensorShape};
 pub use personality::FrameworkKind;
 pub use plan::ExecutionPlan;

@@ -13,14 +13,11 @@
 use crate::graph::LayerGraph;
 use crate::kernels::{layer_kernels, library_call};
 use crate::personality::FrameworkKind;
-use std::sync::Arc;
 use xsp_gpu::{GpuArchitecture, KernelDesc};
 
 /// One executed layer, lowered.
 #[derive(Debug)]
 pub(crate) struct PlannedLayer {
-    /// Layer name, shared by every run's records and memory scopes.
-    pub(crate) name: Arc<str>,
     /// The kernels the layer launches, in launch order.
     pub(crate) kernels: Vec<KernelDesc>,
     /// The vendor-library API call that issues the kernels, if any.
@@ -32,7 +29,8 @@ pub(crate) struct PlannedLayer {
 }
 
 /// A graph prepared and lowered for one framework and GPU architecture:
-/// immutable, and shared (behind an [`Arc`]) by every run that replays it.
+/// immutable, and shared (behind an [`Arc`](std::sync::Arc)) by every run
+/// that replays it.
 #[derive(Debug)]
 pub struct ExecutionPlan {
     framework: FrameworkKind,
@@ -51,7 +49,6 @@ impl ExecutionPlan {
             .layers
             .iter()
             .map(|layer| PlannedLayer {
-                name: Arc::from(layer.name.as_str()),
                 kernels: layer_kernels(layer, backend, arch),
                 library_call: library_call(layer, backend),
                 shape: layer.out_shape.to_string(),
@@ -109,7 +106,6 @@ mod tests {
         assert_eq!(plan.graph(), &executed);
         assert_eq!(plan.layers().len(), executed.len());
         for (layer, planned) in executed.layers.iter().zip(plan.layers()) {
-            assert_eq!(&*planned.name, layer.name);
             assert_eq!(
                 planned.kernels,
                 layer_kernels(

@@ -18,7 +18,6 @@ use crate::hook::{ApiCall, GpuHook, KernelActivity, MemcpyActivity, MemcpyKind};
 use crate::jitter::Jitter;
 use crate::kernel::KernelDesc;
 use crate::latency::LatencyModel;
-use crate::memory::{AllocId, MemTracker};
 use crate::stream::{StreamId, StreamSet};
 use parking_lot::{Mutex, RwLock};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -84,7 +83,6 @@ pub struct CudaContext {
     hooks: RwLock<Vec<Arc<dyn GpuHook>>>,
     jitter: Mutex<Jitter>,
     next_correlation: AtomicU64,
-    mem: MemTracker,
     kernels_launched: AtomicU64,
 }
 
@@ -105,7 +103,6 @@ impl CudaContext {
             hooks: RwLock::new(Vec::new()),
             jitter: Mutex::new(jitter),
             next_correlation: AtomicU64::new(1),
-            mem: MemTracker::new(),
             kernels_launched: AtomicU64::new(0),
         }
     }
@@ -125,11 +122,6 @@ impl CudaContext {
         &self.cfg.system
     }
 
-    /// The memory tracker.
-    pub fn memory(&self) -> &MemTracker {
-        &self.mem
-    }
-
     /// Number of kernels launched so far.
     pub fn kernels_launched(&self) -> u64 {
         self.kernels_launched.load(Ordering::Relaxed)
@@ -138,11 +130,6 @@ impl CudaContext {
     /// Registers a profiling hook.
     pub fn register_hook(&self, hook: Arc<dyn GpuHook>) {
         self.hooks.write().push(hook);
-    }
-
-    /// Removes all hooks (profiling off).
-    pub fn clear_hooks(&self) {
-        self.hooks.write().clear();
     }
 
     fn fresh_correlation_id(&self) -> u64 {
@@ -292,8 +279,10 @@ impl CudaContext {
         }
     }
 
-    /// `cudaMalloc` attributed to `scope` (the executing layer).
-    pub fn malloc(&self, bytes: u64, scope: impl Into<Arc<str>>) -> AllocId {
+    /// `cudaMalloc`: costs host time and reaches the hooks, which record it
+    /// as a runtime API call. The bytes a layer allocates are reported on
+    /// its layer span (`alloc_bytes`), not here.
+    pub fn malloc(&self, bytes: u64) {
         let cid = self.fresh_correlation_id();
         let hooks = self.hooks.read();
         let t0 = self.clock.now();
@@ -301,27 +290,9 @@ impl CudaContext {
             h.api_enter(&ApiCall::Malloc { bytes }, cid, t0);
         }
         self.clock.advance(1_500);
-        let id = self.mem.alloc(bytes, scope);
         let t1 = self.clock.now();
         for h in hooks.iter() {
             h.api_exit(&ApiCall::Malloc { bytes }, cid, t1);
-        }
-        id
-    }
-
-    /// `cudaFree`.
-    pub fn free(&self, id: AllocId) {
-        let cid = self.fresh_correlation_id();
-        let hooks = self.hooks.read();
-        let t0 = self.clock.now();
-        for h in hooks.iter() {
-            h.api_enter(&ApiCall::Free, cid, t0);
-        }
-        self.clock.advance(1_000);
-        self.mem.free(id);
-        let t1 = self.clock.now();
-        for h in hooks.iter() {
-            h.api_exit(&ApiCall::Free, cid, t1);
         }
     }
 
@@ -508,16 +479,6 @@ mod tests {
         let ms = (t1 - t0) as f64 / 1e6;
         assert!((ms - 10.0).abs() < 0.5, "got {ms} ms");
         assert_eq!(rec.memcpys.lock().len(), 1);
-    }
-
-    #[test]
-    fn malloc_free_drive_mem_tracker() {
-        let c = ctx();
-        let id = c.malloc(1024, "layerX");
-        assert_eq!(c.memory().current(), 1024);
-        assert_eq!(c.memory().scope_total("layerX"), 1024);
-        c.free(id);
-        assert_eq!(c.memory().current(), 0);
     }
 
     #[test]

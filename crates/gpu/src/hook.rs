@@ -39,8 +39,6 @@ pub enum ApiCall {
         /// Bytes requested.
         bytes: u64,
     },
-    /// `cudaFree`.
-    Free,
 }
 
 impl ApiCall {
@@ -52,7 +50,6 @@ impl ApiCall {
             ApiCall::DeviceSynchronize => "cudaDeviceSynchronize",
             ApiCall::StreamSynchronize { .. } => "cudaStreamSynchronize",
             ApiCall::Malloc { .. } => "cudaMalloc",
-            ApiCall::Free => "cudaFree",
         }
     }
 }

@@ -15,8 +15,10 @@
 //!   jitter;
 //! * an analytic achieved-[`occupancy`] model (grid/block shape vs. SM
 //!   capacity vs. per-kernel register/shared-memory caps);
-//! * a [`memory`] tracker for `cudaMalloc`-style allocation accounting
-//!   (feeding the paper's per-layer "alloc mem" analysis);
+//! * `cudaMalloc` calls that cost host time and reach the hooks, so the
+//!   profiler records them like any other runtime API call. The paper's
+//!   per-layer "alloc mem" (A4) is the `alloc_bytes` tag the framework puts
+//!   on each layer span;
 //! * an event-[`hook`] interface that the `xsp-cupti` crate subscribes to —
 //!   the simulator itself knows nothing about profiling.
 //!
@@ -32,7 +34,6 @@ pub mod hook;
 pub mod jitter;
 pub mod kernel;
 pub mod latency;
-pub mod memory;
 pub mod occupancy;
 pub mod stream;
 
@@ -41,5 +42,4 @@ pub use device::{systems, CpuSpec, GpuArchitecture, GpuSpec, System};
 pub use hook::{ApiCall, GpuHook, KernelActivity, MemcpyActivity, MemcpyKind};
 pub use kernel::{Dim3, KernelDesc};
 pub use latency::LatencyModel;
-pub use memory::MemTracker;
 pub use stream::StreamId;

@@ -98,10 +98,7 @@ proptest! {
                     ctx.memcpy(xsp_gpu::MemcpyKind::HostToDevice, 1_000, StreamId::DEFAULT);
                 }
                 2 => ctx.synchronize(),
-                _ => {
-                    let id = ctx.malloc(64, "prop");
-                    ctx.free(id);
-                }
+                _ => ctx.malloc(64),
             }
             let now = ctx.clock().now();
             prop_assert!(now >= last);

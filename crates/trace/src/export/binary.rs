@@ -43,7 +43,7 @@
 use crate::intern::Symbol;
 use crate::server::Trace;
 use crate::span::{tag_keys, Span, SpanId, StackLevel, TagKey, TagValue, TraceId};
-use crate::store::{SpanStore, SpanView, TagRef};
+use crate::store::{SpanStore, SpanView, TagCell, TagRef};
 use std::fmt;
 use std::io::{self, Read, Write};
 
@@ -421,6 +421,7 @@ impl<R: Read> SpanBinaryReader<R> {
             .iter()
             .map(|n| store.names_mut().intern(n))
             .collect();
+        let mut tags = Vec::new();
         let mut pushed = 0usize;
         loop {
             let Some((kind, len)) = self.read_record_header()? else {
@@ -434,7 +435,7 @@ impl<R: Read> SpanBinaryReader<R> {
                     remap.push(store.names_mut().intern(latest));
                 }
                 REC_SPAN => {
-                    decode_span_into_store(&self.buf, &remap, store)?;
+                    decode_span_into_store(&self.buf, &remap, &mut tags, store)?;
                     pushed += 1;
                 }
                 other => return Err(BinaryReadError::UnknownRecordKind(other)),
@@ -699,6 +700,7 @@ fn read_up_to(src: &mut impl Read, buf: &mut [u8]) -> io::Result<usize> {
 }
 
 /// Cursor over a record payload; every accessor checks bounds.
+#[derive(Clone, Copy)]
 struct Cursor<'a> {
     b: &'a [u8],
     pos: usize,
@@ -912,9 +914,14 @@ fn decode_span(payload: &[u8], names: &[TagKey]) -> Result<Span, BinaryReadError
     })
 }
 
+/// Decodes one span record into `store`. The record is decoded and checked
+/// in full — its tags into `tags`, a scratch buffer the caller reuses
+/// across records — before anything is pushed, so a record that fails
+/// leaves the store as it was.
 fn decode_span_into_store(
     payload: &[u8],
     remap: &[Symbol],
+    tags: &mut Vec<(Symbol, TagCell)>,
     store: &mut SpanStore,
 ) -> Result<(), BinaryReadError> {
     let remap_sym = |sym: u32| -> Result<Symbol, BinaryReadError> {
@@ -925,6 +932,24 @@ fn decode_span_into_store(
     };
     let (head, mut c) = decode_head(payload)?;
     let name = remap_sym(head.name)?;
+    tags.clear();
+    for _ in 0..head.tag_count {
+        let (key, raw) = decode_tag(&mut c)?;
+        let cell = match raw {
+            RawTag::Str(sym) => TagCell::Str(remap_sym(sym)?),
+            RawTag::I64(v) => TagCell::I64(v),
+            RawTag::U64(v) => TagCell::U64(v),
+            RawTag::F64(v) => TagCell::F64(v),
+            RawTag::Bool(v) => TagCell::Bool(v),
+        };
+        tags.push((remap_sym(key)?, cell));
+    }
+    let logs = c;
+    for _ in 0..read_log_count(&mut c)? {
+        decode_log(&mut c)?;
+    }
+    c.done("span record has trailing bytes")?;
+
     store.push_raw_interned(
         head.id,
         head.trace_id,
@@ -934,23 +959,16 @@ fn decode_span_into_store(
         head.end_ns,
         head.parent,
     );
-    for _ in 0..head.tag_count {
-        let (key, raw) = decode_tag(&mut c)?;
-        let cell = match raw {
-            RawTag::Str(sym) => crate::store::TagCell::Str(remap_sym(sym)?),
-            RawTag::I64(v) => crate::store::TagCell::I64(v),
-            RawTag::U64(v) => crate::store::TagCell::U64(v),
-            RawTag::F64(v) => crate::store::TagCell::F64(v),
-            RawTag::Bool(v) => crate::store::TagCell::Bool(v),
-        };
-        store.raw_tag_interned(remap_sym(key)?, cell);
+    for &(key, cell) in tags.iter() {
+        store.raw_tag_interned(key, cell);
     }
-    let log_count = read_log_count(&mut c)?;
-    for _ in 0..log_count {
+    // The logs were checked above; walk them again to store them.
+    let mut c = logs;
+    for _ in 0..read_log_count(&mut c)? {
         let (at_ns, message) = decode_log(&mut c)?;
         store.raw_log(at_ns, message);
     }
-    c.done("span record has trailing bytes")
+    Ok(())
 }
 
 #[cfg(test)]

@@ -55,4 +55,4 @@ pub use span::{
 };
 pub use stats::{trimmed_mean, Summary};
 pub use store::{SpanStore, SpanView, TagRef};
-pub use tracer::{NoopTracer, ServerTracer, SpanBuffer, Tracer};
+pub use tracer::{ServerTracer, SpanBuffer, Tracer};

@@ -7,7 +7,7 @@ use crate::fxhash::FxHashMap;
 use crate::span::{Span, TraceId};
 use crate::tracer::{Published, ServerTracer, SpanBuffer};
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -123,7 +123,6 @@ impl Trace {
 pub struct TracingServer {
     /// The published batches; tracers hold weak references to it.
     published: Arc<Published>,
-    registered: Mutex<HashMap<&'static str, ServerTracer>>,
     next_trace_id: AtomicU64,
 }
 
@@ -138,21 +137,17 @@ impl TracingServer {
     pub fn new() -> Self {
         Self {
             published: Arc::new(Mutex::new(Vec::new())),
-            registered: Mutex::new(HashMap::new()),
             next_trace_id: AtomicU64::new(1),
         }
     }
 
-    /// Creates (or returns the previously created) tracer named `name`.
+    /// Creates a tracer named `name`.
     ///
     /// Multiple profilers may coexist within a stack level (§III-A: "multiple
     /// tracers (or profilers) can exist within a stack level"); each gets its
     /// own named tracer, all feeding the same timeline.
     pub fn tracer(&self, name: &'static str) -> ServerTracer {
-        let mut reg = self.registered.lock();
-        reg.entry(name)
-            .or_insert_with(|| ServerTracer::new(name, Arc::downgrade(&self.published)))
-            .clone()
+        ServerTracer::new(name, Arc::downgrade(&self.published))
     }
 
     /// Creates a [`SpanBuffer`] over the tracer named `name`: spans reported
@@ -241,15 +236,6 @@ mod tests {
         assert_eq!(levels, vec![StackLevel::Model, StackLevel::Layer]);
         // second drain is empty
         assert!(server.drain().is_empty());
-    }
-
-    #[test]
-    fn tracer_is_memoized_by_name() {
-        let server = TracingServer::new();
-        let a = server.tracer("gpu");
-        a.set_enabled(false);
-        let b = server.tracer("gpu");
-        assert!(!b.is_enabled(), "same underlying tracer must be returned");
     }
 
     #[test]

@@ -7,8 +7,11 @@
 //! published batches under a lock that a drain holds only long enough to
 //! take the list, so publication adds negligible overhead to the profiled
 //! application (§III-C: "creating spans online adds negligible overhead per
-//! span"). Tracers can be enabled and disabled at runtime, which is the
-//! mechanism behind leveled experimentation.
+//! span"). A tracer forwards every span it is given. A run chooses its
+//! profiling levels by the tracers it receives: a level whose profiler gets
+//! no tracer (or, for the GPU level, whose CUPTI hook is not registered)
+//! produces no spans and pays none of their cost (leveled experimentation,
+//! §III-C).
 //!
 //! The server collects *batches* of spans. A plain [`ServerTracer`]
 //! publishes singleton batches; a [`SpanBuffer`] accumulates spans locally
@@ -19,8 +22,7 @@
 
 use crate::span::Span;
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::Weak;
 
 /// A tracing server's published span batches, in arrival order.
 pub(crate) type Published = Mutex<Vec<Vec<Span>>>;
@@ -30,36 +32,23 @@ pub trait Tracer: Send + Sync {
     /// Publishes a finished span. Implementations must not block on the
     /// consumer.
     fn report(&self, span: Span);
-
-    /// Whether the tracer currently forwards spans. Disabled tracers drop
-    /// spans silently, letting callers skip span construction entirely.
-    fn is_enabled(&self) -> bool {
-        true
-    }
 }
 
 /// A tracer that publishes spans to a [`crate::TracingServer`], handed out
 /// by [`crate::TracingServer::tracer`].
 ///
 /// The tracer holds only a weak reference to the server's batch list: spans
-/// reported after the server is dropped are dropped silently. An atomic
-/// enable flag supports runtime toggling (§III-A: "tracers can be enabled
-/// or disabled at runtime").
+/// reported after the server is dropped are dropped silently.
 #[derive(Clone)]
 pub struct ServerTracer {
     name: &'static str,
     published: Weak<Published>,
-    enabled: Arc<AtomicBool>,
 }
 
 impl ServerTracer {
     /// Creates a tracer named `name` publishing into `published`.
     pub(crate) fn new(name: &'static str, published: Weak<Published>) -> Self {
-        Self {
-            name,
-            published,
-            enabled: Arc::new(AtomicBool::new(true)),
-        }
+        Self { name, published }
     }
 
     /// The tracer's name (identifies the producing profiler).
@@ -67,23 +56,12 @@ impl ServerTracer {
         self.name
     }
 
-    /// Enables or disables the tracer.
-    pub fn set_enabled(&self, enabled: bool) {
-        self.enabled.store(enabled, Ordering::SeqCst);
-    }
-
     /// Publishes a batch of spans atomically: the batch arrives at the
     /// server contiguously, with no spans from other producers interleaved.
+    /// Empty batches are skipped. The server may already have shut down
+    /// during teardown; spans published after that point are intentionally
+    /// dropped.
     pub fn report_batch(&self, spans: Vec<Span>) {
-        if self.is_enabled() {
-            self.publish(spans);
-        }
-    }
-
-    /// Appends a non-empty batch to the server's list under one lock. The
-    /// server may already have shut down during teardown; spans published
-    /// after that point are intentionally dropped.
-    fn publish(&self, spans: Vec<Span>) {
         if spans.is_empty() {
             return;
         }
@@ -95,13 +73,7 @@ impl ServerTracer {
 
 impl Tracer for ServerTracer {
     fn report(&self, span: Span) {
-        if self.is_enabled() {
-            self.publish(vec![span]);
-        }
-    }
-
-    fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::SeqCst)
+        self.report_batch(vec![span]);
     }
 }
 
@@ -139,29 +111,17 @@ impl SpanBuffer {
 
     /// Publishes every buffered span to the server as one atomic batch and
     /// returns how many were flushed.
-    ///
-    /// The enable flag gates *buffering* ([`Tracer::report`]); spans that
-    /// were legitimately recorded while the tracer was enabled are always
-    /// delivered, even if the tracer has been disabled since.
     pub fn flush(&self) -> usize {
         let spans = std::mem::take(&mut *self.buf.lock());
         let n = spans.len();
-        // Deliberately bypasses report_batch's enable check (same module):
-        // the gate already ran at report() time.
-        self.inner.publish(spans);
+        self.inner.report_batch(spans);
         n
     }
 }
 
 impl Tracer for SpanBuffer {
     fn report(&self, span: Span) {
-        if self.inner.is_enabled() {
-            self.buf.lock().push(span);
-        }
-    }
-
-    fn is_enabled(&self) -> bool {
-        self.inner.is_enabled()
+        self.buf.lock().push(span);
     }
 }
 
@@ -172,24 +132,12 @@ impl Drop for SpanBuffer {
     }
 }
 
-/// A tracer that drops every span; used when a stack level's profiling is
-/// turned off.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoopTracer;
-
-impl Tracer for NoopTracer {
-    fn report(&self, _span: Span) {}
-
-    fn is_enabled(&self) -> bool {
-        false
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::span::{SpanBuilder, StackLevel, TraceId};
     use crate::TracingServer;
+    use std::sync::Arc;
 
     fn mk_span(name: &str) -> Span {
         SpanBuilder::new(name, StackLevel::Model, TraceId(0))
@@ -220,29 +168,6 @@ mod tests {
         tracer.report(mk_span("a"));
         tracer.report(mk_span("b"));
         assert_eq!(drained_names(&server), vec!["a", "b"]);
-    }
-
-    #[test]
-    fn disabled_tracer_drops_spans() {
-        let server = TracingServer::new();
-        let tracer = server.tracer("test");
-        tracer.set_enabled(false);
-        assert!(!tracer.is_enabled());
-        tracer.report(mk_span("dropped"));
-        tracer.report_batch(vec![mk_span("dropped")]);
-        assert!(server.drain().is_empty());
-        tracer.set_enabled(true);
-        tracer.report(mk_span("kept"));
-        assert_eq!(drained_names(&server), vec!["kept"]);
-    }
-
-    #[test]
-    fn clones_share_enable_flag() {
-        let server = TracingServer::new();
-        let a = server.tracer("t");
-        let b = a.clone();
-        b.set_enabled(false);
-        assert!(!a.is_enabled());
     }
 
     #[test]
@@ -321,34 +246,5 @@ mod tests {
             buffer.report(mk_span("late"));
         }
         assert_eq!(drained_names(&server), vec!["late"]);
-    }
-
-    #[test]
-    fn span_buffer_respects_enable_flag() {
-        let server = TracingServer::new();
-        server.tracer("t").set_enabled(false);
-        let buffer = server.buffer("t");
-        assert!(!buffer.is_enabled());
-        buffer.report(mk_span("dropped"));
-        assert_eq!(buffer.flush(), 0);
-        assert!(server.drain().is_empty());
-    }
-
-    #[test]
-    fn span_buffer_flush_delivers_despite_late_disable() {
-        // Enable gating happens at report time; disabling the tracer after
-        // spans were buffered must not swallow them on flush.
-        let server = TracingServer::new();
-        let buffer = server.buffer("t");
-        buffer.report(mk_span("recorded_while_enabled"));
-        server.tracer("t").set_enabled(false);
-        assert_eq!(buffer.flush(), 1);
-        assert_eq!(drained_names(&server), vec!["recorded_while_enabled"]);
-    }
-
-    #[test]
-    fn noop_tracer_is_disabled() {
-        assert!(!NoopTracer.is_enabled());
-        NoopTracer.report(mk_span("x"));
     }
 }

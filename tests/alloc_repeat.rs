@@ -1,6 +1,8 @@
 //! Allocation counts repeat exactly: at a fixed worker count, every call of
 //! the evaluation engine and of a whole profile allocates the same number
 //! of times. The exact work-count gate (`ci/check_counts.py`) relies on it.
+//! A warmed silent prediction allocates nothing at all: the simulated stack
+//! keeps no record of a run beside its spans.
 //!
 //! This file is a test binary of its own with a single test, so the
 //! counting allocator below sees no other test's allocations.
@@ -8,11 +10,13 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use xsp_core::profile::{ProfileRequest, Xsp, XspConfig};
 use xsp_core::scheduler::{parmap, Parallelism};
-use xsp_framework::FrameworkKind;
-use xsp_gpu::systems;
+use xsp_framework::{FrameworkKind, RunOptions, Session};
+use xsp_gpu::{systems, CudaContext, CudaContextConfig};
 use xsp_models::zoo;
+use xsp_trace::TraceId;
 
 /// Counts every allocation of every thread; a `realloc` counts as one.
 struct Counting;
@@ -90,5 +94,19 @@ fn allocation_counts_repeat_at_a_fixed_worker_count() {
         "Xsp::run of MobileNet_v1_0.25_128 at 2 workers",
         300,
         || xsp.run(ProfileRequest::new(&graph)),
+    );
+
+    let ctx = Arc::new(CudaContext::new(CudaContextConfig::new(
+        systems::tesla_v100(),
+    )));
+    let session = Session::new(FrameworkKind::TensorFlow, &graph, ctx);
+    let silent = RunOptions::silent(TraceId(1));
+    session.predict(&silent);
+    let counts: Vec<u64> = (0..20)
+        .map(|_| allocs_of(|| session.predict(&silent)))
+        .collect();
+    assert!(
+        counts.iter().all(|&c| c == 0),
+        "a warmed silent predict of MobileNet_v1_0.25_128 allocated {counts:?} times"
     );
 }

@@ -393,7 +393,9 @@ fn header_only_and_sub_header_streams() {
 
 /// Random byte flips anywhere in a valid stream must never panic: every
 /// outcome is either a clean parse (the flip hit a don't-care bit like a
-/// timestamp) or a structured error.
+/// timestamp) or a structured error. A store ingest that fails keeps only
+/// the spans the span reader yielded before the same record failed: a
+/// record that fails halfway leaves no row behind.
 #[test]
 fn single_byte_flips_never_panic() {
     let bytes = spans_to_binary(&sample_spans());
@@ -403,8 +405,16 @@ fn single_byte_flips_never_panic() {
             corrupt[pos] ^= flip;
             // Both decode paths must terminate without panicking.
             let _ = read_span_binary(&corrupt[..]);
+            let yielded = SpanBinaryReader::new(&corrupt[..])
+                .take_while(Result::is_ok)
+                .count();
             let mut store = SpanStore::new();
             let _ = SpanBinaryReader::new(&corrupt[..]).read_into_store(&mut store);
+            assert_eq!(
+                store.len(),
+                yielded,
+                "byte {pos} ^ {flip:#04x}: the store kept a different span count"
+            );
         }
     }
 }

@@ -11,7 +11,7 @@ use std::time::Duration;
 use xsp_core::export::{export_correlated, export_profile, ExportFormat};
 use xsp_core::profile::{ProfileRequest, ProfilingLevel, Xsp, XspConfig};
 use xsp_core::scheduler::Parallelism;
-use xsp_cupti::{Cupti, CuptiConfig};
+use xsp_cupti::Cupti;
 use xsp_daemon::{
     spawn, DaemonClient, DaemonConfig, DaemonHandle, OnFull, OpenOptions, Session, DEFAULT_QUOTA,
 };
@@ -258,7 +258,7 @@ fn raw_capture() -> Vec<Span> {
     let system = systems::tesla_v100();
     let graph = zoo::by_name("MobileNet_v1_0.25_128").unwrap().graph(1);
     let ctx = Arc::new(CudaContext::new(CudaContextConfig::new(system.clone())));
-    let cupti = Arc::new(Cupti::new(CuptiConfig::default(), system.gpu.clone()));
+    let cupti = Arc::new(Cupti::new(Vec::new(), system.gpu.clone()));
     ctx.register_hook(cupti.clone());
     let server = TracingServer::new();
     let trace_id = server.fresh_trace_id();

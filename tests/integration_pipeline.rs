@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 use xsp_core::profile::{ProfileRequest, ProfilingLevel, Xsp, XspConfig};
-use xsp_cupti::{Cupti, CuptiConfig};
+use xsp_cupti::{Cupti, MetricKind};
 use xsp_framework::{FrameworkKind, RunOptions, Session};
 use xsp_gpu::{systems, CudaContext, CudaContextConfig};
 use xsp_models::{zoo, GraphBuilder};
@@ -208,10 +208,7 @@ fn folded_stack_export_covers_model_time() {
 fn raw_spans_carry_tag_lists_at_their_final_size() {
     let system = systems::tesla_v100();
     let ctx = Arc::new(CudaContext::new(CudaContextConfig::new(system.clone())));
-    let cupti = Arc::new(Cupti::new(
-        CuptiConfig::with_all_metrics(),
-        system.gpu.clone(),
-    ));
+    let cupti = Arc::new(Cupti::new(MetricKind::ALL.to_vec(), system.gpu.clone()));
     ctx.register_hook(cupti.clone());
     let mut builder = GraphBuilder::new(1, 3, 32, 32);
     builder.conv_bn_relu(16, 3, 1, 1).maxpool(2, 2);
