@@ -12,11 +12,16 @@
 //!   path. The `jsonl` arm parses span-JSON-lines; the `xspb` arm streams
 //!   the binary format directly into a store.
 //!
-//! `--quick` (or `XSP_BENCH_QUICK=1`) is the CI smoke lane: reduced
-//! samples, and with `--json <path>` a machine-readable summary of
-//! sustained spans/sec per arm. The run *fails* if `.xspb` ingest does not
-//! sustain at least 5× the JSONL ingest rate at 100k spans — the
-//! interchange format's reason to exist, enforced as a regression gate.
+//! `--quick` (or `XSP_BENCH_QUICK=1`) marks the CI smoke lane, and
+//! `--json <path>` writes a machine-readable summary of sustained
+//! spans/sec per arm. The run *fails* if `.xspb` ingest does not sustain
+//! at least 5× the JSONL ingest rate at 100k spans — the interchange
+//! format's reason to exist, enforced as a regression gate. Both lanes
+//! time [`SAMPLES`] rounds per family, and each round runs both arms back
+//! to back: the gate divides two medians, and when each arm took its
+//! passes in one block, a slow spell of the host fell on one arm only and
+//! the quotient swung from 4.4× to 11.9× across runs of one build on a
+//! 2-vCPU host.
 
 use criterion::{BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -88,19 +93,28 @@ fn xspb_bytes(spans: &[Span]) -> Vec<u8> {
     xsp_trace::export::spans_to_binary(spans)
 }
 
-/// Median wall time of `body` in seconds over `samples` iterations (one
-/// untimed warmup) — the measurement behind the spans/sec summary.
-fn median_secs(samples: usize, mut body: impl FnMut()) -> f64 {
-    body();
-    let mut times: Vec<f64> = (0..samples.max(1))
-        .map(|_| {
-            let t = Instant::now();
-            body();
-            t.elapsed().as_secs_f64()
-        })
-        .collect();
-    times.sort_by(f64::total_cmp);
-    times[(times.len() - 1) / 2]
+/// Rounds behind each spans/sec rate; a round times one pass of each arm.
+const SAMPLES: usize = 15;
+
+/// Median wall times in seconds of the two arms `a` and `b` over
+/// [`SAMPLES`] rounds (one untimed warmup each) — the measurement behind
+/// the spans/sec summary. Each round times `a` and then `b`, so a slow
+/// spell of the host lands on both arms and their ratio holds steady.
+fn median_secs(mut a: impl FnMut(), mut b: impl FnMut()) -> (f64, f64) {
+    fn timed(body: &mut dyn FnMut()) -> f64 {
+        let t = Instant::now();
+        body();
+        t.elapsed().as_secs_f64()
+    }
+    fn median(mut times: Vec<f64>) -> f64 {
+        times.sort_by(f64::total_cmp);
+        times[(times.len() - 1) / 2]
+    }
+    a();
+    b();
+    let (ta, tb): (Vec<f64>, Vec<f64>) =
+        (0..SAMPLES).map(|_| (timed(&mut a), timed(&mut b))).unzip();
+    (median(ta), median(tb))
 }
 
 /// The resident hot path: spans published through a buffer, drained, and
@@ -109,9 +123,7 @@ fn bench_spanpath(
     c: &mut Criterion,
     summary: &mut Option<BenchSummary>,
     rates: &mut Vec<(String, f64)>,
-    quick: bool,
 ) {
-    let samples = if quick { 5 } else { 15 };
     let mut g = c.benchmark_group("spanpath");
     g.sample_size(10);
     for n in [10_000usize, 100_000] {
@@ -143,20 +155,15 @@ fn bench_spanpath(
         g.bench_with_input(BenchmarkId::new("span", n), &n, |b, _| b.iter(span_pass));
         g.bench_with_input(BenchmarkId::new("store", n), &n, |b, _| b.iter(store_pass));
 
-        for (label, secs) in [
-            (
-                "span",
-                median_secs(samples, || {
-                    span_pass();
-                }),
-            ),
-            (
-                "store",
-                median_secs(samples, || {
-                    store_pass();
-                }),
-            ),
-        ] {
+        let (span_secs, store_secs) = median_secs(
+            || {
+                span_pass();
+            },
+            || {
+                store_pass();
+            },
+        );
+        for (label, secs) in [("span", span_secs), ("store", store_secs)] {
             let rate = n as f64 / secs;
             rates.push((format!("spanpath/{label}/{n}"), rate));
             if let Some(summary) = summary.as_mut() {
@@ -173,9 +180,7 @@ fn bench_ingest(
     c: &mut Criterion,
     summary: &mut Option<BenchSummary>,
     rates: &mut Vec<(String, f64)>,
-    quick: bool,
 ) {
-    let samples = if quick { 5 } else { 15 };
     let mut g = c.benchmark_group("ingest");
     g.sample_size(10);
     for n in [10_000usize, 100_000] {
@@ -198,20 +203,15 @@ fn bench_ingest(
         g.bench_with_input(BenchmarkId::new("jsonl", n), &n, |b, _| b.iter(jsonl_pass));
         g.bench_with_input(BenchmarkId::new("xspb", n), &n, |b, _| b.iter(xspb_pass));
 
-        for (label, secs) in [
-            (
-                "jsonl",
-                median_secs(samples, || {
-                    jsonl_pass();
-                }),
-            ),
-            (
-                "xspb",
-                median_secs(samples, || {
-                    xspb_pass();
-                }),
-            ),
-        ] {
+        let (jsonl_secs, xspb_secs) = median_secs(
+            || {
+                jsonl_pass();
+            },
+            || {
+                xspb_pass();
+            },
+        );
+        for (label, secs) in [("jsonl", jsonl_secs), ("xspb", xspb_secs)] {
             let rate = n as f64 / secs;
             rates.push((format!("ingest/{label}/{n}"), rate));
             if let Some(summary) = summary.as_mut() {
@@ -233,8 +233,8 @@ fn main() {
         .then(|| BenchSummary::start("spanpath_throughput", quick));
     let mut criterion = Criterion::default().configure_from_args();
     let mut rates: Vec<(String, f64)> = Vec::new();
-    bench_spanpath(&mut criterion, &mut summary, &mut rates, quick);
-    bench_ingest(&mut criterion, &mut summary, &mut rates, quick);
+    bench_spanpath(&mut criterion, &mut summary, &mut rates);
+    bench_ingest(&mut criterion, &mut summary, &mut rates);
 
     println!("\nsustained span-path throughput (median):");
     for (id, rate) in &rates {

@@ -575,6 +575,56 @@ fn sigterm_drains_the_real_xspd_binary() {
     std::fs::remove_file(&sink).ok();
 }
 
+/// The real `xspd` binary listening on its socket; killed and its socket
+/// removed on drop, so a failing assertion leaves no daemon behind.
+struct RealXspd {
+    child: std::process::Child,
+    socket: PathBuf,
+}
+
+impl Drop for RealXspd {
+    fn drop(&mut self) {
+        self.child.kill().ok();
+        self.child.wait().ok();
+        std::fs::remove_file(&self.socket).ok();
+    }
+}
+
+#[test]
+fn deeply_nested_control_frames_are_refused_by_the_real_xspd_binary() {
+    let socket = socket_path();
+    let xspd = RealXspd {
+        child: std::process::Command::new(env!("CARGO_BIN_EXE_xspd"))
+            .args(["--socket", socket.to_str().unwrap()])
+            .stderr(std::process::Stdio::null())
+            .spawn()
+            .expect("xspd binary spawns"),
+        socket,
+    };
+    wait_for("xspd to bind its socket", || xspd.socket.exists());
+    // 20 KB of nesting: a reader that recursed per level would overflow
+    // the connection thread's stack and abort the whole daemon.
+    let depth = 10_000;
+    let deep = format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+    let mut c = DaemonClient::connect(&xspd.socket).expect("xspd accepts connections");
+    for kind in [FrameKind::Open, FrameKind::Flush] {
+        c.send_frame(kind, deep.as_bytes()).unwrap();
+        let frame = c.next_response().expect("xspd answers the frame");
+        assert_eq!(frame.kind, FrameKind::Err, "{kind:?}");
+        let (code, message) = xsp_daemon::protocol::parse_err_payload(&frame.payload);
+        assert_eq!(code, "bad_payload", "{kind:?}: {message}");
+        assert!(
+            message.contains("recursion limit exceeded"),
+            "{kind:?}: {message}"
+        );
+    }
+    let mut second = DaemonClient::connect(&xspd.socket).expect("xspd still accepts");
+    let session = second
+        .open(&OpenOptions::default())
+        .expect("xspd still opens sessions");
+    second.append_spans(session, &mk_spans(3, 0)).unwrap();
+}
+
 #[test]
 fn open_resolves_model_with_the_cli_lookup() {
     let handle = daemon(|_| {});

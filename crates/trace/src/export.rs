@@ -66,7 +66,7 @@ pub fn to_span_json(trace: &Trace) -> String {
 /// Deserializes spans previously written by [`to_span_json`]; this is the
 /// offline conversion path (§III-A: conversion "can be performed off-line by
 /// processing the output of the profiler").
-pub fn from_span_json(json: &str) -> Result<Trace, serde_json::Error> {
+pub fn from_span_json(json: &str) -> Result<Trace, xsp_json::Error> {
     json::parse_span_array(json).map(Trace::from_spans)
 }
 

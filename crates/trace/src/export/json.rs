@@ -11,18 +11,26 @@
 //! `serde_json::Map::insert` built: a repeated key keeps its first
 //! position and takes its last value.
 //!
-//! The parser accepts exactly what `serde_json::from_str::<Span>`
-//! accepted: keys in any order, JSON whitespace, unknown keys with any
-//! nested value, a missing `parent`, and repeated keys, where the last one
-//! wins (an earlier duplicate need only be valid JSON). Unknown values are
-//! skipped with an explicit stack, so hostile nesting cannot overflow the
-//! call stack. The goldens and the reference proptests in
-//! `tests/proptests.rs` pin both directions against `serde_json`.
+//! The JSON grammar itself is not here: the decoder reads through
+//! `xsp-json`'s shared [`Lexer`], the one the vendored `serde_json` reads
+//! through, and strings are escaped by the same [`push_str`]. This module
+//! keeps only the span-object layer: which fields a span has, repeated
+//! keys, and the tag variants. It accepts exactly what
+//! `serde_json::from_str::<Span>` accepts: keys in any order, unknown keys
+//! with any nested value, a missing `parent`, and repeated keys, where the
+//! last one wins (an earlier duplicate need only be valid JSON). Unknown
+//! values are skipped without recursion and at any depth, so hostile
+//! nesting cannot overflow the call stack (the vendored `serde_json`
+//! builds a tree and stops at its recursion limit even there; the real
+//! crate skips them as this codec does). With the grammar shared, what the
+//! goldens and the reference proptests in `tests/proptests.rs` still pin
+//! is this span-object layer and the number spellings, in both
+//! directions, against `serde_json`'s derived `Span` impl.
 
 use crate::span::{tag_keys, LogEvent, Span, SpanId, StackLevel, TagKey, TagValue, TraceId};
-use serde_json::Error;
 use std::borrow::Cow;
 use std::io::Write as _;
+use xsp_json::{push_str, Error, Lexer, Number};
 
 /// `StackLevel`'s serde variant names, indexed by [`StackLevel::rank`].
 const LEVEL_VARIANTS: [&str; 5] = ["Application", "Model", "Layer", "Library", "Kernel"];
@@ -198,56 +206,21 @@ fn push_f64(out: &mut Vec<u8>, v: f64) {
     }
 }
 
-/// Appends `s` as a JSON string: `"`, `\` and control characters are
-/// escaped, everything else (non-ASCII included) is copied verbatim.
-fn push_str(out: &mut Vec<u8>, s: &str) {
-    const HEX: &[u8; 16] = b"0123456789abcdef";
-    let bytes = s.as_bytes();
-    out.push(b'"');
-    let mut copied = 0;
-    for (i, &b) in bytes.iter().enumerate() {
-        if b >= 0x20 && b != b'"' && b != b'\\' {
-            continue;
-        }
-        out.extend_from_slice(&bytes[copied..i]);
-        match b {
-            b'"' => out.extend_from_slice(b"\\\""),
-            b'\\' => out.extend_from_slice(b"\\\\"),
-            b'\n' => out.extend_from_slice(b"\\n"),
-            b'\r' => out.extend_from_slice(b"\\r"),
-            b'\t' => out.extend_from_slice(b"\\t"),
-            _ => {
-                let hex = [HEX[usize::from(b >> 4)], HEX[usize::from(b & 0xf)]];
-                out.extend_from_slice(b"\\u00");
-                out.extend_from_slice(&hex);
-            }
-        }
-        copied = i + 1;
-    }
-    out.extend_from_slice(&bytes[copied..]);
-    out.push(b'"');
-}
-
 /// Parses one span object, with optional JSON whitespace around it.
 pub(crate) fn parse_span(text: &str) -> Result<Span, Error> {
-    let mut p = Parser::new(text);
-    p.ws();
-    let span = p.span()?;
-    p.end()?;
-    Ok(span)
+    Lexer::document(text, span)
 }
 
 /// Parses a JSON array of span objects.
 pub(crate) fn parse_span_array(text: &str) -> Result<Vec<Span>, Error> {
-    let mut p = Parser::new(text);
-    p.ws();
-    let mut spans = Vec::new();
-    p.array(|p| {
-        spans.push(p.span()?);
-        Ok(())
-    })?;
-    p.end()?;
-    Ok(spans)
+    Lexer::document(text, |p| {
+        let mut spans = Vec::new();
+        p.array(|p| {
+            spans.push(span(p)?);
+            Ok(())
+        })?;
+        Ok(spans)
+    })
 }
 
 /// The error for input bytes that are not UTF-8.
@@ -256,13 +229,6 @@ pub(crate) fn utf8_error(e: std::str::Utf8Error) -> Error {
         message: "invalid UTF-8".to_owned(),
         offset: e.valid_up_to(),
     }
-}
-
-/// A JSON number as the `serde_json` parser classified it.
-enum Number {
-    Pos(u64),
-    Neg(i64),
-    Float(f64),
 }
 
 /// Per-key state of one object member: absent, or the last occurrence's
@@ -278,522 +244,178 @@ fn mismatch(what: &str) -> Error {
     Error::Data(format!("expected {what}"))
 }
 
-struct Parser<'a> {
-    text: &'a str,
-    bytes: &'a [u8],
-    pos: usize,
+/// Parses a member's value with `parse`. If that fails, the value is
+/// re-read as plain JSON: malformed JSON fails the whole document, while
+/// valid JSON of the wrong shape becomes an `Err` slot that a later
+/// repeated key may still replace.
+fn field<'a, T>(
+    p: &mut Lexer<'a>,
+    what: &str,
+    parse: impl FnOnce(&mut Lexer<'a>) -> Result<T, Error>,
+) -> Result<Slot<T>, Error> {
+    let start = p.clone();
+    match parse(p) {
+        Ok(v) => Ok(Some(Ok(v))),
+        Err(e) => {
+            *p = start;
+            p.skip_value()?;
+            let detail = match e {
+                Error::Syntax { message, .. } | Error::Data(message) => message,
+            };
+            Ok(Some(Err(Error::Data(format!("{what}: {detail}")))))
+        }
+    }
 }
 
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Self {
-        Self {
-            text,
-            bytes: text.as_bytes(),
-            pos: 0,
+fn span(p: &mut Lexer<'_>) -> Result<Span, Error> {
+    let (mut id, mut trace_id, mut name, mut level) = (None, None, None, None);
+    let (mut start_ns, mut end_ns, mut parent) = (None, None, None);
+    let (mut tags, mut logs) = (None, None);
+    p.object(|p, key| {
+        match &*key {
+            "id" => id = field(p, "Span.id", unsigned)?,
+            "trace_id" => trace_id = field(p, "Span.trace_id", unsigned)?,
+            "name" => name = field(p, "Span.name", owned_string)?,
+            "level" => level = field(p, "Span.level", stack_level)?,
+            "start_ns" => start_ns = field(p, "Span.start_ns", unsigned)?,
+            "end_ns" => end_ns = field(p, "Span.end_ns", unsigned)?,
+            "parent" => parent = field(p, "Span.parent", parent_id)?,
+            "tags" => tags = field(p, "Span.tags", tag_list)?,
+            "logs" => logs = field(p, "Span.logs", log_list)?,
+            _ => p.skip_value()?,
         }
+        Ok(())
+    })?;
+    let span = Span {
+        id: SpanId(required(id, "Span.id")?),
+        trace_id: TraceId(required(trace_id, "Span.trace_id")?),
+        name: required(name, "Span.name")?,
+        level: required(level, "Span.level")?,
+        start_ns: required(start_ns, "Span.start_ns")?,
+        end_ns: required(end_ns, "Span.end_ns")?,
+        parent: parent.transpose()?.flatten(),
+        tags: required(tags, "Span.tags")?,
+        logs: required(logs, "Span.logs")?,
+    };
+    // Every duration downstream is `end - start`; a span that ends
+    // before it starts (a corrupted or hand-edited timestamp) is
+    // refused here.
+    if span.end_ns < span.start_ns {
+        return Err(Error::Data(format!(
+            "Span.end_ns {} is before Span.start_ns {}",
+            span.end_ns, span.start_ns
+        )));
     }
+    Ok(span)
+}
 
-    fn syntax(&self, message: &str) -> Error {
-        Error::Syntax {
-            message: message.to_owned(),
-            offset: self.pos,
+fn parent_id(p: &mut Lexer<'_>) -> Result<Option<SpanId>, Error> {
+    if p.eat_word("null") {
+        Ok(None)
+    } else {
+        unsigned(p).map(|id| Some(SpanId(id)))
+    }
+}
+
+fn stack_level(p: &mut Lexer<'_>) -> Result<StackLevel, Error> {
+    let name = p.string()?;
+    LEVEL_VARIANTS
+        .iter()
+        .position(|v| *v == name)
+        .map(|rank| StackLevel::ALL[rank])
+        .ok_or_else(|| Error::Data(format!("unknown StackLevel variant {name:?}")))
+}
+
+/// The tag list; each key is read borrowed from the input and goes
+/// through [`tag_keys::resolve`], so a well-known key allocates nothing.
+fn tag_list(p: &mut Lexer<'_>) -> Result<Vec<(TagKey, TagValue)>, Error> {
+    let mut tags = Vec::new();
+    p.array(|p| {
+        p.eat(b'[')?;
+        p.ws();
+        let key = tag_keys::resolve(p.string()?);
+        p.ws();
+        p.eat(b',')?;
+        p.ws();
+        let value = tag_value(p)?;
+        p.ws();
+        p.eat(b']')?;
+        tags.push((key, value));
+        Ok(())
+    })?;
+    Ok(tags)
+}
+
+/// An externally tagged `TagValue`: an object with exactly one distinct
+/// key naming the variant.
+fn tag_value<'a>(p: &mut Lexer<'a>) -> Result<TagValue, Error> {
+    let mut variant: Option<(Cow<'a, str>, Slot<TagValue>)> = None;
+    p.object(|p, key| {
+        if matches!(&variant, Some((seen, _)) if *seen != key) {
+            return Err(mismatch("a single TagValue variant key"));
         }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn eat(&mut self, byte: u8) -> Result<(), Error> {
-        if self.peek() == Some(byte) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.syntax(&format!("expected `{}`", byte as char)))
-        }
-    }
-
-    fn eat_word(&mut self, word: &str) -> bool {
-        let found = self
-            .bytes
-            .get(self.pos..)
-            .is_some_and(|rest| rest.starts_with(word.as_bytes()));
-        if found {
-            self.pos += word.len();
-        }
-        found
-    }
-
-    fn end(&mut self) -> Result<(), Error> {
-        self.ws();
-        if self.pos == self.bytes.len() {
-            Ok(())
-        } else {
-            Err(self.syntax("trailing characters after JSON value"))
-        }
-    }
-
-    /// The text between two positions that sit next to ASCII bytes, which
-    /// are always character boundaries.
-    fn slice(&self, from: usize, to: usize) -> Result<&'a str, Error> {
-        self.text
-            .get(from..to)
-            .ok_or_else(|| self.syntax("string splits a UTF-8 character"))
-    }
-
-    /// Walks one object, handing each key (escapes decoded) to `member`
-    /// with the parser standing at the member's value; `member` consumes
-    /// the value.
-    fn object(
-        &mut self,
-        mut member: impl FnMut(&mut Self, Cow<'a, str>) -> Result<(), Error>,
-    ) -> Result<(), Error> {
-        self.eat(b'{')?;
-        self.ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(());
-        }
-        loop {
-            self.ws();
-            let key = self.string()?;
-            self.ws();
-            self.eat(b':')?;
-            self.ws();
-            member(self, key)?;
-            self.ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(());
+        let value = field(p, "TagValue", |p| match &*key {
+            "Str" => owned_string(p).map(TagValue::from),
+            "I64" => match p.number()? {
+                Number::PosInt(v) => i64::try_from(v)
+                    .map(TagValue::I64)
+                    .map_err(|_| mismatch("an i64")),
+                Number::NegInt(v) => Ok(TagValue::I64(v)),
+                Number::Float(_) => Err(mismatch("an i64")),
+            },
+            "U64" => unsigned(p).map(TagValue::U64),
+            "F64" => match p.number()? {
+                Number::PosInt(v) => Ok(TagValue::F64(v as f64)),
+                Number::NegInt(v) => Ok(TagValue::F64(v as f64)),
+                Number::Float(v) => Ok(TagValue::F64(v)),
+            },
+            "Bool" => {
+                if p.eat_word("true") {
+                    Ok(TagValue::Bool(true))
+                } else if p.eat_word("false") {
+                    Ok(TagValue::Bool(false))
+                } else {
+                    Err(mismatch("a bool"))
                 }
-                _ => return Err(self.syntax("expected `,` or `}` in object")),
             }
-        }
-    }
+            other => Err(Error::Data(format!("unknown TagValue variant {other:?}"))),
+        })?;
+        variant = Some((key, value));
+        Ok(())
+    })?;
+    required(variant.and_then(|(_, value)| value), "TagValue")
+}
 
-    /// Walks one array, calling `item` with the parser at each element.
-    fn array(&mut self, mut item: impl FnMut(&mut Self) -> Result<(), Error>) -> Result<(), Error> {
-        self.eat(b'[')?;
-        self.ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(());
-        }
-        loop {
-            self.ws();
-            item(self)?;
-            self.ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(());
-                }
-                _ => return Err(self.syntax("expected `,` or `]` in array")),
-            }
-        }
-    }
-
-    /// Parses a member's value with `parse`. If that fails, the value is
-    /// re-read as plain JSON: malformed JSON fails the whole document,
-    /// while valid JSON of the wrong shape becomes an `Err` slot that a
-    /// later repeated key may still replace.
-    fn field<T>(
-        &mut self,
-        what: &str,
-        parse: impl FnOnce(&mut Self) -> Result<T, Error>,
-    ) -> Result<Slot<T>, Error> {
-        let start = self.pos;
-        match parse(self) {
-            Ok(v) => Ok(Some(Ok(v))),
-            Err(e) => {
-                self.pos = start;
-                self.skip_value()?;
-                let detail = match e {
-                    Error::Syntax { message, .. } | Error::Data(message) => message,
-                };
-                Ok(Some(Err(Error::Data(format!("{what}: {detail}")))))
-            }
-        }
-    }
-
-    fn span(&mut self) -> Result<Span, Error> {
-        let (mut id, mut trace_id, mut name, mut level) = (None, None, None, None);
-        let (mut start_ns, mut end_ns, mut parent) = (None, None, None);
-        let (mut tags, mut logs) = (None, None);
-        self.object(|p, key| {
+fn log_list(p: &mut Lexer<'_>) -> Result<Vec<LogEvent>, Error> {
+    let mut logs = Vec::new();
+    p.array(|p| {
+        let (mut at_ns, mut message) = (None, None);
+        p.object(|p, key| {
             match &*key {
-                "id" => id = p.field("Span.id", Self::u64)?,
-                "trace_id" => trace_id = p.field("Span.trace_id", Self::u64)?,
-                "name" => name = p.field("Span.name", Self::owned_string)?,
-                "level" => level = p.field("Span.level", Self::level)?,
-                "start_ns" => start_ns = p.field("Span.start_ns", Self::u64)?,
-                "end_ns" => end_ns = p.field("Span.end_ns", Self::u64)?,
-                "parent" => parent = p.field("Span.parent", Self::parent)?,
-                "tags" => tags = p.field("Span.tags", Self::tags)?,
-                "logs" => logs = p.field("Span.logs", Self::logs)?,
+                "at_ns" => at_ns = field(p, "LogEvent.at_ns", unsigned)?,
+                "message" => message = field(p, "LogEvent.message", owned_string)?,
                 _ => p.skip_value()?,
             }
             Ok(())
         })?;
-        let span = Span {
-            id: SpanId(required(id, "Span.id")?),
-            trace_id: TraceId(required(trace_id, "Span.trace_id")?),
-            name: required(name, "Span.name")?,
-            level: required(level, "Span.level")?,
-            start_ns: required(start_ns, "Span.start_ns")?,
-            end_ns: required(end_ns, "Span.end_ns")?,
-            parent: parent.transpose()?.flatten(),
-            tags: required(tags, "Span.tags")?,
-            logs: required(logs, "Span.logs")?,
-        };
-        // Every duration downstream is `end - start`; a span that ends
-        // before it starts (a corrupted or hand-edited timestamp) is
-        // refused here.
-        if span.end_ns < span.start_ns {
-            return Err(Error::Data(format!(
-                "Span.end_ns {} is before Span.start_ns {}",
-                span.end_ns, span.start_ns
-            )));
-        }
-        Ok(span)
-    }
-
-    fn parent(&mut self) -> Result<Option<SpanId>, Error> {
-        if self.eat_word("null") {
-            Ok(None)
-        } else {
-            self.u64().map(|id| Some(SpanId(id)))
-        }
-    }
-
-    fn level(&mut self) -> Result<StackLevel, Error> {
-        let name = self.string()?;
-        LEVEL_VARIANTS
-            .iter()
-            .position(|v| *v == name)
-            .map(|rank| StackLevel::ALL[rank])
-            .ok_or_else(|| Error::Data(format!("unknown StackLevel variant {name:?}")))
-    }
-
-    /// The tag list; each key is read borrowed from the input and goes
-    /// through [`tag_keys::resolve`], so a well-known key allocates nothing.
-    fn tags(&mut self) -> Result<Vec<(TagKey, TagValue)>, Error> {
-        let mut tags = Vec::new();
-        self.array(|p| {
-            p.eat(b'[')?;
-            p.ws();
-            let key = tag_keys::resolve(p.string()?);
-            p.ws();
-            p.eat(b',')?;
-            p.ws();
-            let value = p.tag_value()?;
-            p.ws();
-            p.eat(b']')?;
-            tags.push((key, value));
-            Ok(())
-        })?;
-        Ok(tags)
-    }
-
-    /// An externally tagged `TagValue`: an object with exactly one
-    /// distinct key naming the variant.
-    fn tag_value(&mut self) -> Result<TagValue, Error> {
-        let mut variant: Option<(Cow<'a, str>, Slot<TagValue>)> = None;
-        self.object(|p, key| {
-            if matches!(&variant, Some((seen, _)) if *seen != key) {
-                return Err(mismatch("a single TagValue variant key"));
-            }
-            let value = p.field("TagValue", |p| match &*key {
-                "Str" => p.owned_string().map(TagValue::from),
-                "I64" => match p.number()? {
-                    Number::Pos(v) => i64::try_from(v)
-                        .map(TagValue::I64)
-                        .map_err(|_| mismatch("an i64")),
-                    Number::Neg(v) => Ok(TagValue::I64(v)),
-                    Number::Float(_) => Err(mismatch("an i64")),
-                },
-                "U64" => p.u64().map(TagValue::U64),
-                "F64" => match p.number()? {
-                    Number::Pos(v) => Ok(TagValue::F64(v as f64)),
-                    Number::Neg(v) => Ok(TagValue::F64(v as f64)),
-                    Number::Float(v) => Ok(TagValue::F64(v)),
-                },
-                "Bool" => {
-                    if p.eat_word("true") {
-                        Ok(TagValue::Bool(true))
-                    } else if p.eat_word("false") {
-                        Ok(TagValue::Bool(false))
-                    } else {
-                        Err(mismatch("a bool"))
-                    }
-                }
-                other => Err(Error::Data(format!("unknown TagValue variant {other:?}"))),
-            })?;
-            variant = Some((key, value));
-            Ok(())
-        })?;
-        required(variant.and_then(|(_, value)| value), "TagValue")
-    }
-
-    fn logs(&mut self) -> Result<Vec<LogEvent>, Error> {
-        let mut logs = Vec::new();
-        self.array(|p| {
-            let (mut at_ns, mut message) = (None, None);
-            p.object(|p, key| {
-                match &*key {
-                    "at_ns" => at_ns = p.field("LogEvent.at_ns", Self::u64)?,
-                    "message" => message = p.field("LogEvent.message", Self::owned_string)?,
-                    _ => p.skip_value()?,
-                }
-                Ok(())
-            })?;
-            logs.push(LogEvent {
-                at_ns: required(at_ns, "LogEvent.at_ns")?,
-                message: required(message, "LogEvent.message")?,
-            });
-            Ok(())
-        })?;
-        Ok(logs)
-    }
-
-    fn u64(&mut self) -> Result<u64, Error> {
-        match self.number()? {
-            Number::Pos(v) => Ok(v),
-            _ => Err(mismatch("a u64")),
-        }
-    }
-
-    /// A number, scanned and classified as the `serde_json` parser did:
-    /// a `u64` if it parses as one, else an `i64`, else an `f64`.
-    fn number(&mut self) -> Result<Number, Error> {
-        if !matches!(self.peek(), Some(b'-' | b'0'..=b'9')) {
-            return Err(mismatch("a number"));
-        }
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        self.digits();
-        let mut is_float = false;
-        if self.peek() == Some(b'.') {
-            is_float = true;
-            self.pos += 1;
-            self.digits();
-        }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            is_float = true;
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.pos += 1;
-            }
-            self.digits();
-        }
-        let text = self.slice(start, self.pos)?;
-        if !is_float {
-            if let Ok(v) = text.parse::<u64>() {
-                return Ok(Number::Pos(v));
-            }
-            if let Ok(v) = text.parse::<i64>() {
-                return Ok(Number::Neg(v));
-            }
-        }
-        text.parse::<f64>()
-            .map(Number::Float)
-            .map_err(|_| self.syntax("invalid number"))
-    }
-
-    fn digits(&mut self) {
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
-        }
-    }
-
-    fn owned_string(&mut self) -> Result<String, Error> {
-        self.string().map(Cow::into_owned)
-    }
-
-    /// A string, borrowed from the input unless it holds escapes.
-    fn string(&mut self) -> Result<Cow<'a, str>, Error> {
-        self.eat(b'"')?;
-        let start = self.pos;
-        loop {
-            match self.peek() {
-                None => return Err(self.syntax("unterminated string")),
-                Some(b'"') => {
-                    let s = self.slice(start, self.pos)?;
-                    self.pos += 1;
-                    return Ok(Cow::Borrowed(s));
-                }
-                Some(b'\\') => break,
-                Some(_) => self.pos += 1,
-            }
-        }
-        let mut out = self.slice(start, self.pos)?.to_owned();
-        loop {
-            match self.peek() {
-                None => return Err(self.syntax("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(Cow::Owned(out));
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self
-                        .peek()
-                        .ok_or_else(|| self.syntax("unterminated escape"))?;
-                    self.pos += 1;
-                    out.push(match esc {
-                        b'"' => '"',
-                        b'\\' => '\\',
-                        b'/' => '/',
-                        b'b' => '\u{8}',
-                        b'f' => '\u{c}',
-                        b'n' => '\n',
-                        b'r' => '\r',
-                        b't' => '\t',
-                        b'u' => self.unicode_escape()?,
-                        _ => return Err(self.syntax("invalid escape character")),
-                    });
-                }
-                Some(_) => {
-                    let run = self.pos;
-                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
-                        self.pos += 1;
-                    }
-                    out.push_str(self.slice(run, self.pos)?);
-                }
-            }
-        }
-    }
-
-    /// The character of a `\u` escape (the `\u` already consumed),
-    /// joining a surrogate pair.
-    fn unicode_escape(&mut self) -> Result<char, Error> {
-        let hi = self.hex4()?;
-        let code = if (0xD800..0xDC00).contains(&hi) {
-            if self.peek() != Some(b'\\') {
-                return Err(self.syntax("lone high surrogate"));
-            }
-            self.pos += 1;
-            self.eat(b'u')?;
-            let lo = self.hex4()?;
-            if !(0xDC00..0xE000).contains(&lo) {
-                return Err(self.syntax("invalid low surrogate"));
-            }
-            0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
-        } else {
-            hi
-        };
-        char::from_u32(code).ok_or_else(|| self.syntax("invalid unicode escape"))
-    }
-
-    fn hex4(&mut self) -> Result<u32, Error> {
-        let hex = self
-            .bytes
-            .get(self.pos..self.pos + 4)
-            .ok_or_else(|| self.syntax("truncated \\u escape"))?;
-        let hex = std::str::from_utf8(hex).map_err(|_| self.syntax("non-ASCII in \\u escape"))?;
-        let code = u32::from_str_radix(hex, 16).map_err(|_| self.syntax("invalid \\u escape"))?;
-        self.pos += 4;
-        Ok(code)
-    }
-
-    /// Skips one JSON value of any shape, validating it as the
-    /// `serde_json` parser did. Open containers live on an explicit stack
-    /// of closing bytes, so nesting depth costs heap, not call stack.
-    fn skip_value(&mut self) -> Result<(), Error> {
-        let mut open: Vec<u8> = Vec::new();
-        loop {
-            // One value: a scalar, or the start of a non-empty container.
-            match self.peek() {
-                Some(b'[' | b'{') => {
-                    let close = if self.peek() == Some(b'[') {
-                        b']'
-                    } else {
-                        b'}'
-                    };
-                    self.pos += 1;
-                    self.ws();
-                    if self.peek() == Some(close) {
-                        self.pos += 1;
-                    } else {
-                        open.push(close);
-                        if close == b'}' {
-                            self.key()?;
-                        } else {
-                            self.ws();
-                        }
-                        continue;
-                    }
-                }
-                Some(b'"') => {
-                    self.string()?;
-                }
-                Some(b'n') => self.word("null")?,
-                Some(b't') => self.word("true")?,
-                Some(b'f') => self.word("false")?,
-                Some(b'-' | b'0'..=b'9') => {
-                    self.number()?;
-                }
-                Some(_) => return Err(self.syntax("unexpected character")),
-                None => return Err(self.syntax("unexpected end of input")),
-            }
-            // Close every container the value completes, up to the next
-            // element.
-            loop {
-                let Some(&close) = open.last() else {
-                    return Ok(());
-                };
-                self.ws();
-                match self.peek() {
-                    Some(b',') => {
-                        self.pos += 1;
-                        if close == b'}' {
-                            self.key()?;
-                        } else {
-                            self.ws();
-                        }
-                        break;
-                    }
-                    Some(b) if b == close => {
-                        self.pos += 1;
-                        open.pop();
-                    }
-                    _ if close == b'}' => {
-                        return Err(self.syntax("expected `,` or `}` in object"));
-                    }
-                    _ => return Err(self.syntax("expected `,` or `]` in array")),
-                }
-            }
-        }
-    }
-
-    /// An object key and its colon, leaving the parser at the value.
-    fn key(&mut self) -> Result<(), Error> {
-        self.ws();
-        self.string()?;
-        self.ws();
-        self.eat(b':')?;
-        self.ws();
+        logs.push(LogEvent {
+            at_ns: required(at_ns, "LogEvent.at_ns")?,
+            message: required(message, "LogEvent.message")?,
+        });
         Ok(())
-    }
+    })?;
+    Ok(logs)
+}
 
-    fn word(&mut self, word: &str) -> Result<(), Error> {
-        if self.eat_word(word) {
-            Ok(())
-        } else {
-            Err(self.syntax(&format!("expected `{word}`")))
-        }
+fn unsigned(p: &mut Lexer<'_>) -> Result<u64, Error> {
+    match p.number()? {
+        Number::PosInt(v) => Ok(v),
+        _ => Err(mismatch("a u64")),
     }
+}
+
+fn owned_string(p: &mut Lexer<'_>) -> Result<String, Error> {
+    p.string().map(Cow::into_owned)
 }
 
 #[cfg(test)]

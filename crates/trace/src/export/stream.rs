@@ -49,7 +49,7 @@ pub enum ReadError {
         /// 1-based line number of the offending line.
         line: usize,
         /// The parse error.
-        source: serde_json::Error,
+        source: xsp_json::Error,
     },
 }
 

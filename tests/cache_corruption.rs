@@ -134,8 +134,14 @@ fn missing_meta_is_malformed() {
 
 #[test]
 fn non_json_meta_is_malformed() {
-    let bytes = stream(&[record(0x01, b"\xff\xfe not json")]);
-    assert!(matches!(read(&bytes), Err(XspcReadError::Malformed(_))));
+    // Nesting far past the JSON reader's recursion limit is refused like
+    // any other malformed meta, not by overflowing the stack.
+    let depth = 100_000;
+    let deep = format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+    for meta in [&b"\xff\xfe not json"[..], deep.as_bytes()] {
+        let bytes = stream(&[record(0x01, meta)]);
+        assert!(matches!(read(&bytes), Err(XspcReadError::Malformed(_))));
+    }
 }
 
 #[test]
