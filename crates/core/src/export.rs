@@ -19,7 +19,8 @@ use std::io::{self, Write};
 use std::sync::{Arc, Mutex};
 use xsp_trace::export::stream::{ChromeTraceWriter, FoldedStacksWriter, SpanJsonLinesWriter};
 use xsp_trace::export::SpanBinaryWriter;
-use xsp_trace::{CorrelatedTrace, Span, TraceId};
+use xsp_trace::store::TagRef;
+use xsp_trace::{CorrelatedStore, CorrelatedTrace, SpanFields, SpanId, StackLevel, TraceId};
 
 /// The trace formats `xsp export` (and [`export_profile`]) can emit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -150,6 +151,22 @@ pub fn export_correlated<W: Write>(
     Ok(writer.written())
 }
 
+/// Streams a correlated store — a daemon session's live export — to `out`
+/// in the requested format, with the bytes [`export_correlated`] writes
+/// for the same spans correlated into an owned trace. Each span is encoded
+/// from its store row; no owned span is built. Returns what
+/// [`export_correlated`] returns.
+pub fn export_correlated_store<W: Write>(
+    store: &CorrelatedStore<'_>,
+    format: ExportFormat,
+    out: W,
+) -> io::Result<usize> {
+    let mut writer = SinkWriter::new(format, out)?;
+    writer.write_store(store)?;
+    writer.finish()?;
+    Ok(writer.written())
+}
+
 /// [`export_correlated`] of an offline-reconstructed [`RunProfile`]'s
 /// trace (see [`crate::pipeline::profile_from_trace`]).
 pub fn export_run_profile<W: Write>(
@@ -192,23 +209,12 @@ impl<W: Write> SinkWriter<W> {
         })
     }
 
-    fn write_span(&mut self, span: &Span) -> io::Result<()> {
-        self.write_restamped(span, span.trace_id, span.start_ns, span.end_ns)
-    }
-
-    /// Appends `span` under run `trace_id` over `[start_ns, end_ns]`; the
-    /// span itself is only read.
-    fn write_restamped(
-        &mut self,
-        span: &Span,
-        trace_id: TraceId,
-        start_ns: u64,
-        end_ns: u64,
-    ) -> io::Result<()> {
+    /// Appends one span; any [`SpanFields`] view is written alike.
+    fn write_span(&mut self, span: impl SpanFields) -> io::Result<()> {
         match self {
-            SinkWriter::Jsonl(w) => w.write_restamped(span, trace_id, start_ns, end_ns),
-            SinkWriter::Binary(w) => w.write_restamped(span, trace_id, start_ns, end_ns),
-            SinkWriter::Chrome(w) => w.write_restamped(span, trace_id, start_ns, end_ns),
+            SinkWriter::Jsonl(w) => w.write_span(span),
+            SinkWriter::Binary(w) => w.write_span(span),
+            SinkWriter::Chrome(w) => w.write_span(span),
             SinkWriter::Folded { .. } => Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
                 "folded sinks finalize per correlated run and cannot accept raw span \
@@ -230,6 +236,17 @@ impl<W: Write> SinkWriter<W> {
             .try_for_each(|span| self.write_span(span))
     }
 
+    /// Appends a correlated store, as [`SinkWriter::write_run`] appends the
+    /// same spans correlated into an owned trace.
+    fn write_store(&mut self, store: &CorrelatedStore<'_>) -> io::Result<()> {
+        if let SinkWriter::Folded { writer, runs } = self {
+            writer.write_store(store)?;
+            *runs += 1;
+            return Ok(());
+        }
+        store.rows().try_for_each(|row| self.write_span(row))
+    }
+
     /// Appends `run` with every span moved to run `trace_id` and shifted in
     /// time so that the run's earliest span starts at `start_ns`. Each span
     /// is encoded in place with the new values, not copied. Folded lines
@@ -246,8 +263,11 @@ impl<W: Write> SinkWriter<W> {
         }
         let base_ns = run.iter_spans().map(|s| s.start_ns).min().unwrap_or(0);
         run.iter_spans().try_for_each(|span| {
-            let shift = |ns: u64| ns - base_ns + start_ns;
-            self.write_restamped(span, trace_id, shift(span.start_ns), shift(span.end_ns))
+            self.write_span(Shifted {
+                span,
+                trace_id,
+                by: start_ns.wrapping_sub(base_ns),
+            })
         })
     }
 
@@ -276,6 +296,61 @@ impl<W: Write> SinkWriter<W> {
             SinkWriter::Chrome(w) => w.close(),
             other => other.flush(),
         }
+    }
+}
+
+/// A span read as if it belonged to run `trace_id` and ran `by`
+/// nanoseconds later (wrapping, so a shift to an earlier time works too):
+/// a serving step writes its memoized run this way without copying a span.
+struct Shifted<S> {
+    span: S,
+    trace_id: TraceId,
+    by: u64,
+}
+
+impl<S: SpanFields> SpanFields for Shifted<S> {
+    fn id(&self) -> SpanId {
+        self.span.id()
+    }
+
+    fn trace_id(&self) -> TraceId {
+        self.trace_id
+    }
+
+    fn name(&self) -> &str {
+        self.span.name()
+    }
+
+    fn level(&self) -> StackLevel {
+        self.span.level()
+    }
+
+    fn start_ns(&self) -> u64 {
+        self.span.start_ns().wrapping_add(self.by)
+    }
+
+    fn end_ns(&self) -> u64 {
+        self.span.end_ns().wrapping_add(self.by)
+    }
+
+    fn parent(&self) -> Option<SpanId> {
+        self.span.parent()
+    }
+
+    fn tag_count(&self) -> usize {
+        self.span.tag_count()
+    }
+
+    fn tags(&self) -> impl Iterator<Item = (&str, TagRef<'_>)> + Clone {
+        self.span.tags()
+    }
+
+    fn log_count(&self) -> usize {
+        self.span.log_count()
+    }
+
+    fn logs(&self) -> impl Iterator<Item = (u64, &str)> {
+        self.span.logs()
     }
 }
 
@@ -382,17 +457,19 @@ impl ExportSink {
         }
     }
 
-    /// Appends a batch of spans (span-JSON-lines, batch order). Like every
-    /// sink write this latches the first I/O failure instead of returning
-    /// it: once poisoned the sink drops all further writes, and the error
-    /// stays observable through [`ExportSink::flush`] /
+    /// Appends a batch of spans in batch order: owned spans, or any other
+    /// [`SpanFields`] view, such as the rows of a daemon session's store.
+    /// Like every sink write this latches the first I/O failure instead of
+    /// returning it: once poisoned the sink drops all further writes, and
+    /// the error stays observable through [`ExportSink::flush`] /
     /// [`ExportSink::error_message`] / [`ExportSink::take_error`]. This is
     /// the spill path of the `xspd` daemon, which appends each session's
-    /// resident spans on quota pressure, teardown, and graceful shutdown.
-    /// Raw span streams are refused by folded sinks (which can only
-    /// finalize whole correlated runs): the refusal latches as a structured
-    /// `InvalidInput` error rather than silently writing the wrong format.
-    pub fn write_spans<'a>(&self, spans: impl IntoIterator<Item = &'a Span>) {
+    /// resident store rows on quota pressure, teardown, and graceful
+    /// shutdown. Raw span streams are refused by folded sinks (which can
+    /// only finalize whole correlated runs): the refusal latches as a
+    /// structured `InvalidInput` error rather than silently writing the
+    /// wrong format.
+    pub fn write_spans<S: SpanFields>(&self, spans: impl IntoIterator<Item = S>) {
         self.write_with(|writer| {
             spans
                 .into_iter()
@@ -483,7 +560,7 @@ mod tests {
     use xsp_framework::FrameworkKind;
     use xsp_gpu::systems;
     use xsp_models::zoo;
-    use xsp_trace::{CorrelationEngine, StackLevel, Trace};
+    use xsp_trace::{CorrelationEngine, Span, SpanStore, StackLevel, StoreCorrelationCache, Trace};
 
     fn profile() -> LeveledProfile {
         let cfg = XspConfig::new(systems::tesla_v100(), FrameworkKind::TensorFlow).runs(1);
@@ -691,6 +768,21 @@ mod tests {
             w.write_run(&again).unwrap();
             w.finish().unwrap();
             assert!(got == want, "{format}: the shifted run differs");
+        }
+    }
+
+    #[test]
+    fn a_correlated_store_exports_the_owned_correlation_bytes() {
+        let spans: Vec<Span> = profile().iter_spans().cloned().collect();
+        let owned = CorrelationEngine::new().correlate(Trace::from_spans(spans.clone()));
+        let store = SpanStore::from_spans(&spans);
+        let mut cache = StoreCorrelationCache::new();
+        cache.refresh(&mut CorrelationEngine::new(), &store);
+        for format in ExportFormat::ALL {
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            let n = export_correlated_store(&cache.correlated(&store), format, &mut got).unwrap();
+            assert_eq!(n, export_correlated(&owned, format, &mut want).unwrap());
+            assert!(got == want, "{format}: the store export differs");
         }
     }
 

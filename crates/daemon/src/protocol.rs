@@ -148,45 +148,101 @@ pub fn write_frame(w: &mut impl Write, kind: FrameKind, payload: &[u8]) -> io::R
 
 /// Incremental frame decoder over any [`Read`].
 ///
-/// Bytes accumulate in an internal buffer, so a read timeout mid-frame
-/// ([`FrameError::TimedOut`]) loses nothing: the next [`FrameReader::next_frame`]
-/// call resumes where the stream paused. This is what lets the daemon poll
-/// connections with a socket read timeout while staying correct against
-/// clients that dribble a frame one byte at a time.
+/// Received bytes are kept across calls, so a read timeout mid-frame
+/// ([`FrameError::TimedOut`]) loses nothing: the next
+/// [`FrameReader::next_frame`] call resumes where the stream paused. This
+/// is what lets the daemon poll connections with a socket read timeout
+/// while staying correct against clients that dribble a frame one byte at
+/// a time.
+///
+/// The header is read on its own; once its kind and length pass their
+/// checks, the payload is read straight into the `Vec` the frame carries
+/// out. That buffer grows only as bytes arrive (by doubling, from 8 KiB)
+/// and never past the announced length, so a header announcing a large
+/// payload costs nothing until the payload comes.
 pub struct FrameReader<R> {
     src: R,
-    buf: Vec<u8>,
+    header: [u8; HEADER_LEN],
+    /// Header bytes received for the frame being read.
+    have_header: usize,
+    /// The payload being read: `filled` bytes received, the rest of its
+    /// length zeroed room for the next read.
+    payload: Vec<u8>,
+    filled: usize,
 }
+
+/// The payload buffer's first size, when the frame is at least this long.
+const FIRST_READ: usize = 8192;
 
 impl<R: Read> FrameReader<R> {
     /// Wraps `src`.
     pub fn new(src: R) -> Self {
         Self {
             src,
-            buf: Vec::new(),
+            header: [0; HEADER_LEN],
+            have_header: 0,
+            payload: Vec::new(),
+            filled: 0,
         }
     }
 
     /// Reads the next frame. `Ok(None)` means the stream ended cleanly at a
     /// frame boundary; any other premature end is [`FrameError::Torn`].
     pub fn next_frame(&mut self) -> Result<Option<Frame>, FrameError> {
-        loop {
-            if let Some(frame) = self.try_decode()? {
-                return Ok(Some(frame));
-            }
-            let mut chunk = [0u8; 8192];
-            match self.src.read(&mut chunk) {
-                Ok(0) => {
-                    return if self.buf.is_empty() {
-                        Ok(None)
-                    } else {
-                        Err(FrameError::Torn {
-                            have: self.buf.len(),
-                            want: self.expected_len(),
-                        })
-                    };
+        while self.have_header < HEADER_LEN {
+            match self.read()? {
+                0 if self.have_header == 0 => return Ok(None),
+                0 => {
+                    return Err(FrameError::Torn {
+                        have: self.have_header,
+                        want: HEADER_LEN,
+                    })
                 }
-                Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
+                n => self.have_header += n,
+            }
+        }
+        // The header is validated before any payload allocation.
+        let kind =
+            FrameKind::from_byte(self.header[0]).ok_or(FrameError::UnknownKind(self.header[0]))?;
+        let len = u32::from_be_bytes(self.header[1..].try_into().expect("4 bytes")) as usize;
+        if len > MAX_PAYLOAD {
+            return Err(FrameError::Oversized { len });
+        }
+        while self.filled < len {
+            if self.filled == self.payload.len() {
+                let room = (2 * self.payload.len()).max(FIRST_READ).min(len);
+                self.payload.reserve_exact(room - self.payload.len());
+                self.payload.resize(room, 0);
+            }
+            match self.read()? {
+                0 => {
+                    return Err(FrameError::Torn {
+                        have: HEADER_LEN + self.filled,
+                        want: HEADER_LEN + len,
+                    })
+                }
+                n => self.filled += n,
+            }
+        }
+        self.have_header = 0;
+        self.filled = 0;
+        Ok(Some(Frame {
+            kind,
+            payload: std::mem::take(&mut self.payload),
+        }))
+    }
+
+    /// One read into the header's or the payload's free room, retrying
+    /// interrupts; a timeout is [`FrameError::TimedOut`].
+    fn read(&mut self) -> Result<usize, FrameError> {
+        loop {
+            let room = if self.have_header < HEADER_LEN {
+                &mut self.header[self.have_header..]
+            } else {
+                &mut self.payload[self.filled..]
+            };
+            match self.src.read(room) {
+                Ok(n) => return Ok(n),
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(e)
                     if e.kind() == io::ErrorKind::WouldBlock
@@ -197,38 +253,6 @@ impl<R: Read> FrameReader<R> {
                 Err(e) => return Err(FrameError::Io(e)),
             }
         }
-    }
-
-    /// Total frame size the buffered header announces (header included), or
-    /// a lower bound when even the header is incomplete.
-    fn expected_len(&self) -> usize {
-        if self.buf.len() < HEADER_LEN {
-            return HEADER_LEN;
-        }
-        let len = u32::from_be_bytes(self.buf[1..5].try_into().expect("4 bytes")) as usize;
-        HEADER_LEN + len
-    }
-
-    /// Decodes one frame from the buffer if it holds a complete one.
-    /// Header validation (kind, bound) happens as soon as the header is
-    /// buffered — an oversized length is rejected before any payload
-    /// allocation.
-    fn try_decode(&mut self) -> Result<Option<Frame>, FrameError> {
-        if self.buf.len() < HEADER_LEN {
-            return Ok(None);
-        }
-        let kind = FrameKind::from_byte(self.buf[0]).ok_or(FrameError::UnknownKind(self.buf[0]))?;
-        let len = u32::from_be_bytes(self.buf[1..5].try_into().expect("4 bytes")) as usize;
-        if len > MAX_PAYLOAD {
-            return Err(FrameError::Oversized { len });
-        }
-        if self.buf.len() < HEADER_LEN + len {
-            return Ok(None);
-        }
-        let mut rest = self.buf.split_off(HEADER_LEN + len);
-        std::mem::swap(&mut self.buf, &mut rest);
-        let payload = rest[HEADER_LEN..].to_vec();
-        Ok(Some(Frame { kind, payload }))
     }
 }
 
@@ -392,6 +416,54 @@ mod tests {
         assert_eq!(frame.kind, FrameKind::Export);
         assert_eq!(frame.payload, b"{\"session\":1}");
         assert!(timeouts >= bytes.len(), "one timeout per dribbled byte");
+    }
+
+    /// A reader that hands out at most `chunk` bytes per read, then times
+    /// out once it has handed out `stop` bytes.
+    struct Chunked {
+        bytes: Vec<u8>,
+        pos: usize,
+        chunk: usize,
+        stop: usize,
+    }
+
+    impl Read for Chunked {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            if self.pos >= self.stop {
+                return Err(io::Error::new(io::ErrorKind::WouldBlock, "not yet"));
+            }
+            let n = buf.len().min(self.chunk).min(self.bytes.len() - self.pos);
+            buf[..n].copy_from_slice(&self.bytes[self.pos..self.pos + n]);
+            self.pos += n;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn payload_buffer_grows_with_arrivals_and_never_past_the_length() {
+        let payload: Vec<u8> = (0..100_000u32).map(|i| i as u8).collect();
+        let bytes = encode(FrameKind::Append, &payload);
+        let mut r = FrameReader::new(Chunked {
+            bytes: bytes.clone(),
+            pos: 0,
+            chunk: 4096,
+            stop: HEADER_LEN + 100,
+        });
+        assert!(matches!(r.next_frame(), Err(FrameError::TimedOut)));
+        assert_eq!(
+            r.payload.capacity(),
+            FIRST_READ,
+            "100 bytes in, the buffer holds one first read"
+        );
+        r.src.stop = usize::MAX;
+        let frame = r.next_frame().unwrap().unwrap();
+        assert_eq!(frame.payload, payload);
+        assert_eq!(
+            frame.payload.capacity(),
+            payload.len(),
+            "no room past the length"
+        );
+        assert!(r.next_frame().unwrap().is_none());
     }
 
     #[test]

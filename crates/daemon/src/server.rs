@@ -25,7 +25,7 @@
 use crate::protocol::{
     err_payload, write_frame, Frame, FrameError, FrameKind, FrameReader, DATA_CHUNK, MAX_PAYLOAD,
 };
-use crate::session::{ExportCache, OnFull, Session, SessionStats, DEFAULT_QUOTA};
+use crate::session::{ExportCache, OnFull, Session, SessionError, SessionStats, DEFAULT_QUOTA};
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
 use std::io::{self, Write};
@@ -477,35 +477,18 @@ fn handle_frame(
             };
             // Batch encoding is sniffed per append: `.xspb` span binary
             // (magic-prefixed) or span-JSON-lines, so one session can mix
-            // producers.
-            let body = &frame.payload[8..];
-            let spans = if xsp_trace::export::is_xspb_prefix(body) {
-                match xsp_trace::export::read_span_binary(body) {
-                    Ok(trace) => trace.into_spans(),
-                    Err(e) => {
-                        return conn.reply_err("bad_payload", &format!("span binary: {e}"));
-                    }
-                }
-            } else {
-                match xsp_trace::export::read_span_json_lines(body) {
-                    Ok(trace) => trace.into_spans(),
-                    Err(e) => {
-                        return conn.reply_err("bad_payload", &format!("span JSONL: {e}"));
-                    }
-                }
-            };
-            let appended = session.lock().append(spans);
+            // producers. The body is parsed straight into the session's
+            // store.
+            let appended = session.lock().append_bytes(&frame.payload[8..]);
             match appended {
                 Ok(stats) => conn.reply(FrameKind::Ok, &stats_payload(stats, &[])),
-                Err(e @ crate::session::SessionError::QuotaExceeded { .. }) => {
-                    conn.reply_err("quota_exceeded", &e.to_string())
+                Err(e @ SessionError::BadPayload(_)) => {
+                    conn.reply_err("bad_payload", &e.to_string())
                 }
-                Err(e @ crate::session::SessionError::BatchOverQuota { .. }) => {
-                    conn.reply_err("quota_exceeded", &e.to_string())
-                }
-                Err(e @ crate::session::SessionError::SinkError(_)) => {
-                    conn.reply_err("sink_error", &e.to_string())
-                }
+                Err(
+                    e @ (SessionError::QuotaExceeded { .. } | SessionError::BatchOverQuota { .. }),
+                ) => conn.reply_err("quota_exceeded", &e.to_string()),
+                Err(e @ SessionError::SinkError(_)) => conn.reply_err("sink_error", &e.to_string()),
             }
         }
         FrameKind::Flush => {

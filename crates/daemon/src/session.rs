@@ -2,23 +2,36 @@
 //! optional [`ExportSink`] the store spills to under quota pressure and
 //! persists to on close.
 //!
+//! Spans stay columnar from the wire to the writer. An `Append` body is
+//! parsed straight into the session's [`SpanStore`] (`.xspb` through
+//! [`SpanBinaryReader::read_into_store`], span-JSON-lines through
+//! [`read_span_json_lines_into_store`]); exports write the store through
+//! its correlation cache's verdicts ([`export_correlated_store`]), and
+//! flushes and spills write the unsunk store rows. No step builds an owned
+//! span per resident span.
+//!
 //! Memory is bounded per session by a span quota. An accepted batch is
 //! pushed into the resident store in the order it arrived on the wire, so
 //! a live export lists runs and spans exactly as `xsp export --from` of
 //! the same capture does, and "resident" always means the store length.
-//! When an append would exceed the quota the session applies its
-//! backpressure policy: [`OnFull::Shed`] rejects the batch with an explicit
-//! error the daemon turns into an `Err` frame, [`OnFull::Block`] evicts the
-//! store to the sink first (the producer stalls for the duration of the
-//! sink write) and then accepts. Evicted spans are durable in the sink but no longer
+//! A batch is atomic: it lands whole or not at all. One that is malformed
+//! or refused is truncated back out of the store, so stats, later exports
+//! and the content fingerprint are as if it never arrived. When an append
+//! would exceed the quota the session applies its backpressure policy:
+//! [`OnFull::Shed`] rejects the batch with an explicit error the daemon
+//! turns into an `Err` frame, [`OnFull::Block`] evicts the store to the
+//! sink first (the producer stalls for the duration of the sink write) and
+//! then accepts. Evicted spans are durable in the sink but no longer
 //! visible to live export — the `spilled` counter in every ack makes that
 //! trade visible to the client.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use xsp_core::cache::{Fnv128, ShardedCache};
-use xsp_core::export::{export_correlated, ExportFormat, ExportSink};
-use xsp_trace::export::spans_to_binary;
+use xsp_core::export::{export_correlated_store, ExportFormat, ExportSink};
+use xsp_trace::export::{
+    is_xspb_prefix, read_span_json_lines_into_store, SpanBinaryReader, SpanBinaryWriter,
+};
 use xsp_trace::{CorrelationEngine, Span, SpanStore, StoreCorrelationCache};
 
 /// Process-wide export byte cache shared by every session of a daemon:
@@ -87,6 +100,9 @@ pub enum SessionError {
     },
     /// The sink latched a write error while spilling.
     SinkError(String),
+    /// The batch body is not a span capture: the `.xspb` or span-JSON-lines
+    /// reader's error, naming the encoding.
+    BadPayload(String),
 }
 
 impl std::fmt::Display for SessionError {
@@ -102,6 +118,7 @@ impl std::fmt::Display for SessionError {
                  flush or close the session, or open with on_full=block"
             ),
             SessionError::SinkError(msg) => write!(f, "session sink failed: {msg}"),
+            SessionError::BadPayload(msg) => f.write_str(msg),
         }
     }
 }
@@ -113,8 +130,8 @@ impl std::error::Error for SessionError {}
 /// Residency is columnar: accepted spans land in a [`SpanStore`] (interned
 /// names, struct-of-arrays columns, shared tag/log arenas), so a session
 /// holding its quota of spans costs one arena instead of a `Vec` of owned
-/// span objects. Spans are materialized back only at the boundaries that
-/// need the interchange type — sink spills and live export.
+/// span objects. Spans stay there from the append to every export, flush
+/// and spill, which read the store rows in place.
 pub struct Session {
     id: u64,
     store: SpanStore,
@@ -136,11 +153,18 @@ pub struct Session {
     spilled: u64,
     last_activity: Instant,
     /// Running fingerprint of the resident content: every accepted batch
-    /// folds its canonical `.xspb` re-encoding in (so JSONL and binary
-    /// appends of the same spans hash identically), and a spill resets it
-    /// (evicted spans are no longer visible to live export). Sessions with
-    /// equal fingerprints hold byte-identical resident captures.
+    /// folds in the `.xspb` encoding of its rows, read back from the store
+    /// (so JSONL, `.xspb` and owned appends of the same spans hash
+    /// identically), and a spill resets it (evicted spans are no longer
+    /// visible to live export). Sessions with equal fingerprints hold
+    /// byte-identical resident captures.
     content_hash: Fnv128,
+    /// The buffer each batch's rows are encoded into for the fingerprint.
+    hash_buf: Vec<u8>,
+    /// The length of the last export in each format (by
+    /// [`ExportFormat::ALL`] position): the next one starts with that
+    /// capacity.
+    export_lens: [usize; 4],
     /// Export byte cache shared across the daemon's sessions, installed by
     /// the registry at open; `None` for standalone sessions (unit tests).
     export_cache: Option<Arc<ExportCache>>,
@@ -163,6 +187,8 @@ impl Session {
             spilled: 0,
             last_activity: Instant::now(),
             content_hash: Fnv128::new(),
+            hash_buf: Vec::new(),
+            export_lens: [0; 4],
             export_cache: None,
         }
     }
@@ -204,57 +230,111 @@ impl Session {
         }
     }
 
-    /// Materializes the store suffix past `sunk` into interchange spans
-    /// (the sink boundary) without touching already-persisted entries.
-    fn unsunk_spans(&self) -> Vec<Span> {
-        (self.sunk..self.store.len())
-            .map(|i| self.store.materialize(i as u32))
-            .collect()
-    }
-
-    /// Ingests one span batch into the resident store, in wire order,
+    /// Ingests one batch of owned spans into the resident store, in order,
     /// applying the backpressure policy. The batch is atomic: it is
     /// accepted whole or refused whole.
     pub fn append(&mut self, spans: Vec<Span>) -> Result<SessionStats, SessionError> {
+        self.land(|store| {
+            for span in &spans {
+                store.push(span);
+            }
+            Ok(())
+        })
+    }
+
+    /// Ingests one `Append` body — `.xspb` (sniffed by its magic) or
+    /// span-JSON-lines — straight into the resident store, with the
+    /// atomicity and backpressure of [`Session::append`]. A body either
+    /// reader refuses is [`SessionError::BadPayload`], even when it would
+    /// also exceed the quota.
+    pub fn append_bytes(&mut self, body: &[u8]) -> Result<SessionStats, SessionError> {
+        self.land(|store| {
+            if is_xspb_prefix(body) {
+                SpanBinaryReader::new(body)
+                    .read_into_store(store)
+                    .map_err(|e| format!("span binary: {e}"))
+            } else {
+                read_span_json_lines_into_store(body, store).map_err(|e| format!("span JSONL: {e}"))
+            }
+            .map(drop)
+        })
+    }
+
+    /// Lands one batch: `ingest` pushes it onto the store, then the quota
+    /// decides. A batch that fails to ingest or is refused is truncated back
+    /// out; under [`OnFull::Block`] the store is spilled and the batch
+    /// ingested again, now at the front. An accepted batch's rows are folded
+    /// into the content fingerprint.
+    fn land(
+        &mut self,
+        ingest: impl Fn(&mut SpanStore) -> Result<(), String>,
+    ) -> Result<SessionStats, SessionError> {
         self.touch();
-        let n = spans.len();
+        let mut mark = self.store.len();
+        let landed = ingest(&mut self.store);
+        let n = self.store.len() - mark;
+        if let Err(msg) = landed {
+            self.store.truncate(mark);
+            return Err(SessionError::BadPayload(msg));
+        }
         if n > self.quota {
+            self.store.truncate(mark);
             return Err(SessionError::BatchOverQuota {
                 batch: n,
                 quota: self.quota,
             });
         }
-        if self.store.len() + n > self.quota {
+        if mark + n > self.quota {
+            self.store.truncate(mark);
             match self.on_full {
                 OnFull::Shed => {
                     return Err(SessionError::QuotaExceeded {
-                        resident: self.store.len(),
+                        resident: mark,
                         quota: self.quota,
                     });
                 }
-                OnFull::Block => self.spill()?,
+                OnFull::Block => {
+                    self.spill()?;
+                    ingest(&mut self.store).expect("a batch that landed once lands again");
+                    mark = 0;
+                }
             }
         }
-        // The batch is accepted: fold its canonical binary encoding into
-        // the content fingerprint, then store it.
-        self.content_hash
-            .write_field("batch", &spans_to_binary(&spans));
-        for span in &spans {
-            self.store.push(span);
-        }
+        self.fingerprint_rows(mark);
         self.total += n as u64;
         Ok(self.stats())
+    }
+
+    /// Folds the rows from `from` on, one accepted batch, into the content
+    /// fingerprint: their `.xspb` encoding, exactly the bytes
+    /// `spans_to_binary` gives for the same spans, written into a reused
+    /// buffer.
+    fn fingerprint_rows(&mut self, from: usize) {
+        let mut buf = std::mem::take(&mut self.hash_buf);
+        buf.clear();
+        let mut w = SpanBinaryWriter::new(&mut buf).expect("writing to a Vec cannot fail");
+        for i in from..self.store.len() {
+            w.write_span(self.store.view(i as u32))
+                .expect("writing to a Vec cannot fail");
+        }
+        drop(w);
+        self.content_hash.write_field("batch", &buf);
+        self.hash_buf = buf;
+    }
+
+    /// Writes the store rows past `sunk` to the sink, in place.
+    fn write_unsunk(&self, sink: &ExportSink) {
+        sink.write_spans((self.sunk..self.store.len()).map(|i| self.store.view(i as u32)));
     }
 
     /// Evicts the entire resident store to the sink (the [`OnFull::Block`]
     /// path). Spans a previous flush already persisted are not re-written.
     fn spill(&mut self) -> Result<(), SessionError> {
-        let suffix = self.unsunk_spans();
         let sink = self
             .sink
             .as_ref()
             .expect("block policy without a sink is rejected at open");
-        sink.write_spans(&suffix);
+        self.write_unsunk(sink);
         if let Some(msg) = sink.error_message() {
             return Err(SessionError::SinkError(msg));
         }
@@ -278,8 +358,7 @@ impl Session {
         self.touch();
         let sink_error = match &self.sink {
             Some(sink) => {
-                let suffix = self.unsunk_spans();
-                sink.write_spans(&suffix);
+                self.write_unsunk(sink);
                 self.sunk = self.store.len();
                 let _ = sink.flush();
                 sink.error_message()
@@ -294,35 +373,38 @@ impl Session {
     /// per-session [`StoreCorrelationCache`] re-correlates only runs whose
     /// store bucket grew since the previous export (append-only stores keep
     /// finalized runs bit-identical), so a repeat export is O(new spans).
-    /// The cache keeps the engine's verdicts per run and turns them into
-    /// spans through the step an owned trace's correlation uses — the same
-    /// parents and the same launch-tag fold, even when a batch boundary
-    /// split a launch from its execution — and the correlated trace is
-    /// written by the same [`export_correlated`] the offline path calls,
-    /// so a capture streamed through the daemon exports byte-identically
-    /// to the same capture converted one-shot.
+    /// The cache keeps the engine's verdicts per run, and
+    /// [`export_correlated_store`] writes each store row through its
+    /// verdict — the parents and the launch-tag fold an owned trace's
+    /// correlation gives, even when a batch boundary split a launch from
+    /// its execution — with the bytes `export_correlated` writes for the
+    /// same capture converted one-shot. No owned span is built.
     /// When a daemon-wide [`ExportCache`] is installed, the finished bytes
     /// are additionally shared by content fingerprint: a second session
     /// that ingested the same capture serves its export straight from the
-    /// cache, with zero correlation passes of its own.
-    pub fn export_bytes(&mut self, format: ExportFormat) -> Vec<u8> {
+    /// cache, with zero correlation passes of its own. The bytes are
+    /// returned as the cache holds them, not copied.
+    pub fn export_bytes(&mut self, format: ExportFormat) -> Arc<Vec<u8>> {
         self.touch();
         if self.store.is_empty() {
-            return Vec::new();
+            return Arc::default();
         }
         let key = self.export_key(format);
-        if let Some(cache) = &self.export_cache {
-            if let Some(hit) = cache.get(key) {
-                return (*hit).clone();
-            }
+        if let Some(hit) = self.export_cache.as_ref().and_then(|cache| cache.get(key)) {
+            return hit;
         }
         self.correlation.refresh(&mut self.engine, &self.store);
-        let correlated = self.correlation.materialize(&self.store);
-        let mut out = Vec::new();
-        export_correlated(&correlated, format, &mut out)
+        let slot = ExportFormat::ALL
+            .iter()
+            .position(|&f| f == format)
+            .expect("every format is listed");
+        let mut out = Vec::with_capacity(self.export_lens[slot]);
+        export_correlated_store(&self.correlation.correlated(&self.store), format, &mut out)
             .expect("export to an in-memory buffer cannot fail");
+        self.export_lens[slot] = out.len();
+        let out = Arc::new(out);
         if let Some(cache) = &self.export_cache {
-            cache.insert(key, Arc::new(out.clone()));
+            cache.insert(key, Arc::clone(&out));
         }
         out
     }
@@ -539,11 +621,135 @@ mod tests {
         assert!(b.correlation_passes() > 0, "divergent content correlates");
     }
 
+    /// A capture with every tag kind, a log, a string that needs escaping
+    /// and a launch/execution pair, over two runs.
+    fn mixed_capture() -> Vec<Span> {
+        use xsp_trace::span::tag_keys;
+        let model = SpanBuilder::new("predict \"q\"", StackLevel::Model, TraceId(1))
+            .start(0)
+            .tag("batch_size", 4u64)
+            .tag("note", "tab\there")
+            .tag("neg", xsp_trace::TagValue::I64(-3))
+            .tag("occ", 0.25f64)
+            .tag("flag", false)
+            .log(5, "warm ✓")
+            .finish(1_000);
+        let launch = SpanBuilder::new("cudaLaunchKernel", StackLevel::Kernel, TraceId(1))
+            .start(10)
+            .tag(tag_keys::CORRELATION_ID, 7u64)
+            .tag(tag_keys::ASYNC_LAUNCH, true)
+            .finish(20);
+        let exec = SpanBuilder::new("volta", StackLevel::Kernel, TraceId(1))
+            .start(30)
+            .tag(tag_keys::CORRELATION_ID, 7u64)
+            .tag(tag_keys::ASYNC_EXECUTION, true)
+            .finish(900);
+        let mut spans = vec![model, launch, exec];
+        spans.extend(run_spans(2, 3));
+        spans
+    }
+
+    #[test]
+    fn content_fingerprint_is_the_same_for_jsonl_xspb_and_owned_appends() {
+        use crate::client::{spans_to_binary, spans_to_jsonl};
+        let capture = mixed_capture();
+        let (first, second) = capture.split_at(2);
+        let mut owned = Session::new(1, 1000, OnFull::Shed, None);
+        let mut jsonl = Session::new(2, 1000, OnFull::Shed, None);
+        let mut xspb = Session::new(3, 1000, OnFull::Shed, None);
+        for batch in [first, second] {
+            owned.append(batch.to_vec()).unwrap();
+            jsonl.append_bytes(&spans_to_jsonl(batch)).unwrap();
+            xspb.append_bytes(&spans_to_binary(batch)).unwrap();
+        }
+        assert_eq!(owned.content_fingerprint(), jsonl.content_fingerprint());
+        assert_eq!(owned.content_fingerprint(), xspb.content_fingerprint());
+        // The fingerprint is the one the owned batches' `.xspb` encoding
+        // gives.
+        let mut expected = Fnv128::new();
+        for batch in [first, second] {
+            expected.write_field("batch", &spans_to_binary(batch));
+        }
+        assert_eq!(owned.content_fingerprint(), expected.finish());
+        for format in ExportFormat::ALL {
+            let bytes = owned.export_bytes(format);
+            assert_eq!(bytes, jsonl.export_bytes(format), "{format}");
+            assert_eq!(bytes, xspb.export_bytes(format), "{format}");
+        }
+    }
+
+    /// Everything a refused batch could disturb.
+    fn observe(s: &mut Session) -> (SessionStats, u128, Vec<Arc<Vec<u8>>>) {
+        let exports = ExportFormat::ALL.map(|f| s.export_bytes(f)).to_vec();
+        (s.stats(), s.content_fingerprint(), exports)
+    }
+
+    #[test]
+    fn a_refused_batch_leaves_the_session_as_if_it_never_arrived() {
+        use crate::client::{spans_to_binary, spans_to_jsonl};
+        let capture = mixed_capture();
+        let mut before = Session::new(1, 8, OnFull::Shed, None);
+        before.append_bytes(&spans_to_jsonl(&capture)).unwrap();
+        let want = observe(&mut before);
+
+        let mut torn_jsonl = spans_to_jsonl(&run_spans(3, 3));
+        torn_jsonl.truncate(torn_jsonl.len() - 10);
+        let mut torn_xspb = spans_to_binary(&run_spans(3, 3));
+        torn_xspb.truncate(torn_xspb.len() - 3);
+        let over = spans_to_binary(&run_spans(3, 3));
+        let mut s = Session::new(1, 8, OnFull::Shed, None);
+        s.append_bytes(&spans_to_jsonl(&capture)).unwrap();
+        for (body, code) in [
+            (&torn_jsonl, "span JSONL"),
+            (&torn_xspb, "span binary"),
+            (&over, "quota"),
+        ] {
+            let err = s.append_bytes(body).unwrap_err();
+            assert!(err.to_string().contains(code), "{err}");
+            assert_eq!(observe(&mut s), want, "{code}");
+        }
+        // A malformed batch is bad_payload even when it is also over quota.
+        let mut big_torn = spans_to_jsonl(&run_spans(3, 20));
+        big_torn.truncate(big_torn.len() - 10);
+        assert!(matches!(
+            s.append_bytes(&big_torn),
+            Err(SessionError::BadPayload(msg)) if msg.contains("line 20")
+        ));
+        assert_eq!(observe(&mut s), want);
+        // Later appends land as on the untouched session.
+        let next = spans_to_jsonl(&run_spans(2, 1));
+        s.append_bytes(&next).unwrap();
+        before.append_bytes(&next).unwrap();
+        assert_eq!(observe(&mut s), observe(&mut before));
+    }
+
+    #[test]
+    fn a_sink_error_under_block_lands_nothing() {
+        struct Broken;
+        impl std::io::Write for Broken {
+            fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+                Err(std::io::Error::other("disk full"))
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let capture = crate::client::spans_to_jsonl(&run_spans(1, 3));
+        let mut s = Session::new(1, 4, OnFull::Block, Some(ExportSink::new(Broken)));
+        s.append_bytes(&capture).unwrap();
+        let want = observe(&mut s);
+        match s.append_bytes(&capture) {
+            Err(SessionError::SinkError(msg)) => assert!(msg.contains("disk full"), "{msg}"),
+            other => panic!("expected a sink error, got {other:?}"),
+        }
+        assert_eq!(observe(&mut s), want);
+    }
+
     #[test]
     fn content_fingerprint_is_encoding_agnostic_and_resets_on_spill() {
-        // The fingerprint hashes the canonical re-encoding, so a session
-        // fed parsed spans (whether the wire carried JSONL or .xspb, the
-        // daemon parses both to `Vec<Span>`) fingerprints identically.
+        // The fingerprint hashes the `.xspb` encoding of the rows read back
+        // from the store, so two sessions fed the same spans fingerprint
+        // identically.
         let mut a = Session::new(1, 1000, OnFull::Shed, None);
         let mut b = Session::new(2, 1000, OnFull::Shed, None);
         let capture = run_spans(1, 4);

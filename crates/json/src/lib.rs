@@ -247,12 +247,22 @@ impl<'a> Lexer<'a> {
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
+        // RFC 8259: an integer part is one `0` or starts with `1`-`9`, and
+        // a `.` must be followed by a digit.
+        let int_start = self.pos;
         self.digits();
+        if self.pos - int_start > 1 && self.text.as_bytes()[int_start] == b'0' {
+            return Err(self.syntax("invalid number"));
+        }
         let mut is_float = false;
         if self.peek() == Some(b'.') {
             is_float = true;
             self.pos += 1;
+            let frac_start = self.pos;
             self.digits();
+            if self.pos == frac_start {
+                return Err(self.syntax("invalid number"));
+            }
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
             is_float = true;
@@ -267,8 +277,11 @@ impl<'a> Lexer<'a> {
             if let Ok(v) = text.parse::<u64>() {
                 return Ok(Number::PosInt(v));
             }
-            if let Ok(v) = text.parse::<i64>() {
-                return Ok(Number::NegInt(v));
+            // `-0` is the float -0.0, as `serde_json` reads it.
+            match text.parse::<i64>() {
+                Ok(0) => return Ok(Number::Float(-0.0)),
+                Ok(v) => return Ok(Number::NegInt(v)),
+                Err(_) => {}
             }
         }
         text.parse::<f64>()
@@ -454,8 +467,13 @@ impl<'a> Lexer<'a> {
             .as_bytes()
             .get(self.pos..self.pos + 4)
             .ok_or_else(|| self.syntax("truncated \\u escape"))?;
-        let hex = std::str::from_utf8(hex).map_err(|_| self.syntax("non-ASCII in \\u escape"))?;
-        let code = u32::from_str_radix(hex, 16).map_err(|_| self.syntax("invalid \\u escape"))?;
+        // Exactly four hex digits: no sign, no other character.
+        if !hex.iter().all(u8::is_ascii_hexdigit) {
+            return Err(self.syntax("invalid \\u escape"));
+        }
+        let code = hex.iter().fold(0, |code, &b| {
+            code << 4 | (b as char).to_digit(16).expect("a hex digit")
+        });
         self.pos += 4;
         Ok(code)
     }
@@ -488,6 +506,7 @@ mod tests {
             (r#""\ud83d\u0041""#, "invalid low surrogate"),
             (r#""\udc00""#, "invalid unicode escape"),
             (r#""\u12""#, "truncated \\u escape"),
+            (r#""\u+041""#, "invalid \\u escape"),
             (r#""\q""#, "invalid escape character"),
             (r#""open"#, "unterminated string"),
         ] {
@@ -525,6 +544,22 @@ mod tests {
         );
         assert!(matches!(number("-"), Err(Error::Syntax { .. })));
         assert!(matches!(number("1e"), Err(Error::Syntax { .. })));
+        // RFC 8259 refuses a leading zero before a digit and a fraction
+        // without digits, as `serde_json` does.
+        for bad in ["01", "-01", "00.5", "1.", "1.e5"] {
+            assert!(
+                matches!(number(bad), Err(Error::Syntax { ref message, .. }) if message == "invalid number"),
+                "{bad} read as {:?}",
+                number(bad)
+            );
+        }
+        assert_eq!(number("0.5"), Ok(Number::Float(0.5)));
+        assert_eq!(number("-0.5"), Ok(Number::Float(-0.5)));
+        // `-0` is the float -0.0: its sign survives.
+        match number("-0") {
+            Ok(Number::Float(v)) => assert!(v == 0.0 && v.is_sign_negative(), "{v}"),
+            other => panic!("-0 read as {other:?}"),
+        }
     }
 
     #[test]

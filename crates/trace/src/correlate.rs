@@ -26,10 +26,13 @@
 //! spans are asked for). The pass reads a run through a small positional
 //! view and writes its verdicts into an engine-owned buffer, so both
 //! containers get their merge, parent and ambiguity results from the same
-//! code; one private step then turns a run's verdicts into the plain
-//! [`Span`]s of a [`CorrelatedTrace`] for both — moving them out of a
-//! `Trace` without cloning, or materializing them from a store — and one
-//! function folds a launch's tags into its execution. Interval trees are
+//! code. For an owned trace one private step turns a run's verdicts into
+//! the plain [`Span`]s of a [`CorrelatedTrace`], moving them out of the
+//! `Trace` without cloning; a store keeps its verdicts in a
+//! [`StoreCorrelationCache`] and is written through them as a
+//! [`CorrelatedStore`], one [`CorrelatedRow`] per surviving span, with no
+//! owned span built. Both fold a launch's tags into its execution by one
+//! rule, and index parents and children by one rule. Interval trees are
 //! built *lazily*: a level's tree is built on the first probe against it
 //! and cached for the rest of the run, so levels nothing probes (notably
 //! the kernel level, which holds most spans but can never be anyone's
@@ -40,7 +43,7 @@ use crate::export::ValidatedSpanBinary;
 use crate::fxhash::FxHashMap;
 use crate::interval::{Interval, IntervalTree};
 use crate::server::Trace;
-use crate::span::{tag_keys, Span, SpanId, StackLevel, TraceId};
+use crate::span::{tag_keys, Span, SpanFields, SpanId, StackLevel, TraceId};
 use crate::store::{SpanStore, TagRef, HAS_CID, IS_EXEC, IS_LAUNCH};
 use std::sync::OnceLock;
 
@@ -107,64 +110,131 @@ pub struct CorrelatedTrace {
     pub ambiguities: AmbiguityReport,
 }
 
-/// The spans of a [`CorrelatedTrace`] with their indexes.
+/// The spans of a [`CorrelatedTrace`] with their index.
 #[derive(Debug, Clone, Default)]
 struct SpanTable {
     /// Correlated spans in publication order.
     spans: Vec<Span>,
-    /// `(trace id, span id) → index` (first occurrence wins).
-    index_of: FxHashMap<(TraceId, SpanId), usize>,
-    /// Child indices of each span, in appearance order.
-    children: Vec<Vec<usize>>,
-    /// Indices of spans with no parent *present in their run*, ascending.
-    roots: Vec<usize>,
+    forest: SpanForest,
 }
 
 impl SpanTable {
     fn new(spans: Vec<Span>) -> Self {
+        let forest = SpanForest::new(spans.len(), |i| {
+            let s = &spans[i];
+            (s.trace_id, s.id, s.parent)
+        });
+        Self { spans, forest }
+    }
+}
+
+/// The parent/child index over a sequence of correlated spans, built from
+/// each span's (trace id, span id, parent) triple: `(trace id, span id) →
+/// position` with the first occurrence winning, each span's parent
+/// position, and — built on first use — the children of every span in
+/// appearance order and the roots. A parent reference resolves only
+/// within its span's own run and to the first occurrence of a repeated id,
+/// so the children form a forest: a walk from the roots stays in one run
+/// and visits each span at most once. An owned [`CorrelatedTrace`] and a
+/// [`CorrelatedStore`] index their spans through this one rule.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct SpanForest {
+    index_of: FxHashMap<(TraceId, SpanId), usize>,
+    /// Each span's parent position, when the parent is in its run.
+    parents: Vec<Option<usize>>,
+    /// Children and roots, derived from `parents`; a re-parent drops them.
+    adjacency: OnceLock<Adjacency>,
+}
+
+/// The children of every span in one flat list, `children[starts[i] ..
+/// starts[i + 1]]` for span `i`, ascending, and the ascending roots.
+#[derive(Debug, Clone, Default)]
+struct Adjacency {
+    starts: Vec<usize>,
+    children: Vec<usize>,
+    roots: Vec<usize>,
+}
+
+impl SpanForest {
+    /// Indexes `len` spans whose triples `triple` returns by position.
+    pub(crate) fn new(
+        len: usize,
+        triple: impl Fn(usize) -> (TraceId, SpanId, Option<SpanId>),
+    ) -> Self {
         let mut index_of = FxHashMap::default();
-        index_of.reserve(spans.len());
-        for (i, s) in spans.iter().enumerate() {
-            index_of.entry((s.trace_id, s.id)).or_insert(i);
+        index_of.reserve(len);
+        for i in 0..len {
+            let (trace_id, id, _) = triple(i);
+            index_of.entry((trace_id, id)).or_insert(i);
         }
-        let mut table = Self {
-            children: vec![Vec::new(); spans.len()],
-            spans,
+        let parents = (0..len)
+            .map(|i| {
+                let (trace_id, _, parent) = triple(i);
+                index_of.get(&(trace_id, parent?)).copied()
+            })
+            .collect();
+        Self {
             index_of,
-            roots: Vec::new(),
-        };
-        for i in 0..table.spans.len() {
-            match table.parent_index(i) {
-                Some(p) => table.children[p].push(i),
-                None => table.roots.push(i),
+            parents,
+            adjacency: OnceLock::new(),
+        }
+    }
+
+    fn adjacency(&self) -> &Adjacency {
+        self.adjacency.get_or_init(|| {
+            let n = self.parents.len();
+            let mut starts = vec![0usize; n + 1];
+            for &p in self.parents.iter().flatten() {
+                starts[p + 1] += 1;
             }
-        }
-        table
+            for i in 0..n {
+                starts[i + 1] += starts[i];
+            }
+            let mut next = starts.clone();
+            let mut children = vec![0usize; starts[n]];
+            let mut roots = Vec::new();
+            for (i, parent) in self.parents.iter().enumerate() {
+                match *parent {
+                    Some(p) => {
+                        children[next[p]] = i;
+                        next[p] += 1;
+                    }
+                    None => roots.push(i),
+                }
+            }
+            Adjacency {
+                starts,
+                children,
+                roots,
+            }
+        })
     }
 
-    fn parent_index(&self, idx: usize) -> Option<usize> {
-        let s = &self.spans[idx];
-        self.index_of.get(&(s.trace_id, s.parent?)).copied()
+    /// Positions of the spans with no parent in their run, ascending.
+    pub(crate) fn roots(&self) -> &[usize] {
+        &self.adjacency().roots
     }
 
-    fn set_parent(&mut self, idx: usize, parent: SpanId) {
-        let old = self.parent_index(idx);
-        self.spans[idx].parent = Some(parent);
-        let new = self.parent_index(idx);
-        if old == new {
-            return;
-        }
-        self.siblings(old).retain(|&i| i != idx);
-        let siblings = self.siblings(new);
-        let pos = siblings.partition_point(|&i| i < idx);
-        siblings.insert(pos, idx);
+    /// Positions of the children of the span at `idx`, ascending.
+    pub(crate) fn children(&self, idx: usize) -> &[usize] {
+        let adjacency = self.adjacency();
+        &adjacency.children[adjacency.starts[idx]..adjacency.starts[idx + 1]]
     }
 
-    /// The child list of the span at `parent`, or the root set for `None`.
-    fn siblings(&mut self, parent: Option<usize>) -> &mut Vec<usize> {
-        match parent {
-            Some(p) => &mut self.children[p],
-            None => &mut self.roots,
+    fn parent(&self, idx: usize) -> Option<usize> {
+        self.parents[idx]
+    }
+
+    fn position(&self, trace_id: TraceId, id: SpanId) -> Option<usize> {
+        self.index_of.get(&(trace_id, id)).copied()
+    }
+
+    /// Re-parents the span at `idx` of run `trace_id` to `parent`.
+    fn set_parent(&mut self, idx: usize, trace_id: TraceId, parent: SpanId) {
+        let new = self.position(trace_id, parent);
+        if self.parents[idx] != new {
+            self.parents[idx] = new;
+            self.adjacency = OnceLock::new();
         }
     }
 }
@@ -218,34 +288,39 @@ impl CorrelatedTrace {
         self.iter_spans().filter(move |s| s.level == level)
     }
 
+    /// The parent/child index over the spans.
+    pub(crate) fn forest(&self) -> &SpanForest {
+        &self.table().forest
+    }
+
     /// Direct children of the span at `idx`, in appearance order.
     pub fn children_of(&self, idx: usize) -> impl Iterator<Item = &Span> {
         let table = self.table();
-        table.children[idx].iter().map(|&i| &table.spans[i])
+        table.forest.children(idx).iter().map(|&i| &table.spans[i])
     }
 
     /// Indices of the direct children of the span at `idx`, in appearance
     /// order.
     pub fn child_indices(&self, idx: usize) -> &[usize] {
-        &self.table().children[idx]
+        self.forest().children(idx)
     }
 
     /// Indices of spans whose parent is unset or absent from their run
     /// (ascending) — the forest roots exporters traverse from.
     pub fn root_indices(&self) -> &[usize] {
-        &self.table().roots
+        self.forest().roots()
     }
 
     /// The index of span `id` of run `trace_id` (its first occurrence, if
     /// the run repeats the id).
     pub fn position(&self, trace_id: TraceId, id: SpanId) -> Option<usize> {
-        self.table().index_of.get(&(trace_id, id)).copied()
+        self.forest().position(trace_id, id)
     }
 
     /// The index of the parent of the span at `idx`, when that parent is
     /// present in the span's run.
     pub fn parent_index(&self, idx: usize) -> Option<usize> {
-        self.table().parent_index(idx)
+        self.forest().parent(idx)
     }
 
     /// Re-parents the span at `idx`, keeping the span table, adjacency and
@@ -254,7 +329,9 @@ impl CorrelatedTrace {
     pub fn set_parent(&mut self, idx: usize, parent: SpanId) {
         self.table();
         let table = self.table.get_mut().expect("the table was just built");
-        table.set_parent(idx, parent);
+        table.spans[idx].parent = Some(parent);
+        let trace_id = table.spans[idx].trace_id;
+        table.forest.set_parent(idx, trace_id, parent);
     }
 
     /// The run id of the first span; a trace not yet decoded answers from
@@ -332,8 +409,7 @@ struct Verdict {
 }
 
 /// What the correlation pass reads of one evaluation run, by position in
-/// the run — implemented once per span container — plus the two reads
-/// [`spans_of_run`] makes to turn the run's verdicts into spans.
+/// the run — implemented once per span container.
 trait RunView {
     fn len(&self) -> usize;
     fn role(&self, pos: usize) -> AsyncRole;
@@ -341,9 +417,6 @@ trait RunView {
     fn level(&self, pos: usize) -> StackLevel;
     fn interval(&self, pos: usize) -> (u64, u64);
     fn parent(&self, pos: usize) -> Option<SpanId>;
-    fn tags(&self, pos: usize) -> impl Iterator<Item = (&str, TagRef<'_>)>;
-    /// The owned span at `pos`, taken at most once per position.
-    fn take(&mut self, pos: usize) -> Span;
 }
 
 /// One run of an owned span table: the table plus the run's indices.
@@ -355,6 +428,24 @@ struct SpanRun<'a> {
 impl SpanRun<'_> {
     fn at(&self, pos: usize) -> &Span {
         &self.spans[self.idxs[pos]]
+    }
+
+    /// Moves the span out of the table, leaving an empty span that owns no
+    /// heap memory: spans leave in run order, which differs from table
+    /// order when runs interleave.
+    fn take(&mut self, pos: usize) -> Span {
+        let empty = Span {
+            id: SpanId(0),
+            trace_id: TraceId(0),
+            name: String::new(),
+            level: StackLevel::Kernel,
+            start_ns: 0,
+            end_ns: 0,
+            parent: None,
+            tags: Vec::new(),
+            logs: Vec::new(),
+        };
+        std::mem::replace(&mut self.spans[self.idxs[pos]], empty)
     }
 }
 
@@ -386,31 +477,6 @@ impl RunView for SpanRun<'_> {
 
     fn parent(&self, pos: usize) -> Option<SpanId> {
         self.at(pos).parent
-    }
-
-    fn tags(&self, pos: usize) -> impl Iterator<Item = (&str, TagRef<'_>)> {
-        self.at(pos)
-            .tags
-            .iter()
-            .map(|(k, v)| (&**k, TagRef::from(v)))
-    }
-
-    /// Moves the span out of the table, leaving an empty span that owns no
-    /// heap memory: spans leave in run order, which differs from table
-    /// order when runs interleave.
-    fn take(&mut self, pos: usize) -> Span {
-        let empty = Span {
-            id: SpanId(0),
-            trace_id: TraceId(0),
-            name: String::new(),
-            level: StackLevel::Kernel,
-            start_ns: 0,
-            end_ns: 0,
-            parent: None,
-            tags: Vec::new(),
-            logs: Vec::new(),
-        };
-        std::mem::replace(&mut self.spans[self.idxs[pos]], empty)
     }
 }
 
@@ -453,27 +519,19 @@ impl RunView for StoreRun<'_> {
     fn parent(&self, pos: usize) -> Option<SpanId> {
         self.store.parent_at(self.idxs[pos])
     }
-
-    fn tags(&self, pos: usize) -> impl Iterator<Item = (&str, TagRef<'_>)> {
-        self.store.view(self.idxs[pos]).tags()
-    }
-
-    fn take(&mut self, pos: usize) -> Span {
-        self.store.materialize(self.idxs[pos])
-    }
 }
 
-/// Turns one run's verdicts into owned spans, appended to `out` in run
-/// order — the one output step of both containers. Each span gets its
-/// verdict's parent, and a merged execution gets its launch's tags through
-/// [`fold_launch_tags`]. A folded launch has no verdict of its own, so it
-/// is still in place for every execution that pairs with it.
-fn spans_of_run(run: &mut impl RunView, verdicts: &[Verdict], out: &mut Vec<Span>) {
+/// Turns one owned run's verdicts into spans, appended to `out` in run
+/// order. Each span gets its verdict's parent, and a merged execution gets
+/// its launch's tags through [`fold_launch_tags`]. A folded launch has no
+/// verdict of its own, so it is still in place for every execution that
+/// pairs with it.
+fn spans_of_run(run: &mut SpanRun<'_>, verdicts: &[Verdict], out: &mut Vec<Span>) {
     for v in verdicts {
         let mut span = run.take(v.src as usize);
         span.parent = v.parent;
         if let Some(l) = v.launch {
-            fold_launch_tags(&mut span, run.tags(l as usize));
+            fold_launch_tags(&mut span, run.at(l as usize));
         }
         out.push(span);
     }
@@ -483,10 +541,13 @@ fn spans_of_run(run: &mut impl RunView, verdicts: &[Verdict], out: &mut Vec<Span
 /// execution does not carry yet, in launch order, so the execution's own
 /// values win and a key the launch repeats contributes its first value.
 /// Keys go through [`tag_keys::resolve`], so a well-known one is borrowed.
-fn fold_launch_tags<'t>(exec: &mut Span, launch_tags: impl Iterator<Item = (&'t str, TagRef<'t>)>) {
-    for (key, value) in launch_tags {
+/// [`CorrelatedRow`] yields the same tags for a store row without building
+/// them.
+fn fold_launch_tags(exec: &mut Span, launch: &Span) {
+    for (key, value) in &launch.tags {
         if exec.tag(key).is_none() {
-            exec.tags.push((tag_keys::resolve(key), value.to_value()));
+            exec.tags
+                .push((tag_keys::resolve(&**key), TagRef::from(value).to_value()));
         }
     }
 }
@@ -566,7 +627,7 @@ impl CorrelationEngine {
     /// [`Span`]: the same pass as [`CorrelationEngine::correlate`], with
     /// async roles read from the store's pre-computed columns. Returns the
     /// verdicts of every run as a filled [`StoreCorrelationCache`], whose
-    /// [`materialize`](StoreCorrelationCache::materialize) builds the
+    /// [`correlated`](StoreCorrelationCache::correlated) view writes the
     /// spans.
     pub fn correlate_store(&mut self, store: &SpanStore) -> StoreCorrelationCache {
         let mut cache = StoreCorrelationCache::new();
@@ -807,21 +868,145 @@ impl StoreCorrelationCache {
         }
     }
 
-    /// Materializes the cached verdicts, in run order, into one
-    /// [`CorrelatedTrace`] — the spans [`CorrelationEngine::correlate`]
-    /// yields for the same spans (runs correlate independently and the
-    /// cache preserves bucket order), but only the refreshes paid
-    /// correlation cost. `store` must be the store of the last
-    /// [`refresh`](StoreCorrelationCache::refresh).
-    pub fn materialize(&self, store: &SpanStore) -> CorrelatedTrace {
-        let mut spans = Vec::with_capacity(self.runs.iter().map(|r| r.verdicts.len()).sum());
-        let mut ambiguities = AmbiguityReport::default();
-        for (run, (tid, idxs)) in self.runs.iter().zip(store.run_buckets()) {
-            debug_assert!(run.trace_id == *tid && run.len == idxs.len(), "stale cache");
-            spans_of_run(&mut StoreRun { store, idxs }, &run.verdicts, &mut spans);
-            ambiguities.merge(run.ambiguities.clone());
+    /// The store as the cached verdicts see it: the spans
+    /// [`CorrelationEngine::correlate`] yields for the store's spans, in
+    /// the same order (runs correlate independently and the cache keeps
+    /// bucket order), read as store rows, so only the refreshes paid
+    /// correlation cost and nothing is copied. `store` must be the store of
+    /// the last [`refresh`](StoreCorrelationCache::refresh).
+    pub fn correlated<'a>(&'a self, store: &'a SpanStore) -> CorrelatedStore<'a> {
+        debug_assert!(
+            self.runs.len() == store.run_buckets().len()
+                && self
+                    .runs
+                    .iter()
+                    .zip(store.run_buckets())
+                    .all(|(run, (tid, idxs))| run.trace_id == *tid && run.len == idxs.len()),
+            "stale cache"
+        );
+        CorrelatedStore { cache: self, store }
+    }
+}
+
+/// A [`SpanStore`] seen through its [`StoreCorrelationCache`]: one
+/// [`CorrelatedRow`] per span that survives correlation, in the order an
+/// owned trace's correlation lists the same spans. The exporters write it
+/// as they write a [`CorrelatedTrace`], with the same bytes.
+#[derive(Clone, Copy)]
+pub struct CorrelatedStore<'a> {
+    cache: &'a StoreCorrelationCache,
+    store: &'a SpanStore,
+}
+
+impl<'a> CorrelatedStore<'a> {
+    /// The surviving spans, run by run, each in its run's order.
+    pub fn rows(&self) -> impl Iterator<Item = CorrelatedRow<'a>> + 'a {
+        let store = self.store;
+        self.cache
+            .runs
+            .iter()
+            .zip(store.run_buckets())
+            .flat_map(move |(run, (_, idxs))| {
+                run.verdicts.iter().map(move |v| CorrelatedRow {
+                    store,
+                    idx: idxs[v.src as usize],
+                    parent: v.parent,
+                    launch: v.launch.map(|l| idxs[l as usize]),
+                })
+            })
+    }
+
+    /// Number of surviving spans.
+    pub fn len(&self) -> usize {
+        self.cache.runs.iter().map(|r| r.verdicts.len()).sum()
+    }
+
+    /// Whether no span survives (the store is empty).
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The reconstruction diagnostics of every run, in run order.
+    pub fn ambiguities(&self) -> AmbiguityReport {
+        let mut report = AmbiguityReport::default();
+        for run in &self.cache.runs {
+            report.merge(run.ambiguities.clone());
         }
-        CorrelatedTrace::new(spans, ambiguities)
+        report
+    }
+}
+
+/// One span of a [`CorrelatedStore`]: a store row with its verdict's
+/// parent and, for a merged async pair, the tags of its launch folded in
+/// after its own — each launch tag whose key the row does not carry, a
+/// repeated launch key contributing its first value, as
+/// [`CorrelationEngine::correlate`] folds them into an owned span.
+#[derive(Clone, Copy)]
+pub struct CorrelatedRow<'a> {
+    store: &'a SpanStore,
+    idx: u32,
+    parent: Option<SpanId>,
+    launch: Option<u32>,
+}
+
+impl CorrelatedRow<'_> {
+    /// The arena indices of the row's tags: its own, then the folded ones
+    /// of its launch. Keys compare as symbols of the one store table.
+    fn tag_indices(&self) -> impl Iterator<Item = usize> + Clone + '_ {
+        let own = self.store.tag_range(self.idx);
+        let launch = self.launch.map_or(0..0, |l| self.store.tag_range(l));
+        let keys = self.store.tag_key_symbols();
+        let first = launch.start;
+        let folded = launch.filter(move |&t| {
+            !keys[own.clone()].contains(&keys[t]) && !keys[first..t].contains(&keys[t])
+        });
+        self.store.tag_range(self.idx).chain(folded)
+    }
+}
+
+impl SpanFields for CorrelatedRow<'_> {
+    fn id(&self) -> SpanId {
+        self.store.id_at(self.idx)
+    }
+
+    fn trace_id(&self) -> TraceId {
+        self.store.trace_id_at(self.idx)
+    }
+
+    fn name(&self) -> &str {
+        self.store.name_at(self.idx)
+    }
+
+    fn level(&self) -> StackLevel {
+        self.store.level_at(self.idx)
+    }
+
+    fn start_ns(&self) -> u64 {
+        self.store.interval_at(self.idx).0
+    }
+
+    fn end_ns(&self) -> u64 {
+        self.store.interval_at(self.idx).1
+    }
+
+    fn parent(&self) -> Option<SpanId> {
+        self.parent
+    }
+
+    fn tag_count(&self) -> usize {
+        self.tag_indices().count()
+    }
+
+    fn tags(&self) -> impl Iterator<Item = (&str, TagRef<'_>)> + Clone {
+        self.tag_indices().map(|t| self.store.tag_at(t))
+    }
+
+    fn log_count(&self) -> usize {
+        self.store.log_count_of(self.idx)
+    }
+
+    fn logs(&self) -> impl Iterator<Item = (u64, &str)> {
+        self.store.logs_of(self.idx)
     }
 }
 
@@ -901,11 +1086,43 @@ mod tests {
         ];
         let owned = reconstruct_parents(&trace);
         assert_eq!(owned.spans()[0].key_borrows(), folded);
+        // A store row yields the same folded tags, in the same order.
         let store = SpanStore::from_spans(trace.spans());
-        let stored = CorrelationEngine::new()
-            .correlate_store(&store)
-            .materialize(&store);
-        assert_eq!(stored.spans()[0].key_borrows(), folded);
+        let cache = CorrelationEngine::new().correlate_store(&store);
+        let rows: Vec<Span> = cache.correlated(&store).rows().map(owned_row).collect();
+        assert_eq!(rows, owned.spans());
+    }
+
+    /// An owned copy of a correlated store row, for comparing with the
+    /// owned correlation.
+    fn owned_row(row: CorrelatedRow<'_>) -> Span {
+        Span {
+            id: row.id(),
+            trace_id: row.trace_id(),
+            name: row.name().to_owned(),
+            level: row.level(),
+            start_ns: row.start_ns(),
+            end_ns: row.end_ns(),
+            parent: row.parent(),
+            tags: row
+                .tags()
+                .map(|(k, v)| (tag_keys::resolve(k), v.to_value()))
+                .collect(),
+            logs: row
+                .logs()
+                .map(|(at_ns, message)| crate::span::LogEvent {
+                    at_ns,
+                    message: message.to_owned(),
+                })
+                .collect(),
+        }
+    }
+
+    fn owned_rows(cache: &StoreCorrelationCache, store: &SpanStore) -> Vec<Span> {
+        let correlated = cache.correlated(store);
+        let rows: Vec<Span> = correlated.rows().map(owned_row).collect();
+        assert_eq!(rows.len(), correlated.len());
+        rows
     }
 
     #[test]
@@ -1200,7 +1417,7 @@ mod tests {
 
         // Identity vs the owned-trace pass.
         let batch = CorrelationEngine::new().correlate(store.to_trace());
-        assert_eq!(cache.materialize(&store).spans(), batch.spans());
+        assert_eq!(owned_rows(&cache, &store), batch.spans());
 
         // Nothing new: a refresh re-correlates nothing.
         cache.refresh(&mut engine, &store);
@@ -1222,7 +1439,7 @@ mod tests {
 
         // The refreshed cache still matches the batch pass.
         let batch = CorrelationEngine::new().correlate(store.to_trace());
-        assert_eq!(cache.materialize(&store).spans(), batch.spans());
+        assert_eq!(owned_rows(&cache, &store), batch.spans());
 
         // Invalidation after a store clear: everything recorrelates.
         store.clear();
@@ -1231,7 +1448,7 @@ mod tests {
         store.push(&span("predict", StackLevel::Model, 0, 10));
         cache.refresh(&mut engine, &store);
         assert_eq!(cache.passes(), 5);
-        assert_eq!(cache.materialize(&store).len(), 1);
+        assert_eq!(owned_rows(&cache, &store).len(), 1);
     }
 
     #[test]
@@ -1253,8 +1470,9 @@ mod tests {
         }
         let store = crate::store::SpanStore::from_spans(&spans);
         let mut engine = CorrelationEngine::new();
-        let c = engine.correlate_store(&store).materialize(&store);
-        assert!(c.ambiguities.is_clean(), "{:?}", c.ambiguities);
+        let cache = engine.correlate_store(&store);
+        let c = cache.correlated(&store);
+        assert!(c.ambiguities().is_clean(), "{:?}", c.ambiguities());
         assert_eq!(c.len(), 1 + 20 + 100, "pairs merged");
         assert_eq!(engine.trees_built_at(StackLevel::Kernel), 0);
         assert_eq!(engine.trees_built_at(StackLevel::Layer), 1);

@@ -21,8 +21,8 @@ pub use binary::{
     SpanBinaryWriter, ValidatedSpanBinary, MAX_RECORD_LEN, XSPB_MAGIC, XSPB_VERSION,
 };
 pub use stream::{
-    read_span_json_lines, ChromeTraceWriter, FoldedStacksWriter, ReadError, SpanJsonLinesReader,
-    SpanJsonLinesWriter, SpanJsonWriter,
+    read_span_json_lines, read_span_json_lines_into_store, ChromeTraceWriter, FoldedStacksWriter,
+    ReadError, SpanJsonLinesReader, SpanJsonLinesWriter, SpanJsonWriter,
 };
 
 /// Serializes a trace to Chrome trace-event JSON. Each stack level maps to

@@ -42,8 +42,8 @@
 
 use crate::intern::Symbol;
 use crate::server::Trace;
-use crate::span::{tag_keys, Span, SpanId, StackLevel, TagKey, TagValue, TraceId};
-use crate::store::{SpanStore, SpanView, TagCell, TagRef};
+use crate::span::{tag_keys, Span, SpanFields, SpanId, StackLevel, TagKey, TagValue, TraceId};
+use crate::store::{SpanStore, TagCell, TagRef};
 use std::fmt;
 use std::io::{self, Read, Write};
 
@@ -201,102 +201,31 @@ impl<W: Write> SpanBinaryWriter<W> {
     }
 
     /// Appends one span record (plus any name records it needs).
-    pub fn write_span(&mut self, span: &Span) -> io::Result<()> {
-        self.write_restamped(span, span.trace_id, span.start_ns, span.end_ns)
-    }
-
-    /// Appends `span` as if it belonged to run `trace_id` and ran from
-    /// `start_ns` to `end_ns`: a serving step streams its memoized run
-    /// this way without copying a span.
-    pub fn write_restamped(
-        &mut self,
-        span: &Span,
-        trace_id: TraceId,
-        start_ns: u64,
-        end_ns: u64,
-    ) -> io::Result<()> {
-        self.encode_span(
-            span.id,
-            trace_id,
-            &span.name,
-            span.level,
-            span.parent,
-            start_ns,
-            end_ns,
-            span.tags.len(),
-            span.tags.iter().map(|(k, v)| (&**k, TagRef::from(v))),
-            span.logs.len(),
-            span.logs.iter().map(|l| (l.at_ns, l.message.as_str())),
-        )
-    }
-
-    /// Appends one span straight from a [`SpanStore`] view — no owned
-    /// [`Span`] is materialized (the daemon's spill path).
-    pub fn write_view(&mut self, view: SpanView<'_>) -> io::Result<()> {
-        self.encode_span(
-            view.id(),
-            view.trace_id(),
-            view.name(),
-            view.level(),
-            view.parent(),
-            view.start_ns(),
-            view.end_ns(),
-            view.tag_count(),
-            view.tags(),
-            view.log_count(),
-            view.logs(),
-        )
-    }
-
-    /// Appends every span of `trace`.
-    pub fn write_trace(&mut self, trace: &Trace) -> io::Result<()> {
-        trace.spans().iter().try_for_each(|s| self.write_span(s))
-    }
-
-    /// Appends every span of `store`, in push order.
-    pub fn write_store(&mut self, store: &SpanStore) -> io::Result<()> {
-        store.iter().try_for_each(|v| self.write_view(v))
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn encode_span<'x>(
-        &mut self,
-        id: SpanId,
-        trace_id: TraceId,
-        name: &str,
-        level: StackLevel,
-        parent: Option<SpanId>,
-        start_ns: u64,
-        end_ns: u64,
-        tag_count: usize,
-        tags: impl Iterator<Item = (&'x str, TagRef<'x>)>,
-        log_count: usize,
-        logs: impl Iterator<Item = (u64, &'x str)>,
-    ) -> io::Result<()> {
-        let name_sym = self.sym(name)?;
+    pub fn write_span(&mut self, span: impl SpanFields) -> io::Result<()> {
+        let name_sym = self.sym(span.name())?;
         let mut buf = std::mem::take(&mut self.buf);
         buf.clear();
-        buf.extend_from_slice(&id.0.to_be_bytes());
-        buf.extend_from_slice(&trace_id.0.to_be_bytes());
+        buf.extend_from_slice(&span.id().0.to_be_bytes());
+        buf.extend_from_slice(&span.trace_id().0.to_be_bytes());
         buf.extend_from_slice(&name_sym.0.to_be_bytes());
-        buf.push(level.rank());
-        match parent {
+        buf.push(span.level().rank());
+        match span.parent() {
             Some(p) => {
                 buf.push(FLAG_PARENT);
                 buf.extend_from_slice(&p.0.to_be_bytes());
             }
             None => buf.push(0),
         }
-        buf.extend_from_slice(&start_ns.to_be_bytes());
-        buf.extend_from_slice(&end_ns.to_be_bytes());
+        buf.extend_from_slice(&span.start_ns().to_be_bytes());
+        buf.extend_from_slice(&span.end_ns().to_be_bytes());
         let count = |n: usize| {
             u32::try_from(n).map_err(|_| {
                 io::Error::new(io::ErrorKind::InvalidInput, "span field count exceeds u32")
             })
         };
-        buf.extend_from_slice(&count(tag_count)?.to_be_bytes());
         let mut encode = (|| {
-            for (key, value) in tags {
+            buf.extend_from_slice(&count(span.tag_count())?.to_be_bytes());
+            for (key, value) in span.tags() {
                 let key_sym = self.sym(key)?;
                 buf.extend_from_slice(&key_sym.0.to_be_bytes());
                 match value {
@@ -323,8 +252,8 @@ impl<W: Write> SpanBinaryWriter<W> {
                     }
                 }
             }
-            buf.extend_from_slice(&count(log_count)?.to_be_bytes());
-            for (at_ns, message) in logs {
+            buf.extend_from_slice(&count(span.log_count())?.to_be_bytes());
+            for (at_ns, message) in span.logs() {
                 buf.extend_from_slice(&at_ns.to_be_bytes());
                 buf.extend_from_slice(&count(message.len())?.to_be_bytes());
                 buf.extend_from_slice(message.as_bytes());
@@ -348,6 +277,11 @@ impl<W: Write> SpanBinaryWriter<W> {
         }
         self.buf = buf;
         encode
+    }
+
+    /// Appends every span of `trace`.
+    pub fn write_trace(&mut self, trace: &Trace) -> io::Result<()> {
+        trace.spans().iter().try_for_each(|s| self.write_span(s))
     }
 
     /// Number of spans written so far.

@@ -27,7 +27,10 @@
 //! is this span-object layer and the number spellings, in both
 //! directions, against `serde_json`'s derived `Span` impl.
 
-use crate::span::{tag_keys, LogEvent, Span, SpanId, StackLevel, TagKey, TagValue, TraceId};
+use crate::span::{
+    tag_keys, LogEvent, Span, SpanFields, SpanId, StackLevel, TagKey, TagValue, TraceId,
+};
+use crate::store::TagRef;
 use std::borrow::Cow;
 use std::io::Write as _;
 use xsp_json::{push_str, Error, Lexer, Number};
@@ -35,34 +38,27 @@ use xsp_json::{push_str, Error, Lexer, Number};
 /// `StackLevel`'s serde variant names, indexed by [`StackLevel::rank`].
 const LEVEL_VARIANTS: [&str; 5] = ["Application", "Model", "Layer", "Library", "Kernel"];
 
-/// Appends `span` as one span-JSON object, under run `trace_id` and over
-/// `[start_ns, end_ns]` (the span's own values, or a serving step's).
-pub(crate) fn push_span(
-    out: &mut Vec<u8>,
-    span: &Span,
-    trace_id: TraceId,
-    start_ns: u64,
-    end_ns: u64,
-) {
+/// Appends `span` as one span-JSON object.
+pub(crate) fn push_span(out: &mut Vec<u8>, span: &impl SpanFields) {
     out.extend_from_slice(b"{\"id\":");
-    push_u64(out, span.id.0);
+    push_u64(out, span.id().0);
     out.extend_from_slice(b",\"trace_id\":");
-    push_u64(out, trace_id.0);
+    push_u64(out, span.trace_id().0);
     out.extend_from_slice(b",\"name\":");
-    push_str(out, &span.name);
+    push_str(out, span.name());
     out.extend_from_slice(b",\"level\":\"");
-    out.extend_from_slice(LEVEL_VARIANTS[span.level.rank() as usize].as_bytes());
+    out.extend_from_slice(LEVEL_VARIANTS[span.level().rank() as usize].as_bytes());
     out.extend_from_slice(b"\",\"start_ns\":");
-    push_u64(out, start_ns);
+    push_u64(out, span.start_ns());
     out.extend_from_slice(b",\"end_ns\":");
-    push_u64(out, end_ns);
+    push_u64(out, span.end_ns());
     out.extend_from_slice(b",\"parent\":");
-    match span.parent {
+    match span.parent() {
         Some(p) => push_u64(out, p.0),
         None => out.extend_from_slice(b"null"),
     }
     out.extend_from_slice(b",\"tags\":[");
-    for (i, (key, value)) in span.tags.iter().enumerate() {
+    for (i, (key, value)) in span.tags().enumerate() {
         if i > 0 {
             out.push(b',');
         }
@@ -70,25 +66,25 @@ pub(crate) fn push_span(
         push_str(out, key);
         out.extend_from_slice(b",{\"");
         out.extend_from_slice(match value {
-            TagValue::Str(_) => b"Str",
-            TagValue::I64(_) => b"I64",
-            TagValue::U64(_) => b"U64",
-            TagValue::F64(_) => b"F64",
-            TagValue::Bool(_) => b"Bool",
+            TagRef::Str(_) => b"Str",
+            TagRef::I64(_) => b"I64",
+            TagRef::U64(_) => b"U64",
+            TagRef::F64(_) => b"F64",
+            TagRef::Bool(_) => b"Bool",
         });
         out.extend_from_slice(b"\":");
         push_tag_value(out, value);
         out.extend_from_slice(b"}]");
     }
     out.extend_from_slice(b"],\"logs\":[");
-    for (i, log) in span.logs.iter().enumerate() {
+    for (i, (at_ns, message)) in span.logs().enumerate() {
         if i > 0 {
             out.push(b',');
         }
         out.extend_from_slice(b"{\"at_ns\":");
-        push_u64(out, log.at_ns);
+        push_u64(out, at_ns);
         out.extend_from_slice(b",\"message\":");
-        push_str(out, &log.message);
+        push_str(out, message);
         out.push(b'}');
     }
     out.extend_from_slice(b"]}");
@@ -98,41 +94,55 @@ pub(crate) fn push_span(
 #[derive(Clone, Copy)]
 enum Arg<'a> {
     Id(u64),
-    Tag(&'a TagValue),
+    Tag(TagRef<'a>),
 }
 
 /// Appends `span` as one Chrome "X" (complete) event: microsecond
 /// timestamps, the trace as the process row and the stack level as the
 /// thread row; `args` holds `span_id`, `parent` when known, then the tags.
-/// The run and interval are passed as for [`push_span`].
-pub(crate) fn push_chrome_event(
-    out: &mut Vec<u8>,
-    span: &Span,
-    trace_id: TraceId,
-    start_ns: u64,
-    end_ns: u64,
-) {
+pub(crate) fn push_chrome_event(out: &mut Vec<u8>, span: &impl SpanFields) {
     out.extend_from_slice(b"{\"name\":");
-    push_str(out, &span.name);
+    push_str(out, span.name());
     out.extend_from_slice(b",\"cat\":\"");
-    write!(out, "{}", span.level).expect("Vec writes cannot fail");
+    out.extend_from_slice(span.level().label().as_bytes());
     out.extend_from_slice(b"\",\"ph\":\"X\",\"ts\":");
-    push_f64(out, start_ns as f64 / 1e3);
+    push_us(out, span.start_ns());
     out.extend_from_slice(b",\"dur\":");
-    push_f64(out, (end_ns - start_ns) as f64 / 1e3);
+    push_us(out, span.end_ns() - span.start_ns());
     out.extend_from_slice(b",\"pid\":");
-    push_u64(out, trace_id.0);
+    push_u64(out, span.trace_id().0);
     out.extend_from_slice(b",\"tid\":");
-    push_u64(out, u64::from(span.level.rank()));
+    push_u64(out, u64::from(span.level().rank()));
     out.extend_from_slice(b",\"args\":{");
+    let tags = span.tags();
+    let distinct = tags.clone().enumerate().all(|(i, (key, _))| {
+        key != "span_id" && key != "parent" && !tags.clone().take(i).any(|(k, _)| k == key)
+    });
+    if distinct {
+        // No member repeats: every member in order, in one pass.
+        out.extend_from_slice(b"\"span_id\":");
+        push_u64(out, span.id().0);
+        if let Some(parent) = span.parent() {
+            out.extend_from_slice(b",\"parent\":");
+            push_u64(out, parent.0);
+        }
+        for (key, value) in tags {
+            out.push(b',');
+            push_str(out, key);
+            out.push(b':');
+            push_tag_value(out, value);
+        }
+        out.extend_from_slice(b"}}");
+        return;
+    }
     let head = [
-        ("span_id", Some(span.id.0)),
-        ("parent", span.parent.map(|p| p.0)),
+        ("span_id", Some(span.id().0)),
+        ("parent", span.parent().map(|p| p.0)),
     ];
     let args = head
         .into_iter()
         .filter_map(|(key, id)| id.map(|id| (key, Arg::Id(id))))
-        .chain(span.tags.iter().map(|(key, v)| (&**key, Arg::Tag(v))));
+        .chain(tags.map(|(key, v)| (key, Arg::Tag(v))));
     let mut first = true;
     for (i, (key, own)) in args.clone().enumerate() {
         // Map::insert semantics: the first occurrence fixes the position,
@@ -161,19 +171,19 @@ pub(crate) fn push_chrome_event(
 }
 
 /// Appends a tag's bare JSON value (no variant wrapper).
-fn push_tag_value(out: &mut Vec<u8>, value: &TagValue) {
+fn push_tag_value(out: &mut Vec<u8>, value: TagRef<'_>) {
     match value {
-        TagValue::Str(s) => push_str(out, s),
-        TagValue::I64(v) => {
-            if *v < 0 {
+        TagRef::Str(s) => push_str(out, s),
+        TagRef::I64(v) => {
+            if v < 0 {
                 out.push(b'-');
             }
             push_u64(out, v.unsigned_abs());
         }
-        TagValue::U64(v) => push_u64(out, *v),
-        TagValue::F64(v) => push_f64(out, *v),
-        TagValue::Bool(true) => out.extend_from_slice(b"true"),
-        TagValue::Bool(false) => out.extend_from_slice(b"false"),
+        TagRef::U64(v) => push_u64(out, v),
+        TagRef::F64(v) => push_f64(out, v),
+        TagRef::Bool(true) => out.extend_from_slice(b"true"),
+        TagRef::Bool(false) => out.extend_from_slice(b"false"),
     }
 }
 
@@ -206,9 +216,159 @@ fn push_f64(out: &mut Vec<u8>, v: f64) {
     }
 }
 
+/// Appends `ns` nanoseconds in microseconds, exactly as
+/// `push_f64(ns as f64 / 1e3)` spells them. Below 10^15 the quotient is a
+/// decimal of at most 15 significant digits, which is the shortest
+/// spelling of its nearest `f64`: the whole microseconds, then the
+/// nanoseconds' digits with trailing zeros trimmed (`.0` when integral).
+/// Larger values take the float path.
+fn push_us(out: &mut Vec<u8>, ns: u64) {
+    if ns >= 1_000_000_000_000_000 {
+        push_f64(out, ns as f64 / 1e3);
+        return;
+    }
+    push_u64(out, ns / 1_000);
+    let frac = ns % 1_000;
+    let digits = [
+        b'.',
+        b'0' + (frac / 100) as u8,
+        b'0' + (frac / 10 % 10) as u8,
+        b'0' + (frac % 10) as u8,
+    ];
+    let len = if frac % 100 == 0 {
+        2
+    } else if frac % 10 == 0 {
+        3
+    } else {
+        4
+    };
+    out.extend_from_slice(&digits[..len]);
+}
+
+/// A span object's fixed fields as parsed; the name is borrowed from the
+/// input unless it holds escapes. Its tags and logs went to a [`Parts`].
+pub(crate) struct SpanHead<'a> {
+    pub(crate) id: SpanId,
+    pub(crate) trace_id: TraceId,
+    pub(crate) name: Cow<'a, str>,
+    pub(crate) level: StackLevel,
+    pub(crate) start_ns: u64,
+    pub(crate) end_ns: u64,
+    pub(crate) parent: Option<SpanId>,
+}
+
+/// A tag value as parsed: [`TagValue`] with the string borrowed from the
+/// input unless it holds escapes.
+pub(crate) enum ParsedValue<'a> {
+    Str(Cow<'a, str>),
+    I64(i64),
+    U64(u64),
+    F64(f64),
+    Bool(bool),
+}
+
+impl ParsedValue<'_> {
+    pub(crate) fn as_ref(&self) -> TagRef<'_> {
+        match self {
+            ParsedValue::Str(s) => TagRef::Str(s),
+            ParsedValue::I64(v) => TagRef::I64(*v),
+            ParsedValue::U64(v) => TagRef::U64(*v),
+            ParsedValue::F64(v) => TagRef::F64(*v),
+            ParsedValue::Bool(v) => TagRef::Bool(*v),
+        }
+    }
+}
+
+/// Where the span-object layer puts a span's tags and logs as it reads
+/// them. A repeated `tags` or `logs` member clears its list first, so the
+/// last one wins.
+pub(crate) trait Parts<'a> {
+    fn clear_tags(&mut self);
+    fn push_tag(&mut self, key: Cow<'a, str>, value: ParsedValue<'a>);
+    fn clear_logs(&mut self);
+    fn push_log(&mut self, at_ns: u64, message: Cow<'a, str>);
+}
+
+/// The lists of an owned [`Span`]: each key goes through
+/// [`tag_keys::resolve`], so a well-known one allocates nothing, and
+/// strings are owned.
+#[derive(Default)]
+struct OwnedParts {
+    tags: Vec<(TagKey, TagValue)>,
+    logs: Vec<LogEvent>,
+}
+
+impl<'a> Parts<'a> for OwnedParts {
+    fn clear_tags(&mut self) {
+        self.tags.clear();
+    }
+
+    fn push_tag(&mut self, key: Cow<'a, str>, value: ParsedValue<'a>) {
+        let value = match value {
+            ParsedValue::Str(s) => TagValue::Str(Cow::Owned(s.into_owned())),
+            ParsedValue::I64(v) => TagValue::I64(v),
+            ParsedValue::U64(v) => TagValue::U64(v),
+            ParsedValue::F64(v) => TagValue::F64(v),
+            ParsedValue::Bool(v) => TagValue::Bool(v),
+        };
+        self.tags.push((tag_keys::resolve(key), value));
+    }
+
+    fn clear_logs(&mut self) {
+        self.logs.clear();
+    }
+
+    fn push_log(&mut self, at_ns: u64, message: Cow<'a, str>) {
+        self.logs.push(LogEvent {
+            at_ns,
+            message: message.into_owned(),
+        });
+    }
+}
+
+/// A span's tags and logs with their strings borrowed from the input, in
+/// lists a caller reuses from span to span: a store ingest copies them
+/// into its arenas and allocates nothing per span.
+#[derive(Default)]
+pub(crate) struct BorrowedParts<'a> {
+    pub(crate) tags: Vec<(Cow<'a, str>, ParsedValue<'a>)>,
+    pub(crate) logs: Vec<(u64, Cow<'a, str>)>,
+}
+
+impl<'a> Parts<'a> for BorrowedParts<'a> {
+    fn clear_tags(&mut self) {
+        self.tags.clear();
+    }
+
+    fn push_tag(&mut self, key: Cow<'a, str>, value: ParsedValue<'a>) {
+        self.tags.push((key, value));
+    }
+
+    fn clear_logs(&mut self) {
+        self.logs.clear();
+    }
+
+    fn push_log(&mut self, at_ns: u64, message: Cow<'a, str>) {
+        self.logs.push((at_ns, message));
+    }
+}
+
 /// Parses one span object, with optional JSON whitespace around it.
 pub(crate) fn parse_span(text: &str) -> Result<Span, Error> {
-    Lexer::document(text, span)
+    let mut parts = OwnedParts::default();
+    let head = Lexer::document(text, |p| span(p, &mut parts))?;
+    Ok(owned(head, parts))
+}
+
+/// Parses one span object into its head and `parts`, which it empties
+/// first.
+pub(crate) fn parse_span_parts<'a>(
+    text: &'a str,
+    parts: &mut BorrowedParts<'a>,
+) -> Result<SpanHead<'a>, Error> {
+    parts.clear_tags();
+    parts.clear_logs();
+    Lexer::document(text, |p| span(p, parts))
 }
 
 /// Parses a JSON array of span objects.
@@ -216,11 +376,27 @@ pub(crate) fn parse_span_array(text: &str) -> Result<Vec<Span>, Error> {
     Lexer::document(text, |p| {
         let mut spans = Vec::new();
         p.array(|p| {
-            spans.push(span(p)?);
+            let mut parts = OwnedParts::default();
+            let head = span(p, &mut parts)?;
+            spans.push(owned(head, parts));
             Ok(())
         })?;
         Ok(spans)
     })
+}
+
+fn owned(head: SpanHead<'_>, parts: OwnedParts) -> Span {
+    Span {
+        id: head.id,
+        trace_id: head.trace_id,
+        name: head.name.into_owned(),
+        level: head.level,
+        start_ns: head.start_ns,
+        end_ns: head.end_ns,
+        parent: head.parent,
+        tags: parts.tags,
+        logs: parts.logs,
+    }
 }
 
 /// The error for input bytes that are not UTF-8.
@@ -267,7 +443,9 @@ fn field<'a, T>(
     }
 }
 
-fn span(p: &mut Lexer<'_>) -> Result<Span, Error> {
+/// Reads one span object: its fixed fields into the returned head, its
+/// tags and logs into `parts`.
+fn span<'a>(p: &mut Lexer<'a>, parts: &mut impl Parts<'a>) -> Result<SpanHead<'a>, Error> {
     let (mut id, mut trace_id, mut name, mut level) = (None, None, None, None);
     let (mut start_ns, mut end_ns, mut parent) = (None, None, None);
     let (mut tags, mut logs) = (None, None);
@@ -275,18 +453,18 @@ fn span(p: &mut Lexer<'_>) -> Result<Span, Error> {
         match &*key {
             "id" => id = field(p, "Span.id", unsigned)?,
             "trace_id" => trace_id = field(p, "Span.trace_id", unsigned)?,
-            "name" => name = field(p, "Span.name", owned_string)?,
+            "name" => name = field(p, "Span.name", Lexer::string)?,
             "level" => level = field(p, "Span.level", stack_level)?,
             "start_ns" => start_ns = field(p, "Span.start_ns", unsigned)?,
             "end_ns" => end_ns = field(p, "Span.end_ns", unsigned)?,
             "parent" => parent = field(p, "Span.parent", parent_id)?,
-            "tags" => tags = field(p, "Span.tags", tag_list)?,
-            "logs" => logs = field(p, "Span.logs", log_list)?,
+            "tags" => tags = field(p, "Span.tags", |p| tag_list(p, parts))?,
+            "logs" => logs = field(p, "Span.logs", |p| log_list(p, parts))?,
             _ => p.skip_value()?,
         }
         Ok(())
     })?;
-    let span = Span {
+    let head = SpanHead {
         id: SpanId(required(id, "Span.id")?),
         trace_id: TraceId(required(trace_id, "Span.trace_id")?),
         name: required(name, "Span.name")?,
@@ -294,19 +472,19 @@ fn span(p: &mut Lexer<'_>) -> Result<Span, Error> {
         start_ns: required(start_ns, "Span.start_ns")?,
         end_ns: required(end_ns, "Span.end_ns")?,
         parent: parent.transpose()?.flatten(),
-        tags: required(tags, "Span.tags")?,
-        logs: required(logs, "Span.logs")?,
     };
+    required(tags, "Span.tags")?;
+    required(logs, "Span.logs")?;
     // Every duration downstream is `end - start`; a span that ends
     // before it starts (a corrupted or hand-edited timestamp) is
     // refused here.
-    if span.end_ns < span.start_ns {
+    if head.end_ns < head.start_ns {
         return Err(Error::Data(format!(
             "Span.end_ns {} is before Span.start_ns {}",
-            span.end_ns, span.start_ns
+            head.end_ns, head.start_ns
         )));
     }
-    Ok(span)
+    Ok(head)
 }
 
 fn parent_id(p: &mut Lexer<'_>) -> Result<Option<SpanId>, Error> {
@@ -326,54 +504,52 @@ fn stack_level(p: &mut Lexer<'_>) -> Result<StackLevel, Error> {
         .ok_or_else(|| Error::Data(format!("unknown StackLevel variant {name:?}")))
 }
 
-/// The tag list; each key is read borrowed from the input and goes
-/// through [`tag_keys::resolve`], so a well-known key allocates nothing.
-fn tag_list(p: &mut Lexer<'_>) -> Result<Vec<(TagKey, TagValue)>, Error> {
-    let mut tags = Vec::new();
+/// The tag list, into `parts`; each key is read borrowed from the input.
+fn tag_list<'a>(p: &mut Lexer<'a>, parts: &mut impl Parts<'a>) -> Result<(), Error> {
+    parts.clear_tags();
     p.array(|p| {
         p.eat(b'[')?;
         p.ws();
-        let key = tag_keys::resolve(p.string()?);
+        let key = p.string()?;
         p.ws();
         p.eat(b',')?;
         p.ws();
         let value = tag_value(p)?;
         p.ws();
         p.eat(b']')?;
-        tags.push((key, value));
+        parts.push_tag(key, value);
         Ok(())
-    })?;
-    Ok(tags)
+    })
 }
 
 /// An externally tagged `TagValue`: an object with exactly one distinct
 /// key naming the variant.
-fn tag_value<'a>(p: &mut Lexer<'a>) -> Result<TagValue, Error> {
-    let mut variant: Option<(Cow<'a, str>, Slot<TagValue>)> = None;
+fn tag_value<'a>(p: &mut Lexer<'a>) -> Result<ParsedValue<'a>, Error> {
+    let mut variant: Option<(Cow<'a, str>, Slot<ParsedValue<'a>>)> = None;
     p.object(|p, key| {
         if matches!(&variant, Some((seen, _)) if *seen != key) {
             return Err(mismatch("a single TagValue variant key"));
         }
         let value = field(p, "TagValue", |p| match &*key {
-            "Str" => owned_string(p).map(TagValue::from),
+            "Str" => p.string().map(ParsedValue::Str),
             "I64" => match p.number()? {
                 Number::PosInt(v) => i64::try_from(v)
-                    .map(TagValue::I64)
+                    .map(ParsedValue::I64)
                     .map_err(|_| mismatch("an i64")),
-                Number::NegInt(v) => Ok(TagValue::I64(v)),
+                Number::NegInt(v) => Ok(ParsedValue::I64(v)),
                 Number::Float(_) => Err(mismatch("an i64")),
             },
-            "U64" => unsigned(p).map(TagValue::U64),
+            "U64" => unsigned(p).map(ParsedValue::U64),
             "F64" => match p.number()? {
-                Number::PosInt(v) => Ok(TagValue::F64(v as f64)),
-                Number::NegInt(v) => Ok(TagValue::F64(v as f64)),
-                Number::Float(v) => Ok(TagValue::F64(v)),
+                Number::PosInt(v) => Ok(ParsedValue::F64(v as f64)),
+                Number::NegInt(v) => Ok(ParsedValue::F64(v as f64)),
+                Number::Float(v) => Ok(ParsedValue::F64(v)),
             },
             "Bool" => {
                 if p.eat_word("true") {
-                    Ok(TagValue::Bool(true))
+                    Ok(ParsedValue::Bool(true))
                 } else if p.eat_word("false") {
-                    Ok(TagValue::Bool(false))
+                    Ok(ParsedValue::Bool(false))
                 } else {
                     Err(mismatch("a bool"))
                 }
@@ -386,25 +562,23 @@ fn tag_value<'a>(p: &mut Lexer<'a>) -> Result<TagValue, Error> {
     required(variant.and_then(|(_, value)| value), "TagValue")
 }
 
-fn log_list(p: &mut Lexer<'_>) -> Result<Vec<LogEvent>, Error> {
-    let mut logs = Vec::new();
+/// The log list, into `parts`.
+fn log_list<'a>(p: &mut Lexer<'a>, parts: &mut impl Parts<'a>) -> Result<(), Error> {
+    parts.clear_logs();
     p.array(|p| {
         let (mut at_ns, mut message) = (None, None);
         p.object(|p, key| {
             match &*key {
                 "at_ns" => at_ns = field(p, "LogEvent.at_ns", unsigned)?,
-                "message" => message = field(p, "LogEvent.message", owned_string)?,
+                "message" => message = field(p, "LogEvent.message", Lexer::string)?,
                 _ => p.skip_value()?,
             }
             Ok(())
         })?;
-        logs.push(LogEvent {
-            at_ns: required(at_ns, "LogEvent.at_ns")?,
-            message: required(message, "LogEvent.message")?,
-        });
+        let at_ns = required(at_ns, "LogEvent.at_ns")?;
+        parts.push_log(at_ns, required(message, "LogEvent.message")?);
         Ok(())
-    })?;
-    Ok(logs)
+    })
 }
 
 fn unsigned(p: &mut Lexer<'_>) -> Result<u64, Error> {
@@ -412,10 +586,6 @@ fn unsigned(p: &mut Lexer<'_>) -> Result<u64, Error> {
         Number::PosInt(v) => Ok(v),
         _ => Err(mismatch("a u64")),
     }
-}
-
-fn owned_string(p: &mut Lexer<'_>) -> Result<String, Error> {
-    p.string().map(Cow::into_owned)
 }
 
 #[cfg(test)]
@@ -429,6 +599,46 @@ mod tests {
         let span = parse_span(line).unwrap();
         assert_eq!(span.id, SpanId(7));
         assert_eq!(span.tags, vec![("t".into(), TagValue::U64(3))]);
+    }
+
+    /// `push_us` against the float spelling it replaces.
+    #[test]
+    fn microseconds_are_spelled_as_the_float_path_spells_them() {
+        let check = |ns: u64| {
+            let (mut fast, mut float) = (Vec::new(), Vec::new());
+            push_us(&mut fast, ns);
+            push_f64(&mut float, ns as f64 / 1e3);
+            assert_eq!(
+                String::from_utf8(fast).unwrap(),
+                String::from_utf8(float).unwrap(),
+                "{ns} ns"
+            );
+        };
+        for ns in [
+            0,
+            1,
+            10,
+            100,
+            999,
+            1_000,
+            1_010,
+            10u64.pow(15) - 1,
+            10u64.pow(15),
+            1 << 53,
+            u64::MAX,
+        ] {
+            check(ns);
+        }
+        // A seeded sweep over every magnitude below 10^15 and a little past.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for _ in 0..200_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let digits = (x % 17) as u32;
+            check(x % 10u64.pow(digits));
+            check(x % (1 << 53));
+        }
     }
 
     #[test]

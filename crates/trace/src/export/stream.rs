@@ -25,15 +25,22 @@
 //! golden tests pin that equivalence, and the engine's determinism contract
 //! (serial output == parallel output) extends to every exported artifact.
 //!
-//! The JSON writers and the JSON-lines reader go through the direct span
+//! Every writer takes any [`SpanFields`] view — an owned [`Span`], a
+//! [`SpanStore`] row or a correlated store row — so each format has one
+//! encoder whatever container the spans live in.
+//!
+//! The JSON writers and the JSON-lines readers go through the direct span
 //! codec in `export/json.rs`: each writer encodes a span into one reused
-//! scratch buffer and hands it to the output in one `write_all`, and the
-//! reader parses each line straight into a [`Span`].
+//! scratch buffer and hands it to the output in one `write_all`; the
+//! streaming reader parses each line straight into a [`Span`], and
+//! [`read_span_json_lines_into_store`] parses an in-memory body straight
+//! into a [`SpanStore`].
 
 use super::json;
-use crate::correlate::CorrelatedTrace;
+use crate::correlate::{CorrelatedStore, CorrelatedTrace, SpanForest};
 use crate::server::Trace;
-use crate::span::{Span, TraceId};
+use crate::span::{Span, SpanFields};
+use crate::store::SpanStore;
 use std::fmt;
 use std::io::{self, BufRead, Write};
 
@@ -103,18 +110,12 @@ impl<W: Write> SpanJsonWriter<W> {
     }
 
     /// Appends one span.
-    pub fn write_span(&mut self, span: &Span) -> io::Result<()> {
+    pub fn write_span(&mut self, span: impl SpanFields) -> io::Result<()> {
         self.buf.clear();
         if self.written > 0 {
             self.buf.push(b',');
         }
-        json::push_span(
-            &mut self.buf,
-            span,
-            span.trace_id,
-            span.start_ns,
-            span.end_ns,
-        );
+        json::push_span(&mut self.buf, &span);
         self.out.write_all(&self.buf)?;
         self.written += 1;
         Ok(())
@@ -162,22 +163,9 @@ impl<W: Write> SpanJsonLinesWriter<W> {
     }
 
     /// Appends one span as a single line.
-    pub fn write_span(&mut self, span: &Span) -> io::Result<()> {
-        self.write_restamped(span, span.trace_id, span.start_ns, span.end_ns)
-    }
-
-    /// Appends `span` as one line, as if it belonged to run `trace_id` and
-    /// ran from `start_ns` to `end_ns`: a serving step streams its memoized
-    /// run this way without copying a span.
-    pub fn write_restamped(
-        &mut self,
-        span: &Span,
-        trace_id: TraceId,
-        start_ns: u64,
-        end_ns: u64,
-    ) -> io::Result<()> {
+    pub fn write_span(&mut self, span: impl SpanFields) -> io::Result<()> {
         self.buf.clear();
-        json::push_span(&mut self.buf, span, trace_id, start_ns, end_ns);
+        json::push_span(&mut self.buf, &span);
         self.buf.push(b'\n');
         self.out.write_all(&self.buf)?;
         self.written += 1;
@@ -245,14 +233,10 @@ impl<R: BufRead> Iterator for SpanJsonLinesReader<R> {
             match self.input.read_until(b'\n', &mut self.buf) {
                 Ok(0) => return None,
                 Ok(_) => {
-                    let mut end = self.buf.len();
-                    while end > 0 && matches!(self.buf[end - 1], b'\n' | b'\r') {
-                        end -= 1;
-                    }
-                    let parsed = match std::str::from_utf8(&self.buf[..end]) {
-                        Ok(text) if text.trim().is_empty() => continue,
-                        Ok(text) => json::parse_span(text),
-                        Err(e) => Err(json::utf8_error(e)),
+                    let parsed = match line_text(&self.buf) {
+                        Ok(None) => continue,
+                        Ok(Some(text)) => json::parse_span(text),
+                        Err(e) => Err(e),
                     };
                     return Some(parsed.map_err(|source| ReadError::Parse {
                         line: self.line,
@@ -265,11 +249,69 @@ impl<R: BufRead> Iterator for SpanJsonLinesReader<R> {
     }
 }
 
+/// One line as the span-JSON-lines readers take it: trailing `\n` and
+/// `\r` bytes dropped, and `None` for a line `str::trim` empties.
+fn line_text(line: &[u8]) -> Result<Option<&str>, xsp_json::Error> {
+    let mut end = line.len();
+    while end > 0 && matches!(line[end - 1], b'\n' | b'\r') {
+        end -= 1;
+    }
+    match std::str::from_utf8(&line[..end]) {
+        Ok(text) if text.trim().is_empty() => Ok(None),
+        Ok(text) => Ok(Some(text)),
+        Err(e) => Err(json::utf8_error(e)),
+    }
+}
+
 /// Reads a complete span-JSON-lines stream back into a [`Trace`] — the
 /// round-trip inverse of [`SpanJsonLinesWriter`].
 pub fn read_span_json_lines<R: BufRead>(input: R) -> Result<Trace, ReadError> {
     let spans: Vec<Span> = SpanJsonLinesReader::new(input).collect::<Result<_, _>>()?;
     Ok(Trace::from_spans(spans))
+}
+
+/// Reads an in-memory span-JSON-lines body straight into `store`, in line
+/// order, and returns the span count. It accepts and refuses exactly what
+/// [`SpanJsonLinesReader`] does, with the same errors, but builds no owned
+/// [`Span`]: each line is parsed with its strings borrowed from `bytes`
+/// into two lists reused from line to line, then interned into the store.
+/// On an error the spans of the lines before it are already in the store;
+/// a caller that wants all or nothing truncates back
+/// ([`SpanStore::truncate`]).
+pub fn read_span_json_lines_into_store(
+    bytes: &[u8],
+    store: &mut SpanStore,
+) -> Result<usize, ReadError> {
+    let mut parts = json::BorrowedParts::default();
+    let mut pushed = 0;
+    for (i, line) in bytes.split_inclusive(|&b| b == b'\n').enumerate() {
+        let head = match line_text(line) {
+            Ok(None) => continue,
+            Ok(Some(text)) => json::parse_span_parts(text, &mut parts),
+            Err(e) => Err(e),
+        };
+        let head = head.map_err(|source| ReadError::Parse {
+            line: i + 1,
+            source,
+        })?;
+        store.push_raw(
+            head.id,
+            head.trace_id,
+            &head.name,
+            head.level,
+            head.start_ns,
+            head.end_ns,
+            head.parent,
+        );
+        for (key, value) in &parts.tags {
+            store.raw_tag(key, value.as_ref());
+        }
+        for (at_ns, message) in &parts.logs {
+            store.raw_log(*at_ns, message);
+        }
+        pushed += 1;
+    }
+    Ok(pushed)
 }
 
 /// Incremental writer for Chrome trace-event JSON — byte-compatible with
@@ -295,25 +337,12 @@ impl<W: Write> ChromeTraceWriter<W> {
     }
 
     /// Appends one span as an "X" (complete) event.
-    pub fn write_span(&mut self, span: &Span) -> io::Result<()> {
-        self.write_restamped(span, span.trace_id, span.start_ns, span.end_ns)
-    }
-
-    /// Appends `span` as one event, as if it belonged to run `trace_id` and
-    /// ran from `start_ns` to `end_ns` (see
-    /// [`SpanJsonLinesWriter::write_restamped`]).
-    pub fn write_restamped(
-        &mut self,
-        span: &Span,
-        trace_id: TraceId,
-        start_ns: u64,
-        end_ns: u64,
-    ) -> io::Result<()> {
+    pub fn write_span(&mut self, span: impl SpanFields) -> io::Result<()> {
         self.buf.clear();
         if self.written > 0 {
             self.buf.push(b',');
         }
-        json::push_chrome_event(&mut self.buf, span, trace_id, start_ns, end_ns);
+        json::push_chrome_event(&mut self.buf, &span);
         self.out.write_all(&self.buf)?;
         self.written += 1;
         Ok(())
@@ -355,8 +384,9 @@ impl<W: Write> ChromeTraceWriter<W> {
 /// (weight = self time in microseconds).
 ///
 /// Folded stacks need each span's children, so the streaming unit is one
-/// *correlated run* ([`write_run`](FoldedStacksWriter::write_run)): peak
-/// memory is the largest single run, not the whole export.
+/// *correlated run* ([`write_run`](FoldedStacksWriter::write_run), or
+/// [`write_store`](FoldedStacksWriter::write_store) for a correlated
+/// store): peak memory is the largest single run, not the whole export.
 /// [`crate::export::to_folded_stacks`] wraps this writer.
 #[derive(Debug)]
 pub struct FoldedStacksWriter<W: Write> {
@@ -371,20 +401,45 @@ impl<W: Write> FoldedStacksWriter<W> {
 
     /// Streams the folded stacks of one correlated trace (typically a
     /// single evaluation run) to the output, walking the trace's built-once
-    /// root/children indices — no per-export adjacency rebuild. Each walk
-    /// stays in its root's run and visits a span at most once. The walk is
-    /// pre-order on an explicit stack of open spans, so a deep parent chain
-    /// costs heap, not call-stack frames.
+    /// root/children indices — no per-export adjacency rebuild.
     pub fn write_run(&mut self, trace: &CorrelatedTrace) -> io::Result<()> {
         let spans = trace.spans();
+        self.write_forest(trace.forest(), |i| &spans[i])
+    }
+
+    /// Streams the folded stacks of a correlated store, exactly as
+    /// [`write_run`](Self::write_run) streams the same spans correlated
+    /// into an owned trace. The children come from the rows' (trace id,
+    /// span id, parent) triples, indexed by the rule the owned trace uses.
+    pub fn write_store(&mut self, store: &CorrelatedStore<'_>) -> io::Result<()> {
+        let rows: Vec<_> = store.rows().collect();
+        let forest = SpanForest::new(rows.len(), |i| {
+            (rows[i].trace_id(), rows[i].id(), rows[i].parent())
+        });
+        self.write_forest(&forest, |i| rows[i])
+    }
+
+    /// The walk behind both: pre-order from each root, on an explicit stack
+    /// of open spans, so a deep parent chain costs heap, not call-stack
+    /// frames. Each walk stays in its root's run and visits a span at most
+    /// once.
+    fn write_forest<S: SpanFields>(
+        &mut self,
+        forest: &SpanForest,
+        span: impl Fn(usize) -> S,
+    ) -> io::Result<()> {
+        let duration = |i: usize| {
+            let s = span(i);
+            s.end_ns() - s.start_ns()
+        };
         // The open path's frames, `;`-joined, and per open span: its index,
         // the position of its next child, and where its frame starts.
         let mut line = String::new();
         let mut open: Vec<(usize, usize, usize)> = Vec::new();
-        let mut roots = trace.root_indices().iter();
+        let mut roots = forest.roots().iter();
         loop {
             let idx = match open.last_mut() {
-                Some((parent, next, start)) => match trace.child_indices(*parent).get(*next) {
+                Some((parent, next, start)) => match forest.children(*parent).get(*next) {
                     Some(&kid) => {
                         *next += 1;
                         kid
@@ -404,14 +459,13 @@ impl<W: Write> FoldedStacksWriter<W> {
             if !line.is_empty() {
                 line.push(';');
             }
-            let span = &spans[idx];
-            line.extend(span.name.chars().map(|c| match c {
+            line.extend(span(idx).name().chars().map(|c| match c {
                 ';' | ' ' => '_',
                 c => c,
             }));
-            let kids = trace.child_indices(idx);
-            let child_time: u64 = kids.iter().map(|&k| spans[k].duration_ns()).sum();
-            let self_us = span.duration_ns().saturating_sub(child_time) / 1_000;
+            let kids = forest.children(idx);
+            let child_time: u64 = kids.iter().map(|&k| duration(k)).sum();
+            let self_us = duration(idx).saturating_sub(child_time) / 1_000;
             if self_us > 0 || kids.is_empty() {
                 writeln!(self.out, "{line} {}", self_us.max(1))?;
             }

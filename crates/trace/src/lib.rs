@@ -44,14 +44,16 @@ pub mod tracer;
 
 pub use clock::VirtualClock;
 pub use correlate::{
-    reconstruct_parents, AmbiguityReport, CorrelatedTrace, CorrelationEngine, StoreCorrelationCache,
+    reconstruct_parents, AmbiguityReport, CorrelatedRow, CorrelatedStore, CorrelatedTrace,
+    CorrelationEngine, StoreCorrelationCache,
 };
 pub use hierarchy::SpanTree;
 pub use intern::{NameTable, Symbol};
 pub use interval::IntervalTree;
 pub use server::{Trace, TracingServer};
 pub use span::{
-    with_span_id_scope, Span, SpanBuilder, SpanId, StackLevel, TagKey, TagValue, TraceId,
+    with_span_id_scope, Span, SpanBuilder, SpanFields, SpanId, StackLevel, TagKey, TagValue,
+    TraceId,
 };
 pub use stats::{trimmed_mean, Summary};
 pub use store::{SpanStore, SpanView, TagRef};

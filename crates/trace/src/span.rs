@@ -8,6 +8,7 @@
 //! layer → model) are set directly; the rest are reconstructed offline (see
 //! [`crate::correlate`]).
 
+use crate::store::TagRef;
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::cell::Cell;
@@ -146,16 +147,17 @@ impl StackLevel {
     ];
 }
 
+impl StackLevel {
+    /// The lowercase name: `Display` output and a Chrome event's `cat`.
+    pub fn label(self) -> &'static str {
+        const LABELS: [&str; 5] = ["application", "model", "layer", "library", "kernel"];
+        LABELS[self.rank() as usize]
+    }
+}
+
 impl fmt::Display for StackLevel {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            StackLevel::Application => "application",
-            StackLevel::Model => "model",
-            StackLevel::Layer => "layer",
-            StackLevel::Library => "library",
-            StackLevel::Kernel => "kernel",
-        };
-        f.write_str(s)
+        f.write_str(self.label())
     }
 }
 
@@ -400,6 +402,128 @@ impl Span {
     /// (`start ≤ other.start` and `other.end ≤ end`).
     pub fn contains(&self, other: &Span) -> bool {
         self.start_ns <= other.start_ns && other.end_ns <= self.end_ns
+    }
+}
+
+/// Read access to one span's fields without owning a [`Span`]: what the
+/// span writers in [`crate::export`] encode. An owned span, a
+/// [`SpanStore`](crate::store::SpanStore) row and a row of a correlated
+/// store ([`crate::correlate::CorrelatedRow`]) implement it, so every
+/// container is written by the same encoders, byte for byte.
+pub trait SpanFields {
+    /// Span id.
+    fn id(&self) -> SpanId;
+    /// Evaluation-run id.
+    fn trace_id(&self) -> TraceId;
+    /// Operation name.
+    fn name(&self) -> &str;
+    /// Stack level.
+    fn level(&self) -> StackLevel;
+    /// Start timestamp, ns.
+    fn start_ns(&self) -> u64;
+    /// End timestamp, ns.
+    fn end_ns(&self) -> u64;
+    /// Parent reference.
+    fn parent(&self) -> Option<SpanId>;
+    /// How many tags [`SpanFields::tags`] yields.
+    fn tag_count(&self) -> usize;
+    /// The tags, borrowed, in order.
+    fn tags(&self) -> impl Iterator<Item = (&str, TagRef<'_>)> + Clone;
+    /// How many log events [`SpanFields::logs`] yields.
+    fn log_count(&self) -> usize;
+    /// The log events as `(at_ns, message)`, in order.
+    fn logs(&self) -> impl Iterator<Item = (u64, &str)>;
+}
+
+impl SpanFields for Span {
+    fn id(&self) -> SpanId {
+        self.id
+    }
+
+    fn trace_id(&self) -> TraceId {
+        self.trace_id
+    }
+
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn level(&self) -> StackLevel {
+        self.level
+    }
+
+    fn start_ns(&self) -> u64 {
+        self.start_ns
+    }
+
+    fn end_ns(&self) -> u64 {
+        self.end_ns
+    }
+
+    fn parent(&self) -> Option<SpanId> {
+        self.parent
+    }
+
+    fn tag_count(&self) -> usize {
+        self.tags.len()
+    }
+
+    fn tags(&self) -> impl Iterator<Item = (&str, TagRef<'_>)> + Clone {
+        self.tags.iter().map(|(k, v)| (&**k, TagRef::from(v)))
+    }
+
+    fn log_count(&self) -> usize {
+        self.logs.len()
+    }
+
+    fn logs(&self) -> impl Iterator<Item = (u64, &str)> {
+        self.logs.iter().map(|l| (l.at_ns, l.message.as_str()))
+    }
+}
+
+impl<T: SpanFields + ?Sized> SpanFields for &T {
+    fn id(&self) -> SpanId {
+        (**self).id()
+    }
+
+    fn trace_id(&self) -> TraceId {
+        (**self).trace_id()
+    }
+
+    fn name(&self) -> &str {
+        (**self).name()
+    }
+
+    fn level(&self) -> StackLevel {
+        (**self).level()
+    }
+
+    fn start_ns(&self) -> u64 {
+        (**self).start_ns()
+    }
+
+    fn end_ns(&self) -> u64 {
+        (**self).end_ns()
+    }
+
+    fn parent(&self) -> Option<SpanId> {
+        (**self).parent()
+    }
+
+    fn tag_count(&self) -> usize {
+        (**self).tag_count()
+    }
+
+    fn tags(&self) -> impl Iterator<Item = (&str, TagRef<'_>)> + Clone {
+        (**self).tags()
+    }
+
+    fn log_count(&self) -> usize {
+        (**self).log_count()
+    }
+
+    fn logs(&self) -> impl Iterator<Item = (u64, &str)> {
+        (**self).logs()
     }
 }
 

@@ -23,20 +23,23 @@
 //! `async_info_*` unit tests below and the store-cache proptest, which
 //! compares store and owned-trace correlation, pin the equivalence.
 //!
-//! Conversion back to the interchange shape is always available:
-//! [`SpanStore::materialize`] rebuilds a byte-identical [`Span`] (tag and
-//! log order preserved), and [`SpanStore::to_trace`] rebuilds a [`Trace`]
-//! with the same run bucketing `Trace::from_spans` would derive. A
-//! correlated store becomes owned spans the same way: the correlation
-//! pass keeps only verdicts, and
-//! [`crate::correlate::StoreCorrelationCache::materialize`] rebuilds each
-//! surviving span with its verdict's parent and any launch tags folded
-//! in, through the step that builds an owned trace's output too.
+//! A row is read in place through [`SpanView`], which implements
+//! [`SpanFields`], the span view every writer in [`crate::export`]
+//! encodes; a correlated store is written the same way, one
+//! [`crate::correlate::CorrelatedRow`] per surviving span, so no owned
+//! [`Span`] is built on the way out. Conversion back to the interchange
+//! shape is still available: [`SpanStore::materialize`] rebuilds a
+//! byte-identical [`Span`] (tag and log order preserved), and
+//! [`SpanStore::to_trace`] rebuilds a [`Trace`] with the same run
+//! bucketing `Trace::from_spans` would derive.
+//!
+//! [`SpanStore::truncate`] drops every span past a length, so a batch
+//! that fails half-way through ingest can be taken back whole.
 
 use crate::fxhash::FxHashMap;
 use crate::intern::{NameTable, Symbol};
 use crate::server::Trace;
-use crate::span::{tag_keys, LogEvent, Span, SpanId, StackLevel, TagValue, TraceId};
+use crate::span::{tag_keys, LogEvent, Span, SpanFields, SpanId, StackLevel, TagValue, TraceId};
 
 /// A borrowed tag value — [`TagValue`] without the owned string.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -439,6 +442,51 @@ impl SpanStore {
         self.run_of.clear();
     }
 
+    /// Drops every span from index `len` on, with its tags, logs and run
+    /// membership, leaving the store as it was when it held `len` spans.
+    /// Interned names stay, as [`SpanStore::clear`] keeps them; nothing
+    /// that reads spans sees them. A `len` at or past the end is a no-op.
+    pub fn truncate(&mut self, len: usize) {
+        if len >= self.len() {
+            return;
+        }
+        let tag_off = self.tag_ranges[len].0 as usize;
+        let log_off = self.log_ranges[len].0 as usize;
+        let byte_off = self
+            .log_msg_ranges
+            .get(log_off)
+            .map_or(self.log_bytes.len(), |&(off, _)| off as usize);
+        self.ids.truncate(len);
+        self.trace_ids.truncate(len);
+        self.name_syms.truncate(len);
+        self.levels.truncate(len);
+        self.starts.truncate(len);
+        self.ends.truncate(len);
+        self.parents.truncate(len);
+        self.tag_ranges.truncate(len);
+        self.tag_keys_col.truncate(tag_off);
+        self.tag_cells.truncate(tag_off);
+        self.log_ranges.truncate(len);
+        self.log_ats.truncate(log_off);
+        self.log_msg_ranges.truncate(log_off);
+        self.log_bytes.truncate(byte_off);
+        self.async_infos.truncate(len);
+        // Each bucket lists its indices ascending, and buckets are in
+        // first-appearance order, so the buckets a truncation empties are
+        // the last ones.
+        for (_, idxs) in &mut self.runs {
+            let keep = idxs.partition_point(|&i| (i as usize) < len);
+            idxs.truncate(keep);
+        }
+        while let Some((tid, idxs)) = self.runs.last() {
+            if !idxs.is_empty() {
+                break;
+            }
+            self.run_of.remove(tid);
+            self.runs.pop();
+        }
+    }
+
     pub(crate) fn names_mut(&mut self) -> &mut NameTable {
         &mut self.names
     }
@@ -471,6 +519,39 @@ impl SpanStore {
     pub(crate) fn tag_range(&self, idx: u32) -> std::ops::Range<usize> {
         let (off, len) = self.tag_ranges[idx as usize];
         off as usize..(off + len) as usize
+    }
+
+    /// The key symbol of every tag in the arena.
+    pub(crate) fn tag_key_symbols(&self) -> &[Symbol] {
+        &self.tag_keys_col
+    }
+
+    /// The tag at arena index `t`, borrowed.
+    pub(crate) fn tag_at(&self, t: usize) -> (&str, TagRef<'_>) {
+        (
+            self.names.resolve(self.tag_keys_col[t]),
+            self.tag_ref(self.tag_cells[t]),
+        )
+    }
+
+    /// The log events of the span at `idx`, borrowed.
+    pub(crate) fn logs_of(&self, idx: u32) -> impl Iterator<Item = (u64, &str)> {
+        let (off, len) = self.log_ranges[idx as usize];
+        (off as usize..(off + len) as usize).map(move |l| (self.log_ats[l], self.log_message(l)))
+    }
+
+    /// The number of log events of the span at `idx`.
+    pub(crate) fn log_count_of(&self, idx: u32) -> usize {
+        self.log_ranges[idx as usize].1 as usize
+    }
+
+    /// The name of the span at `idx`.
+    pub(crate) fn name_at(&self, idx: u32) -> &str {
+        self.names.resolve(self.name_syms[idx as usize])
+    }
+
+    pub(crate) fn trace_id_at(&self, idx: u32) -> TraceId {
+        self.trace_ids[idx as usize]
     }
 
     fn tag_value(&self, cell: TagCell) -> TagValue {
@@ -506,84 +587,65 @@ impl Default for SpanStore {
     }
 }
 
-/// A borrowed view of one span in a [`SpanStore`] — field access without
-/// materializing an owned [`Span`].
+/// A borrowed view of one span in a [`SpanStore`] — its fields, through
+/// [`SpanFields`], without materializing an owned [`Span`].
 #[derive(Debug, Clone, Copy)]
 pub struct SpanView<'a> {
     store: &'a SpanStore,
     idx: u32,
 }
 
-impl<'a> SpanView<'a> {
+impl SpanView<'_> {
     /// The span's index in its store.
     pub fn index(&self) -> u32 {
         self.idx
     }
+}
 
-    /// Span id.
-    pub fn id(&self) -> SpanId {
-        self.store.ids[self.idx as usize]
+impl SpanFields for SpanView<'_> {
+    fn id(&self) -> SpanId {
+        self.store.id_at(self.idx)
     }
 
-    /// Evaluation-run id.
-    pub fn trace_id(&self) -> TraceId {
-        self.store.trace_ids[self.idx as usize]
+    fn trace_id(&self) -> TraceId {
+        self.store.trace_id_at(self.idx)
     }
 
-    /// Span name (borrowed from the store's string table).
-    pub fn name(&self) -> &'a str {
-        self.store
-            .names
-            .resolve(self.store.name_syms[self.idx as usize])
+    fn name(&self) -> &str {
+        self.store.name_at(self.idx)
     }
 
-    /// Stack level.
-    pub fn level(&self) -> StackLevel {
-        self.store.levels[self.idx as usize]
+    fn level(&self) -> StackLevel {
+        self.store.level_at(self.idx)
     }
 
-    /// Start timestamp, ns.
-    pub fn start_ns(&self) -> u64 {
+    fn start_ns(&self) -> u64 {
         self.store.starts[self.idx as usize]
     }
 
-    /// End timestamp, ns.
-    pub fn end_ns(&self) -> u64 {
+    fn end_ns(&self) -> u64 {
         self.store.ends[self.idx as usize]
     }
 
-    /// Explicit parent, if any.
-    pub fn parent(&self) -> Option<SpanId> {
-        self.store.parents[self.idx as usize]
+    fn parent(&self) -> Option<SpanId> {
+        self.store.parent_at(self.idx)
     }
 
-    /// Iterates the span's tags as borrowed `(key, value)` pairs, in push
-    /// order.
-    pub fn tags(&self) -> impl Iterator<Item = (&'a str, TagRef<'a>)> + 'a {
+    fn tag_count(&self) -> usize {
+        self.store.tag_range(self.idx).len()
+    }
+
+    fn tags(&self) -> impl Iterator<Item = (&str, TagRef<'_>)> + Clone {
         let store = self.store;
-        store.tag_range(self.idx).map(move |t| {
-            (
-                store.names.resolve(store.tag_keys_col[t]),
-                store.tag_ref(store.tag_cells[t]),
-            )
-        })
+        store.tag_range(self.idx).map(move |t| store.tag_at(t))
     }
 
-    /// Number of tags.
-    pub fn tag_count(&self) -> usize {
-        self.store.tag_ranges[self.idx as usize].1 as usize
+    fn log_count(&self) -> usize {
+        self.store.log_count_of(self.idx)
     }
 
-    /// Iterates the span's logs as `(at_ns, message)` pairs, in push order.
-    pub fn logs(&self) -> impl Iterator<Item = (u64, &'a str)> + '_ {
-        let store = self.store;
-        let (off, len) = store.log_ranges[self.idx as usize];
-        (off..off + len).map(move |l| (store.log_ats[l as usize], store.log_message(l as usize)))
-    }
-
-    /// Number of log events.
-    pub fn log_count(&self) -> usize {
-        self.store.log_ranges[self.idx as usize].1 as usize
+    fn logs(&self) -> impl Iterator<Item = (u64, &str)> {
+        self.store.logs_of(self.idx)
     }
 }
 
@@ -739,9 +801,44 @@ mod tests {
         assert_eq!(v.tag_count(), 2);
         let tags: Vec<(&str, TagRef<'_>)> = v.tags().collect();
         assert_eq!(tags[1], ("shape", TagRef::Str("1x3x224x224")));
-        let logs: Vec<(u64, &str)> = store.view(0).logs().collect();
+        let model = store.view(0);
+        let logs: Vec<(u64, &str)> = model.logs().collect();
         assert_eq!(logs, vec![(5, "warmup done")]);
         assert_eq!(store.iter().count(), 3);
+    }
+
+    #[test]
+    fn truncate_takes_back_spans_tags_logs_and_runs() {
+        let mut spans = sample();
+        let late = SpanBuilder::new("late", StackLevel::Model, TraceId(3))
+            .start(10)
+            .tag("note", "x")
+            .log(11, "gone")
+            .finish(20);
+        spans.push(late);
+        let mut store = SpanStore::from_spans(&spans[..2]);
+        let prefix = store.clone();
+        for s in &spans[2..] {
+            store.push(s);
+        }
+        store.truncate(2);
+        assert_eq!(store.len(), 2);
+        assert_eq!(store.trace_ids(), prefix.trace_ids(), "emptied runs go");
+        assert_eq!(store.to_trace().spans(), prefix.to_trace().spans());
+        // The store grows again exactly as the untruncated prefix does.
+        let mut again = prefix;
+        for s in &spans[2..] {
+            store.push(s);
+            again.push(s);
+        }
+        assert_eq!(store.to_trace().spans(), again.to_trace().spans());
+        assert_eq!(store.trace_ids(), again.trace_ids());
+        for tid in store.trace_ids() {
+            let t = store.to_trace();
+            assert_eq!(t.run_indices(tid), again.to_trace().run_indices(tid));
+        }
+        store.truncate(10);
+        assert_eq!(store.len(), 4, "truncating past the end keeps every span");
     }
 
     #[test]

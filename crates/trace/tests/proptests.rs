@@ -3,13 +3,40 @@
 
 use proptest::prelude::*;
 use std::collections::HashMap;
+use xsp_trace::export::{
+    ChromeTraceWriter, FoldedStacksWriter, SpanBinaryWriter, SpanJsonLinesWriter,
+};
 use xsp_trace::interval::{Interval, IntervalTree};
 use xsp_trace::span::{tag_keys, Span, SpanId, TagValue};
 use xsp_trace::stats::{percentile, trimmed_mean, Summary};
 use xsp_trace::{
-    reconstruct_parents, AmbiguityReport, CorrelationEngine, SpanBuilder, SpanStore, StackLevel,
-    StoreCorrelationCache, Trace, TraceId,
+    reconstruct_parents, AmbiguityReport, CorrelationEngine, SpanBuilder, SpanFields, SpanStore,
+    StackLevel, StoreCorrelationCache, Trace, TraceId,
 };
+
+/// The bytes of `spans` in span-JSON-lines, `.xspb` and Chrome, then the
+/// folded stacks `folded` writes: the four writers an export dispatches to.
+fn four_formats<S: SpanFields>(
+    spans: impl Iterator<Item = S>,
+    folded: impl FnOnce(&mut FoldedStacksWriter<Vec<u8>>) -> std::io::Result<()>,
+) -> [Vec<u8>; 4] {
+    let mut jsonl = SpanJsonLinesWriter::new(Vec::new());
+    let mut xspb = SpanBinaryWriter::new(Vec::new()).unwrap();
+    let mut chrome = ChromeTraceWriter::new(Vec::new()).unwrap();
+    for span in spans {
+        jsonl.write_span(&span).unwrap();
+        xspb.write_span(&span).unwrap();
+        chrome.write_span(&span).unwrap();
+    }
+    let mut stacks = FoldedStacksWriter::new(Vec::new());
+    folded(&mut stacks).unwrap();
+    [
+        jsonl.finish().unwrap(),
+        xspb.finish().unwrap(),
+        chrome.finish().unwrap(),
+        stacks.finish().unwrap(),
+    ]
+}
 
 fn arb_intervals(max_n: usize) -> impl Strategy<Value = Vec<Interval>> {
     prop::collection::vec((0u64..1000, 0u64..100), 0..max_n).prop_map(|pairs| {
@@ -450,9 +477,10 @@ proptest! {
 
     /// The store-cache contract: growing a [`SpanStore`] by the same span
     /// stream at arbitrary batch boundaries, refreshing a
-    /// [`StoreCorrelationCache`] after every batch, and materializing must
-    /// reproduce the owned-trace engine exactly — same spans (parents and
-    /// folded launch tags included) and ambiguity report.
+    /// [`StoreCorrelationCache`] after every batch, and writing the
+    /// correlated store must reproduce the owned-trace engine exactly: the
+    /// same bytes in all four formats (parents and folded launch tags
+    /// included) and the same ambiguity report.
     #[test]
     fn store_cache_matches_batch_for_random_batch_splits(
         spans in arb_correlation_forest(),
@@ -480,18 +508,17 @@ proptest! {
             cache.refresh(&mut engine, &store);
             prev = cut;
         }
-        let cached = cache.materialize(&store);
+        let cached = cache.correlated(&store);
 
         prop_assert_eq!(cached.len(), batch.len(), "span count diverged");
-        for (g, o) in cached.spans().iter().zip(batch.spans()) {
-            prop_assert_eq!(
-                serde_json::to_string(g).unwrap(),
-                serde_json::to_string(o).unwrap(),
-                "span diverged"
-            );
+        let got = four_formats(cached.rows(), |w| w.write_store(&cached));
+        let want = four_formats(batch.iter_spans(), |w| w.write_run(&batch));
+        for (format, (g, w)) in ["spans", "xspb", "chrome", "folded"].iter().zip(got.iter().zip(&want)) {
+            prop_assert!(g == w, "{} bytes diverged", format);
         }
-        prop_assert_eq!(&cached.ambiguities.ambiguous, &batch.ambiguities.ambiguous);
-        prop_assert_eq!(&cached.ambiguities.orphans, &batch.ambiguities.orphans);
+        let ambiguities = cached.ambiguities();
+        prop_assert_eq!(&ambiguities.ambiguous, &batch.ambiguities.ambiguous);
+        prop_assert_eq!(&ambiguities.orphans, &batch.ambiguities.orphans);
     }
 }
 

@@ -209,7 +209,7 @@ fn assert_session_exports_from_bytes(capture: Vec<Span>) {
         .expect("the batch fits the quota");
     for format in ExportFormat::ALL {
         assert!(
-            session.export_bytes(format) == from_bytes(&capture, format),
+            *session.export_bytes(format) == from_bytes(&capture, format),
             "{format}: the session's export differs from the --from conversion"
         );
     }

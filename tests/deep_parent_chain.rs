@@ -80,7 +80,7 @@ fn a_session_folds_the_chain_to_the_from_bytes() {
     session
         .append(chain_spans())
         .expect("the chain fits the quota");
-    assert!(session.export_bytes(ExportFormat::Folded) == cli_folded());
+    assert!(*session.export_bytes(ExportFormat::Folded) == cli_folded());
 }
 
 #[test]

@@ -59,7 +59,9 @@ proptest! {
         // same stream as the span-slice writer (the CLI's offline path).
         for store in [&store_s, &store_p] {
             let mut w = SpanBinaryWriter::new(Vec::new()).expect("Vec writes cannot fail");
-            w.write_store(store).expect("Vec writes cannot fail");
+            for view in store.iter() {
+                w.write_span(view).expect("Vec writes cannot fail");
+            }
             let via_store = w.finish().expect("Vec writes cannot fail");
             prop_assert_eq!(&via_store, &bytes_s, "store writer diverged");
         }
