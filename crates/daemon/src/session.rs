@@ -383,7 +383,7 @@ impl Session {
     /// are additionally shared by content fingerprint: a second session
     /// that ingested the same capture serves its export straight from the
     /// cache, with zero correlation passes of its own. The bytes are
-    /// returned as the cache holds them, not copied.
+    /// returned as the cache holds them: a hit copies nothing.
     pub fn export_bytes(&mut self, format: ExportFormat) -> Arc<Vec<u8>> {
         self.touch();
         if self.store.is_empty() {
@@ -402,10 +402,13 @@ impl Session {
         export_correlated_store(&self.correlation.correlated(&self.store), format, &mut out)
             .expect("export to an in-memory buffer cannot fail");
         self.export_lens[slot] = out.len();
-        let out = Arc::new(out);
-        if let Some(cache) = &self.export_cache {
-            cache.insert(key, Arc::clone(&out));
-        }
+        let Some(cache) = &self.export_cache else {
+            return Arc::new(out);
+        };
+        // The cache keeps an exact-size copy: holding the buffer grown by
+        // doubling instead fragments the heap, and peak RSS rises with it.
+        let out = Arc::new(out.clone());
+        cache.insert(key, Arc::clone(&out));
         out
     }
 
