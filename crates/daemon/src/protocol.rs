@@ -4,9 +4,9 @@
 //! plus a big-endian `u32` payload length — followed by the payload.
 //! Control payloads (open/flush/export/close and every response) are JSON
 //! documents; the bulk ingestion path ([`FrameKind::Append`]) carries an
-//! 8-byte big-endian session id followed by raw span-JSON-lines, so span
-//! batches move through the daemon in exactly the interchange format the
-//! offline tooling already reads.
+//! 8-byte big-endian session id followed by raw span-JSON-lines or `.xspb`,
+//! so span batches move through the daemon in exactly the interchange
+//! formats the offline tooling already reads.
 //!
 //! The reader is deliberately paranoid: payload lengths are bounded by
 //! [`MAX_PAYLOAD`] *before* any allocation, an unknown kind byte poisons
@@ -39,7 +39,8 @@ pub enum FrameKind {
     /// refused with an `unknown_model` error listing the nearest entries.
     /// Response: `Ok {"session": id, "model": resolved?}`.
     Open = 0x01,
-    /// Append spans. Payload: 8-byte BE session id + span-JSON-lines.
+    /// Append spans. Payload: 8-byte BE session id + span-JSON-lines or
+    /// `.xspb`.
     /// Response: `Ok {"resident", "total", "spilled"}` or `Err`.
     Append = 0x02,
     /// Persist the session's resident spans to its sink (if any). JSON

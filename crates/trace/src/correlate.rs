@@ -182,26 +182,31 @@ impl SpanForest {
 
     fn adjacency(&self) -> &Adjacency {
         self.adjacency.get_or_init(|| {
+            // A counting sort by parent: each parent's child count, then
+            // where its children start, then every child in position order,
+            // which leaves each entry at the start of the next parent's.
             let n = self.parents.len();
             let mut starts = vec![0usize; n + 1];
             for &p in self.parents.iter().flatten() {
-                starts[p + 1] += 1;
+                starts[p] += 1;
             }
-            for i in 0..n {
-                starts[i + 1] += starts[i];
+            let mut total = 0;
+            for start in &mut starts {
+                (*start, total) = (total, total + *start);
             }
-            let mut next = starts.clone();
-            let mut children = vec![0usize; starts[n]];
-            let mut roots = Vec::new();
+            let mut children = vec![0usize; total];
+            let mut roots = Vec::with_capacity(n - total);
             for (i, parent) in self.parents.iter().enumerate() {
                 match *parent {
                     Some(p) => {
-                        children[next[p]] = i;
-                        next[p] += 1;
+                        children[starts[p]] = i;
+                        starts[p] += 1;
                     }
                     None => roots.push(i),
                 }
             }
+            starts.copy_within(0..n, 1);
+            starts[0] = 0;
             Adjacency {
                 starts,
                 children,

@@ -1,7 +1,11 @@
 //! The direct span JSON codec: span objects and Chrome trace events are
-//! encoded straight into a byte buffer, and span objects are decoded
-//! straight from text into [`Span`], with no `serde_json::Value` tree in
-//! either direction.
+//! encoded straight into a byte buffer from any [`SpanFields`] view, and
+//! span objects are decoded straight from text, with no `serde_json::Value`
+//! tree in either direction. The decoder reads a span's fixed fields into
+//! a [`SpanHead`] and its tags and logs into a [`Parts`], with strings
+//! borrowed from the input unless escaped: [`parse_span`] makes an owned
+//! [`Span`] of them, and a store ingest interns them from lists it reuses
+//! from line to line.
 //!
 //! The encoders write exactly the bytes the vendored `serde_json` wrote
 //! for the derived `Serialize` impls: fields in declaration order,

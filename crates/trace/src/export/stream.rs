@@ -578,6 +578,47 @@ mod tests {
     }
 
     #[test]
+    fn store_ingest_takes_and_refuses_what_the_reader_does() {
+        let mut w = SpanJsonLinesWriter::new(Vec::new());
+        w.write_trace(&Trace::from_spans(spans())).unwrap();
+        let mut body = w.finish().unwrap();
+        // A CRLF line, blank lines, escapes and a log.
+        body.extend_from_slice(b"\r\n  \n");
+        body.extend_from_slice(
+            concat!(
+                r#"{"name":"a\"b","id":9,"trace_id":1,"level":"Kernel","start_ns":5,"#,
+                r#""end_ns":6,"tags":[["n\u006fte",{"Str":"x\ty"}]],"tags":[["k",{"Bool":true}]],"#,
+                r#""logs":[{"at_ns":5,"message":"m\u00e9"}]}"#,
+                "\r\n"
+            )
+            .as_bytes(),
+        );
+        let mut store = SpanStore::new();
+        assert_eq!(
+            read_span_json_lines_into_store(&body, &mut store).unwrap(),
+            3
+        );
+        let read = read_span_json_lines(&body[..]).unwrap();
+        assert_eq!(store.to_trace().spans(), read.spans());
+        // The same errors, on the same lines.
+        for bad in [
+            &b"{\"id\":1}\n"[..],
+            b"\n\xff\n",
+            b"not a span",
+            br#"{"id":1,"trace_id":1,"name":"n","level":"Model","start_ns":9,"end_ns":1,"tags":[],"logs":[]}"#,
+        ] {
+            let mut with_bad = body.clone();
+            with_bad.extend_from_slice(bad);
+            let got = read_span_json_lines_into_store(&with_bad, &mut SpanStore::new());
+            let want = read_span_json_lines(&with_bad[..]);
+            assert_eq!(
+                got.unwrap_err().to_string(),
+                want.unwrap_err().to_string()
+            );
+        }
+    }
+
+    #[test]
     fn json_lines_report_bad_line_numbers() {
         let trace = Trace::from_spans(spans());
         let mut w = SpanJsonLinesWriter::new(Vec::new());
