@@ -406,7 +406,7 @@ impl Span {
 }
 
 /// Read access to one span's fields without owning a [`Span`]: what the
-/// span writers in [`crate::export`] encode. An owned span, a
+/// span writers in [`crate::export`] encode. A borrowed span, a
 /// [`SpanStore`](crate::store::SpanStore) row and a row of a correlated
 /// store ([`crate::correlate::CorrelatedRow`]) implement it, so every
 /// container is written by the same encoders, byte for byte.
@@ -435,7 +435,7 @@ pub trait SpanFields {
     fn logs(&self) -> impl Iterator<Item = (u64, &str)>;
 }
 
-impl SpanFields for Span {
+impl SpanFields for &Span {
     fn id(&self) -> SpanId {
         self.id
     }
@@ -478,52 +478,6 @@ impl SpanFields for Span {
 
     fn logs(&self) -> impl Iterator<Item = (u64, &str)> {
         self.logs.iter().map(|l| (l.at_ns, l.message.as_str()))
-    }
-}
-
-impl<T: SpanFields + ?Sized> SpanFields for &T {
-    fn id(&self) -> SpanId {
-        (**self).id()
-    }
-
-    fn trace_id(&self) -> TraceId {
-        (**self).trace_id()
-    }
-
-    fn name(&self) -> &str {
-        (**self).name()
-    }
-
-    fn level(&self) -> StackLevel {
-        (**self).level()
-    }
-
-    fn start_ns(&self) -> u64 {
-        (**self).start_ns()
-    }
-
-    fn end_ns(&self) -> u64 {
-        (**self).end_ns()
-    }
-
-    fn parent(&self) -> Option<SpanId> {
-        (**self).parent()
-    }
-
-    fn tag_count(&self) -> usize {
-        (**self).tag_count()
-    }
-
-    fn tags(&self) -> impl Iterator<Item = (&str, TagRef<'_>)> + Clone {
-        (**self).tags()
-    }
-
-    fn log_count(&self) -> usize {
-        (**self).log_count()
-    }
-
-    fn logs(&self) -> impl Iterator<Item = (u64, &str)> {
-        (**self).logs()
     }
 }
 

@@ -16,7 +16,7 @@ use xsp_trace::{
 
 /// The bytes of `spans` in span-JSON-lines, `.xspb` and Chrome, then the
 /// folded stacks `folded` writes: the four writers an export dispatches to.
-fn four_formats<S: SpanFields>(
+fn four_formats<S: SpanFields + Copy>(
     spans: impl Iterator<Item = S>,
     folded: impl FnOnce(&mut FoldedStacksWriter<Vec<u8>>) -> std::io::Result<()>,
 ) -> [Vec<u8>; 4] {
@@ -24,9 +24,9 @@ fn four_formats<S: SpanFields>(
     let mut xspb = SpanBinaryWriter::new(Vec::new()).unwrap();
     let mut chrome = ChromeTraceWriter::new(Vec::new()).unwrap();
     for span in spans {
-        jsonl.write_span(&span).unwrap();
-        xspb.write_span(&span).unwrap();
-        chrome.write_span(&span).unwrap();
+        jsonl.write_span(span).unwrap();
+        xspb.write_span(span).unwrap();
+        chrome.write_span(span).unwrap();
     }
     let mut stacks = FoldedStacksWriter::new(Vec::new());
     folded(&mut stacks).unwrap();
