@@ -30,7 +30,7 @@
 //! the plain [`Span`]s of a [`CorrelatedTrace`], moving them out of the
 //! `Trace` without cloning; a store keeps its verdicts in a
 //! [`StoreCorrelationCache`] and is written through them as a
-//! [`CorrelatedStore`], one [`CorrelatedRow`] per surviving span, with no
+//! [`CorrelatedStore`], one store view per surviving span, with no
 //! owned span built. Both fold a launch's tags into its execution by one
 //! rule, and index parents and children by one rule. Interval trees are
 //! built *lazily*: a level's tree is built on the first probe against it
@@ -43,8 +43,8 @@ use crate::export::ValidatedSpanBinary;
 use crate::fxhash::FxHashMap;
 use crate::interval::{Interval, IntervalTree};
 use crate::server::Trace;
-use crate::span::{tag_keys, Span, SpanFields, SpanId, StackLevel, TraceId};
-use crate::store::{SpanStore, TagRef, HAS_CID, IS_EXEC, IS_LAUNCH};
+use crate::span::{tag_keys, Span, SpanId, StackLevel, TraceId};
+use crate::store::{SpanStore, SpanView, TagRef, HAS_CID, IS_EXEC, IS_LAUNCH};
 use std::sync::OnceLock;
 
 /// Ambiguities discovered during parent reconstruction.
@@ -546,7 +546,7 @@ fn spans_of_run(run: &mut SpanRun<'_>, verdicts: &[Verdict], out: &mut Vec<Span>
 /// execution does not carry yet, in launch order, so the execution's own
 /// values win and a key the launch repeats contributes its first value.
 /// Keys go through [`tag_keys::resolve`], so a well-known one is borrowed.
-/// [`CorrelatedRow`] yields the same tags for a store row without building
+/// A correlated store's [`SpanView`] yields the same tags without building
 /// them.
 fn fold_launch_tags(exec: &mut Span, launch: &Span) {
     for (key, value) in &launch.tags {
@@ -894,7 +894,8 @@ impl StoreCorrelationCache {
 }
 
 /// A [`SpanStore`] seen through its [`StoreCorrelationCache`]: one
-/// [`CorrelatedRow`] per span that survives correlation, in the order an
+/// [`SpanView`] with its verdict per span that survives correlation, in
+/// the order an
 /// owned trace's correlation lists the same spans. The exporters write it
 /// as they write a [`CorrelatedTrace`], with the same bytes.
 #[derive(Clone, Copy)]
@@ -904,19 +905,18 @@ pub struct CorrelatedStore<'a> {
 }
 
 impl<'a> CorrelatedStore<'a> {
-    /// The surviving spans, run by run, each in its run's order.
-    pub fn rows(&self) -> impl Iterator<Item = CorrelatedRow<'a>> + 'a {
+    /// The surviving spans, run by run, each in its run's order: store
+    /// views carrying their verdicts.
+    pub fn rows(&self) -> impl Iterator<Item = SpanView<'a>> + 'a {
         let store = self.store;
         self.cache
             .runs
             .iter()
             .zip(store.run_buckets())
             .flat_map(move |(run, (_, idxs))| {
-                run.verdicts.iter().map(move |v| CorrelatedRow {
-                    store,
-                    idx: idxs[v.src as usize],
-                    parent: v.parent,
-                    launch: v.launch.map(|l| idxs[l as usize]),
+                run.verdicts.iter().map(move |v| {
+                    let launch = v.launch.map(|l| idxs[l as usize]);
+                    SpanView::correlated(store, idxs[v.src as usize], v.parent, launch)
                 })
             })
     }
@@ -941,80 +941,6 @@ impl<'a> CorrelatedStore<'a> {
     }
 }
 
-/// One span of a [`CorrelatedStore`]: a store row with its verdict's
-/// parent and, for a merged async pair, the tags of its launch folded in
-/// after its own — each launch tag whose key the row does not carry, a
-/// repeated launch key contributing its first value, as
-/// [`CorrelationEngine::correlate`] folds them into an owned span.
-#[derive(Clone, Copy)]
-pub struct CorrelatedRow<'a> {
-    store: &'a SpanStore,
-    idx: u32,
-    parent: Option<SpanId>,
-    launch: Option<u32>,
-}
-
-impl CorrelatedRow<'_> {
-    /// The arena indices of the row's tags: its own, then the folded ones
-    /// of its launch. Keys compare as symbols of the one store table.
-    fn tag_indices(&self) -> impl Iterator<Item = usize> + Clone + '_ {
-        let own = self.store.tag_range(self.idx);
-        let launch = self.launch.map_or(0..0, |l| self.store.tag_range(l));
-        let keys = self.store.tag_key_symbols();
-        let first = launch.start;
-        let folded = launch.filter(move |&t| {
-            !keys[own.clone()].contains(&keys[t]) && !keys[first..t].contains(&keys[t])
-        });
-        self.store.tag_range(self.idx).chain(folded)
-    }
-}
-
-impl SpanFields for CorrelatedRow<'_> {
-    fn id(&self) -> SpanId {
-        self.store.id_at(self.idx)
-    }
-
-    fn trace_id(&self) -> TraceId {
-        self.store.trace_id_at(self.idx)
-    }
-
-    fn name(&self) -> &str {
-        self.store.name_at(self.idx)
-    }
-
-    fn level(&self) -> StackLevel {
-        self.store.level_at(self.idx)
-    }
-
-    fn start_ns(&self) -> u64 {
-        self.store.interval_at(self.idx).0
-    }
-
-    fn end_ns(&self) -> u64 {
-        self.store.interval_at(self.idx).1
-    }
-
-    fn parent(&self) -> Option<SpanId> {
-        self.parent
-    }
-
-    fn tag_count(&self) -> usize {
-        self.tag_indices().count()
-    }
-
-    fn tags(&self) -> impl Iterator<Item = (&str, TagRef<'_>)> + Clone {
-        self.tag_indices().map(|t| self.store.tag_at(t))
-    }
-
-    fn log_count(&self) -> usize {
-        self.store.log_count_of(self.idx)
-    }
-
-    fn logs(&self) -> impl Iterator<Item = (u64, &str)> {
-        self.store.logs_of(self.idx)
-    }
-}
-
 /// Merges async pairs and reconstructs the parent of every span lacking an
 /// explicit reference, per evaluation run, and returns the correlated
 /// trace.
@@ -1036,6 +962,7 @@ pub fn reconstruct_parents(trace: &Trace) -> CorrelatedTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::span::SpanFields;
     use crate::span::{SpanBuilder, TagValue, TraceId};
 
     fn span(name: &str, level: StackLevel, s: u64, e: u64) -> Span {
@@ -1100,7 +1027,7 @@ mod tests {
 
     /// An owned copy of a correlated store row, for comparing with the
     /// owned correlation.
-    fn owned_row(row: CorrelatedRow<'_>) -> Span {
+    fn owned_row(row: SpanView<'_>) -> Span {
         Span {
             id: row.id(),
             trace_id: row.trace_id(),

@@ -44,8 +44,8 @@ pub mod tracer;
 
 pub use clock::VirtualClock;
 pub use correlate::{
-    reconstruct_parents, AmbiguityReport, CorrelatedRow, CorrelatedStore, CorrelatedTrace,
-    CorrelationEngine, StoreCorrelationCache,
+    reconstruct_parents, AmbiguityReport, CorrelatedStore, CorrelatedTrace, CorrelationEngine,
+    StoreCorrelationCache,
 };
 pub use hierarchy::SpanTree;
 pub use intern::{NameTable, Symbol};

@@ -406,9 +406,9 @@ impl Span {
 }
 
 /// Read access to one span's fields without owning a [`Span`]: what the
-/// span writers in [`crate::export`] encode. A borrowed span, a
-/// [`SpanStore`](crate::store::SpanStore) row and a row of a correlated
-/// store ([`crate::correlate::CorrelatedRow`]) implement it, so every
+/// span writers in [`crate::export`] encode. A borrowed span and a
+/// [`SpanStore`](crate::store::SpanStore) row ([`SpanView`](crate::store::SpanView),
+/// also a correlated store's row with its verdict) implement it, so every
 /// container is written by the same encoders, byte for byte.
 pub trait SpanFields {
     /// Span id.

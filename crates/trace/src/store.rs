@@ -25,9 +25,9 @@
 //!
 //! A row is read in place through [`SpanView`], which implements
 //! [`SpanFields`], the span view every writer in [`crate::export`]
-//! encodes; a correlated store is written the same way, one
-//! [`crate::correlate::CorrelatedRow`] per surviving span, so no owned
-//! [`Span`] is built on the way out. Conversion back to the interchange
+//! encodes; a correlated store is written the same way, one view with its
+//! verdict per surviving span, so no owned [`Span`] is built on the way
+//! out. Conversion back to the interchange
 //! shape is still available: [`SpanStore::materialize`] rebuilds a
 //! byte-identical [`Span`] (tag and log order preserved), and
 //! [`SpanStore::to_trace`] rebuilds a [`Trace`] with the same run
@@ -352,13 +352,12 @@ impl SpanStore {
 
     /// Borrow-view of the span at `idx`. Panics when out of range.
     pub fn view(&self, idx: u32) -> SpanView<'_> {
-        assert!((idx as usize) < self.len(), "span index out of range");
-        SpanView { store: self, idx }
+        SpanView::correlated(self, idx, self.parents[idx as usize], None)
     }
 
     /// Iterates all spans as views, in push order.
     pub fn iter(&self) -> impl Iterator<Item = SpanView<'_>> {
-        (0..self.len() as u32).map(move |idx| SpanView { store: self, idx })
+        (0..self.len() as u32).map(move |idx| self.view(idx))
     }
 
     /// Rebuilds the interchange [`Span`] at `idx` — tag and log order
@@ -521,11 +520,6 @@ impl SpanStore {
         off as usize..(off + len) as usize
     }
 
-    /// The key symbol of every tag in the arena.
-    pub(crate) fn tag_key_symbols(&self) -> &[Symbol] {
-        &self.tag_keys_col
-    }
-
     /// The tag at arena index `t`, borrowed.
     pub(crate) fn tag_at(&self, t: usize) -> (&str, TagRef<'_>) {
         (
@@ -588,17 +582,52 @@ impl Default for SpanStore {
 }
 
 /// A borrowed view of one span in a [`SpanStore`] — its fields, through
-/// [`SpanFields`], without materializing an owned [`Span`].
+/// [`SpanFields`], without materializing an owned [`Span`]. A row of a
+/// correlated store ([`crate::correlate::CorrelatedStore`]) is a view
+/// with its verdict: the parent the correlation resolved and, for a
+/// merged async pair, the launch whose tags follow the span's own.
 #[derive(Debug, Clone, Copy)]
 pub struct SpanView<'a> {
     store: &'a SpanStore,
     idx: u32,
+    parent: Option<SpanId>,
+    launch: Option<u32>,
 }
 
-impl SpanView<'_> {
+impl<'a> SpanView<'a> {
+    /// The row at `idx` with the verdict's `parent` and paired `launch`.
+    pub(crate) fn correlated(
+        store: &'a SpanStore,
+        idx: u32,
+        parent: Option<SpanId>,
+        launch: Option<u32>,
+    ) -> Self {
+        Self {
+            store,
+            idx,
+            parent,
+            launch,
+        }
+    }
+
     /// The span's index in its store.
     pub fn index(&self) -> u32 {
         self.idx
+    }
+
+    /// The arena indices of the span's tags: its own, then each tag of its
+    /// launch whose key the span does not carry, a key the launch repeats
+    /// contributing its first value — the rule an owned span's async merge
+    /// applies. Keys compare as symbols of the one store table.
+    fn tag_indices(&self) -> impl Iterator<Item = usize> + Clone + '_ {
+        let own = self.store.tag_range(self.idx);
+        let launch = self.launch.map_or(0..0, |l| self.store.tag_range(l));
+        let keys = &self.store.tag_keys_col;
+        let first = launch.start;
+        let folded = launch.filter(move |&t| {
+            !keys[own.clone()].contains(&keys[t]) && !keys[first..t].contains(&keys[t])
+        });
+        self.store.tag_range(self.idx).chain(folded)
     }
 }
 
@@ -628,16 +657,15 @@ impl SpanFields for SpanView<'_> {
     }
 
     fn parent(&self) -> Option<SpanId> {
-        self.store.parent_at(self.idx)
+        self.parent
     }
 
     fn tag_count(&self) -> usize {
-        self.store.tag_range(self.idx).len()
+        self.tag_indices().count()
     }
 
     fn tags(&self) -> impl Iterator<Item = (&str, TagRef<'_>)> + Clone {
-        let store = self.store;
-        store.tag_range(self.idx).map(move |t| store.tag_at(t))
+        self.tag_indices().map(|t| self.store.tag_at(t))
     }
 
     fn log_count(&self) -> usize {
