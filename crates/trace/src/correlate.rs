@@ -916,7 +916,7 @@ impl<'a> CorrelatedStore<'a> {
             .flat_map(move |(run, (_, idxs))| {
                 run.verdicts.iter().map(move |v| {
                     let launch = v.launch.map(|l| idxs[l as usize]);
-                    SpanView::correlated(store, idxs[v.src as usize], v.parent, launch)
+                    SpanView::with_verdict(store, idxs[v.src as usize], v.parent, launch)
                 })
             })
     }

@@ -27,11 +27,10 @@
 //! [`SpanFields`], the span view every writer in [`crate::export`]
 //! encodes; a correlated store is written the same way, one view with its
 //! verdict per surviving span, so no owned [`Span`] is built on the way
-//! out. Conversion back to the interchange
-//! shape is still available: [`SpanStore::materialize`] rebuilds a
-//! byte-identical [`Span`] (tag and log order preserved), and
-//! [`SpanStore::to_trace`] rebuilds a [`Trace`] with the same run
-//! bucketing `Trace::from_spans` would derive.
+//! out. Conversion back to the interchange shape is still available:
+//! [`SpanStore::materialize`] rebuilds a byte-identical [`Span`] (tag and
+//! log order preserved), and [`SpanStore::to_trace`] rebuilds a [`Trace`]
+//! with the same run bucketing `Trace::from_spans` would derive.
 //!
 //! [`SpanStore::truncate`] drops every span past a length, so a batch
 //! that fails half-way through ingest can be taken back whole.
@@ -352,7 +351,7 @@ impl SpanStore {
 
     /// Borrow-view of the span at `idx`. Panics when out of range.
     pub fn view(&self, idx: u32) -> SpanView<'_> {
-        SpanView::correlated(self, idx, self.parents[idx as usize], None)
+        SpanView::with_verdict(self, idx, self.parents[idx as usize], None)
     }
 
     /// Iterates all spans as views, in push order.
@@ -544,6 +543,7 @@ impl SpanStore {
         self.names.resolve(self.name_syms[idx as usize])
     }
 
+    /// The run id of the span at `idx`.
     pub(crate) fn trace_id_at(&self, idx: u32) -> TraceId {
         self.trace_ids[idx as usize]
     }
@@ -595,8 +595,10 @@ pub struct SpanView<'a> {
 }
 
 impl<'a> SpanView<'a> {
-    /// The row at `idx` with the verdict's `parent` and paired `launch`.
-    pub(crate) fn correlated(
+    /// The row at `idx` read with `parent` as its parent and the tags of
+    /// `launch`, a paired launch row, folded in: a correlation's verdict.
+    /// A plain view passes the row's own parent and no launch.
+    pub(crate) fn with_verdict(
         store: &'a SpanStore,
         idx: u32,
         parent: Option<SpanId>,
